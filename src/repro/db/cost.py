@@ -19,7 +19,7 @@ are deliberately centralized here so ablation benches can perturb them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,26 @@ class CostModel:
         """A copy with some constants replaced (for ablation benches)."""
         return CostModel(replace(self.constants, **kwargs))
 
-    def price(self, stats, scale_ctx: Dict[str, TableScale],
+    def price(self, stats,
+              scale_of: Callable[[str], Optional[TableScale]],
               result_bytes: int = 0, lock_statements: int = 0) -> QueryCost:
-        """Price one statement given per-table scaling context."""
+        """Price one statement.
+
+        ``scale_of(table_name)`` returns the table's scaling context (or
+        None for an unknown table); it is asked only about the tables
+        ``stats`` examined rows of.
+        """
         k = self.constants
         scanned = 0.0
         feed_factors = [1.0]
         for table, count in stats.rows_examined_scan.items():
-            ctx = scale_ctx.get(table)
+            ctx = scale_of(table)
             factor = ctx.scan_factor() if ctx else 1.0
             scanned += count * factor
             feed_factors.append(factor)
         indexed = 0.0
         for (table, column), count in stats.rows_examined_index.items():
-            ctx = scale_ctx.get(table)
+            ctx = scale_of(table)
             factor = ctx.probe_factor(column) if ctx else 1.0
             indexed += count * factor
             feed_factors.append(factor)

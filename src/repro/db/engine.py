@@ -16,8 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.db.cost import CostModel, QueryCost, TableScale, ZERO_COST
 from repro.db.errors import LockError, SqlError
-from repro.db.executor import ExecStats, SelectExecutor, run_delete, run_update
-from repro.db.exprs import Resolver, compile_expr
+from repro.db.executor import (
+    ExecStats,
+    run_delete,
+    run_insert,
+    run_select,
+    run_update,
+)
 from repro.db.planner import Planner
 from repro.db.schema import IndexDef, TableSchema
 from repro.db.sql import nodes as n
@@ -79,7 +84,6 @@ class _Prepared:
     ast: object
     kind: str
     plan: object = None
-    insert_fns: Optional[list] = None
     param_count: int = 0
 
 
@@ -141,15 +145,15 @@ class Database:
             table.insert(row)
         return len(rows)
 
-    def scale_context(self) -> Dict[str, TableScale]:
-        """Per-table scaling context for the cost model."""
-        ctx: Dict[str, TableScale] = {}
-        for name, table in self.tables.items():
-            stats = table.schema.stats
-            ctx[name] = TableScale(nominal=stats.nominal_rows,
-                                   loaded=len(table),
-                                   distinct=stats.distinct_values)
-        return ctx
+    def _table_scale(self, name: str) -> Optional[TableScale]:
+        """One table's scaling context; the cost model asks for it only
+        when a statement examined rows of that table."""
+        table = self.tables.get(name)
+        if table is None:
+            return None
+        stats = table.schema.stats
+        return TableScale(nominal=stats.nominal_rows, loaded=len(table),
+                          distinct=stats.distinct_values)
 
     def open_session(self) -> Session:
         return Session(scope=self.name)
@@ -174,10 +178,9 @@ class Database:
                                  plan=self._planner.plan_delete(ast),
                                  param_count=param_count)
         elif isinstance(ast, n.Insert):
-            table = self.table(ast.table)
-            resolver = Resolver({ast.table: table})
-            fns = [compile_expr(v, resolver) for v in ast.values]
-            prepared = _Prepared(ast=ast, kind="insert", insert_fns=fns,
+            self.table(ast.table)  # must exist
+            prepared = _Prepared(ast=ast, kind="insert",
+                                 plan=self._planner.plan_insert(ast),
                                  param_count=param_count)
         elif isinstance(ast, n.LockTables):
             prepared = _Prepared(ast=ast, kind="lock", param_count=param_count)
@@ -286,30 +289,22 @@ class Database:
             return self._run_select(prepared, params, session)
         if kind == "insert":
             return self._run_insert(prepared, params, session)
-        if kind == "update":
-            self._check_locks(session, (prepared.ast.table,),
-                              (prepared.ast.table,))
-            stats = run_update(prepared.plan, params)
-            cost = self.cost_model.price(stats, self.scale_context())
-            return ResultSet(stats=stats, cost=cost, kind="update",
+        if kind == "update" or kind == "delete":
+            plan = prepared.plan
+            self._check_locks(session, plan.tables, plan.tables)
+            run = run_update if kind == "update" else run_delete
+            stats = run(plan, params)
+            cost = self.cost_model.price(stats, self._table_scale)
+            return ResultSet(stats=stats, cost=cost, kind=kind,
                              last_insert_id=session.last_insert_id)
-        if kind == "delete":
-            self._check_locks(session, (prepared.ast.table,),
-                              (prepared.ast.table,))
-            stats = run_delete(prepared.plan, params)
-            cost = self.cost_model.price(stats, self.scale_context())
-            return ResultSet(stats=stats, cost=cost, kind="delete",
-                             last_insert_id=session.last_insert_id)
-        if kind == "lock":
-            self.lock_tables(session, prepared.ast.locks)
+        if kind == "lock" or kind == "unlock":
+            if kind == "lock":
+                self.lock_tables(session, prepared.ast.locks)
+            else:
+                self.unlock_tables(session)
             cost = self.cost_model.price(
-                ExecStats(), self.scale_context(), lock_statements=1)
-            return ResultSet(kind="lock", cost=cost)
-        if kind == "unlock":
-            self.unlock_tables(session)
-            cost = self.cost_model.price(
-                ExecStats(), self.scale_context(), lock_statements=1)
-            return ResultSet(kind="unlock", cost=cost)
+                ExecStats(), self._table_scale, lock_statements=1)
+            return ResultSet(kind=kind, cost=cost)
         if kind == "create_table":
             self.create_table(prepared.ast.schema)
             return ResultSet(kind="create_table")
@@ -333,39 +328,27 @@ class Database:
                     session: Session) -> ResultSet:
         plan = prepared.plan
         self._check_locks(session, plan.tables_read, ())
-        executor = SelectExecutor(plan, params)
-        rows = executor.run()
-        result_bytes = _estimate_result_bytes(rows)
-        cost = self.cost_model.price(executor.stats, self.scale_context(),
-                                     result_bytes=result_bytes)
+        rows, stats = run_select(plan, params)
+        cost = self.cost_model.price(
+            stats, self._table_scale,
+            result_bytes=_estimate_result_bytes(rows))
         return ResultSet(columns=list(plan.output_names), rows=rows,
-                         stats=executor.stats, cost=cost, kind="select",
+                         stats=stats, cost=cost, kind="select",
                          last_insert_id=session.last_insert_id)
 
     def _run_insert(self, prepared: _Prepared, params: tuple,
                     session: Session) -> ResultSet:
-        ast = prepared.ast
-        self._check_locks(session, (), (ast.table,))
-        table = self.table(ast.table)
-        values = [fn({}, params) for fn in prepared.insert_fns]
-        if ast.columns:
-            mapping = dict(zip(ast.columns, values))
-        else:
-            names = table.schema.column_names()
-            if len(values) != len(names):
-                raise SqlError(
-                    f"INSERT into {ast.table!r} expects {len(names)} values, "
-                    f"got {len(values)}")
-            mapping = dict(zip(names, values))
-        rowid = table.insert(mapping)
-        stats = ExecStats(rows_changed=1, tables_written=(ast.table,))
+        plan = prepared.plan
+        table = plan.table
+        self._check_locks(session, (), (table.name,))
+        rowid = run_insert(plan, params)
+        stats = ExecStats(rows_changed=1, tables_written=(table.name,))
         if table.schema.auto_increment:
             pk_pos = table.column_pos(table.schema.primary_key)
             session.last_insert_id = table.get_row(rowid)[pk_pos]
-        cost = self.cost_model.price(stats, self.scale_context())
+        cost = self.cost_model.price(stats, self._table_scale)
         return ResultSet(stats=stats, cost=cost, kind="insert",
                          last_insert_id=session.last_insert_id)
-
 
     def _run_explain(self, prepared: _Prepared) -> ResultSet:
         """Describe the chosen access plan, one row per table access."""
@@ -381,10 +364,9 @@ class Database:
                 extra.append("filter")
             rows.append((path.alias, path.table.name, path.kind,
                          index_name, ", ".join(extra)))
-        if hasattr(plan, "has_aggregates") and plan.has_aggregates:
+        if getattr(plan, "has_aggregates", False):
             rows.append(("", "", "aggregate", None, ""))
-        if hasattr(plan, "order_items") and plan.order_items and \
-                not getattr(plan, "ordered_by_index", False):
+        if getattr(plan, "needs_sort", False):
             rows.append(("", "", "sort", None, ""))
         return ResultSet(
             columns=["alias", "table", "access", "index", "notes"],

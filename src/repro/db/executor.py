@@ -9,19 +9,22 @@ sizes fixed, which lets a scaled-down dataset produce full-scale costs.
 Sorting with mixed ASC/DESC directions uses repeated stable sorts from
 the least- to the most-significant key, so no comparator inversion
 tricks are needed.
+
+Nothing here compiles: a plan arrives with every closure it needs (see
+:mod:`repro.db.planner`).  Rows come from one of two loops --
+:func:`_path_rows` for one table (SELECT, UPDATE and DELETE alike),
+:func:`_nested_loop_rows` for a join -- and plain, sorted and aggregate
+SELECTs all consume them the same way.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.db.errors import SqlError
-from repro.db.exprs import Resolver, compile_expr
-from repro.db.index import SortedIndex
-from repro.db.planner import AccessPath, DmlPlan, SelectPlan
-from repro.db.sql import nodes as n
+from repro.db.exprs import sort_key
+from repro.db.planner import AccessPath, DmlPlan, InsertPlan, SelectPlan
 
 
 @dataclass
@@ -63,330 +66,210 @@ class ExecStats:
             parts.append(f"{table}:scan({count})")
         return " ".join(parts)
 
-    def bump(self, path_kind: str, table_name: str, count: int = 1,
-             lead_column: Optional[str] = None) -> None:
-        if path_kind == "scan":
-            self.rows_examined_scan[table_name] = \
-                self.rows_examined_scan.get(table_name, 0) + count
-        else:
-            key = (table_name, lead_column)
-            self.rows_examined_index[key] = \
-                self.rows_examined_index.get(key, 0) + count
+    def count_examined(self, path: AccessPath, count: int) -> None:
+        """Fold one access path's examined-row counter into the stats.
+
+        Called once per path per statement, outermost path first and
+        only with ``count > 0`` -- a path that examined nothing leaves
+        no key, and key order is the order the cost model sums in.
+        """
+        counts = self.rows_examined_scan if path.examined_scan \
+            else self.rows_examined_index
+        key = path.examined_key
+        counts[key] = counts.get(key, 0) + count
 
 
-def _sort_key(value):
-    """Total-orderable key: None first, then numbers, then strings."""
-    if value is None:
-        return (0, 0, "")
-    if isinstance(value, bool):
-        return (1, int(value), "")
-    if isinstance(value, (int, float)):
-        return (1, value, "")
-    return (2, 0, str(value))
+# ---------------------------------------------------------------- SELECT
+
+def _path_rows(path: AccessPath, env: dict, params: tuple,
+               examined: List[int], post_filter=None):
+    """The single-table pipeline, a straight loop: bind ``env`` to each
+    row of ``path.table`` that the path selects and yield its row id.
+
+    ``examined[0]`` counts the live rows looked at, filtered out or not.
+    """
+    alias = path.alias
+    get_row = path.table.get_row
+    filter_fn = path.filter_fn
+    for rowid in path.rowids(env, params):
+        row = get_row(rowid)
+        if row is None:
+            continue
+        examined[0] += 1
+        env[alias] = row
+        if (filter_fn is None or filter_fn(env, params)) and \
+                (post_filter is None or post_filter(env, params)):
+            yield rowid
 
 
-def _prefix_rowids(index: SortedIndex, key: tuple) -> list:
-    """Row ids whose sorted-index key starts with ``key``."""
-    entries = index._entries
-    lo = bisect.bisect_left(entries, (key, -1))
-    out = []
-    klen = len(key)
-    while lo < len(entries) and entries[lo][0][:klen] == key:
-        out.append(entries[lo][1])
-        lo += 1
-    return out
+def _nested_loop_rows(plan: SelectPlan, env: dict, params: tuple,
+                      examined: List[int]):
+    """The join pipeline: bind ``env`` (alias -> row) to each joined row
+    in turn, yielding once per row.
 
-
-class SelectExecutor:
-    """Executes a SelectPlan; one instance per call (stats are per-call)."""
-
-    def __init__(self, plan: SelectPlan, params: tuple):
-        self.plan = plan
-        self.params = params
-        self.stats = ExecStats(tables_read=plan.tables_read)
-
-    # -- access paths ---------------------------------------------------------
-
-    def _fetch(self, path: AccessPath, env: dict):
-        """Yield rows of ``path.table`` matching the path, updating env."""
-        table = path.table
-        stats = self.stats
-        params = self.params
-        if path.kind == "index_eq":
-            key = tuple(fn(env, params) for fn in path.key_fns)
-            if len(key) < len(path.index.columns) and \
-                    isinstance(path.index, SortedIndex):
-                rowids = _prefix_rowids(path.index, key)
-                if path.ordered and path.descending:
-                    rowids.reverse()
-            else:
-                rowids = path.index.lookup(key)
-        elif path.kind == "index_range":
-            low = (path.low_fn(env, params),) if path.low_fn else None
-            high = (path.high_fn(env, params),) if path.high_fn else None
-            rowids = path.index.range(low, high, path.low_inclusive,
-                                      path.high_inclusive)
-        elif path.kind == "index_order":
-            rowids = path.index.scan(descending=path.descending)
-        else:
-            rowids = table.scan()
-        kind = "scan" if path.kind == "scan" else "index"
-        # Ordered accesses are LIMIT-bounded by early termination, so
-        # their examined count is limit-driven, not selectivity-driven:
-        # record them unscaled (lead None) for the cost model.
-        if path.kind == "index_order" or path.ordered or \
-                path.index is None:
-            lead = None
-        else:
-            lead = path.index.columns[0]
-        filter_fn = path.filter_fn
-        alias = path.alias
-        for rowid in rowids:
-            row = table.get_row(rowid)
+    Iterative nested loops: ``cursors[d]`` is the row-id iterator of
+    path ``d`` under the current outer rows; ``depth`` moves right on a
+    match and left on exhaustion.  ``examined[d]`` counts as above.
+    """
+    paths = plan.paths
+    post_filter = plan.post_filter
+    outer = plan.outer_flags
+    last = len(paths) - 1
+    levels = [(path.alias, path.table.get_row, path.filter_fn)
+              for path in paths]
+    cursors: list = [None] * len(paths)
+    matched = [False] * len(paths)
+    cursors[0] = iter(paths[0].rowids(env, params))
+    depth = 0
+    while depth >= 0:
+        alias, get_row, filter_fn = levels[depth]
+        found = False
+        for rowid in cursors[depth]:
+            row = get_row(rowid)
             if row is None:
                 continue
-            stats.bump(kind, table.name, lead_column=lead)
+            examined[depth] += 1
             env[alias] = row
             if filter_fn is None or filter_fn(env, params):
-                yield row
+                found = matched[depth] = True
+                break
+        if not found:
+            if outer[depth] and not matched[depth]:
+                # LEFT JOIN with no match: one all-NULL row.
+                matched[depth] = True
+                env[alias] = paths[depth].null_row
+            else:
+                env.pop(alias, None)
+                depth -= 1
+                continue
+        if depth == last:
+            if post_filter is None or post_filter(env, params):
+                yield
+        else:
+            depth += 1
+            cursors[depth] = iter(paths[depth].rowids(env, params))
+            matched[depth] = False
 
-    def _join_rows(self):
-        """Generate fully-joined environments (dicts alias -> row)."""
-        plan = self.plan
-        params = self.params
-        paths = plan.paths
-        outer = plan.outer_flags
 
-        def recurse(depth: int, env: dict):
-            if depth == len(paths):
-                if plan.post_filter is None or plan.post_filter(env, params):
-                    yield env
-                return
-            path = paths[depth]
-            matched = False
-            for __ in self._fetch(path, env):
-                matched = True
-                yield from recurse(depth + 1, env)
-            if not matched and outer[depth]:
-                env[path.alias] = [None] * len(path.table.schema.columns)
-                yield from recurse(depth + 1, env)
-            env.pop(path.alias, None)
+def _limits(plan: SelectPlan, params: tuple):
+    limit = offset = None
+    if plan.limit_fn is not None:
+        limit = int(plan.limit_fn({}, params))
+    if plan.offset_fn is not None:
+        offset = int(plan.offset_fn({}, params))
+    return limit, offset or 0
 
-        yield from recurse(0, {})
 
-    # -- aggregation ------------------------------------------------------------
-
-    def _run_aggregate(self) -> List[tuple]:
-        plan = self.plan
-        params = self.params
-        resolver = plan.resolver
-
-        agg_nodes: List[n.Aggregate] = []
-
-        def collect(expr):
-            if isinstance(expr, n.Aggregate):
-                if expr not in agg_nodes:
-                    agg_nodes.append(expr)
-            elif isinstance(expr, n.BinaryOp):
-                collect(expr.left)
-                collect(expr.right)
-
-        for expr in plan.item_exprs:
-            collect(expr)
-        if plan.having_expr is not None:
-            collect(plan.having_expr)
-
-        arg_fns = {agg: compile_expr(agg.arg, resolver)
-                   for agg in agg_nodes if agg.arg is not None}
-
-        group_state: Dict[tuple, dict] = {}
-        group_env: Dict[tuple, dict] = {}
-        for env in self._join_rows():
-            key = tuple(fn(env, params) for fn in plan.group_fns)
-            state = group_state.get(key)
-            if state is None:
-                state = {agg: _new_acc(agg) for agg in agg_nodes}
-                group_state[key] = state
-                group_env[key] = {alias: list(row)
-                                  for alias, row in env.items()}
-            for agg in agg_nodes:
-                if agg.arg is None:
-                    state[agg][0] += 1        # COUNT(*)
-                else:
-                    _accumulate(state[agg], agg, arg_fns[agg](env, params))
-
-        if not group_state and not plan.group_fns:
-            group_state[()] = {agg: _new_acc(agg) for agg in agg_nodes}
-            group_env[()] = {}
-
-        rows = []
-        for key, state in group_state.items():
-            env = group_env[key]
-            values = {agg: _finalize(state[agg], agg) for agg in agg_nodes}
-            if plan.having_expr is not None:
-                if not _eval_with_aggs(plan.having_expr, env, params,
-                                       resolver, values):
+def _aggregate_rows(plan: SelectPlan, env: dict, params: tuple,
+                    joined) -> List[tuple]:
+    """Group the joined rows, then project one row per group."""
+    aggregates = plan.aggregates
+    group_fns = plan.group_fns
+    # group key -> (first joined row of the group, one accumulator per
+    # aggregate).  Non-aggregate select-list expressions are evaluated
+    # on that first row.
+    groups: Dict[tuple, tuple] = {}
+    for __ in joined:
+        key = tuple([fn(env, params) for fn in group_fns])
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (dict(env),
+                                   [spec.new_acc() for spec in aggregates])
+        for spec, acc in zip(aggregates, group[1]):
+            if spec.arg_fn is None:
+                acc[0] += 1                     # COUNT(*)
+                continue
+            value = spec.arg_fn(env, params)
+            if value is None:
+                continue
+            if spec.distinct:
+                if value in acc[4]:
                     continue
-            rows.append(tuple(
-                _eval_with_aggs(expr, env, params, resolver, values)
-                for expr in plan.item_exprs))
-        return rows
+                acc[4].add(value)
+            spec.step(acc, value)
 
-    # -- ordering / limiting ------------------------------------------------------
+    if not groups and not group_fns:
+        # Aggregates over no rows still yield one row.
+        groups[()] = ({}, [spec.new_acc() for spec in aggregates])
 
-    def _limits(self):
-        params = self.params
-        limit = offset = None
-        if self.plan.limit_fn is not None:
-            limit = int(self.plan.limit_fn({}, params))
-        if self.plan.offset_fn is not None:
-            offset = int(self.plan.offset_fn({}, params))
-        return limit, offset or 0
+    having_fn = plan.having_fn
+    item_fns = plan.item_fns
+    rows = []
+    for first, accs in groups.values():
+        values = [spec.finalize(acc) for spec, acc in zip(aggregates, accs)]
+        if having_fn is not None and not having_fn(first, params, values):
+            continue
+        rows.append(tuple([fn(first, params, values) for fn in item_fns]))
+    return rows
 
-    def _sort_projected(self, rows: List[tuple]) -> List[tuple]:
-        """Sort by order items that name projected columns."""
-        plan = self.plan
-        names = plan.output_names
-        self.stats.sort_rows += len(rows)
-        for fn, descending, alias_name in reversed(plan.order_items):
-            if alias_name is None or alias_name not in names:
+
+def run_select(plan: SelectPlan, params: tuple):
+    """Execute a SelectPlan; returns ``(rows, stats)``."""
+    stats = ExecStats(tables_read=plan.tables_read)
+    limit, offset = _limits(plan, params)
+    sort_keys = plan.sort_keys
+    paths = plan.paths
+    examined = [0] * len(paths)
+    # Each step of ``joined`` binds ``env`` to the next joined row.
+    env: dict = {}
+    if len(paths) == 1:
+        joined = _path_rows(paths[0], env, params, examined,
+                            plan.post_filter)
+    else:
+        joined = _nested_loop_rows(plan, env, params, examined)
+
+    if plan.has_aggregates:
+        rows = _aggregate_rows(plan, env, params, joined)
+        if plan.needs_sort:
+            stats.sort_rows += len(rows)
+            if sort_keys is None:
                 raise SqlError(
                     "ORDER BY in an aggregate query must reference a "
                     "projected column alias")
-            pos = names.index(alias_name)
-            rows.sort(key=lambda row, pos=pos: _sort_key(row[pos]),
-                      reverse=descending)
-        return rows
-
-    # -- main -------------------------------------------------------------------
-
-    def run(self) -> List[tuple]:
-        plan = self.plan
-        params = self.params
-        limit, offset = self._limits()
-
-        if plan.has_aggregates:
-            rows = self._run_aggregate()
-            if plan.order_items:
-                rows = self._sort_projected(rows)
-            if limit is not None or offset:
-                rows = rows[offset:] if limit is None \
-                    else rows[offset:offset + limit]
-            self.stats.rows_returned = len(rows)
-            return rows
-
-        item_fns = [compile_expr(e, plan.resolver) for e in plan.item_exprs]
-        needs_sort = bool(plan.order_items) and not plan.ordered_by_index
-        order_fns = []
-        if needs_sort:
-            for fn, descending, alias_name in plan.order_items:
-                if fn is None:
-                    raise SqlError("unresolvable ORDER BY expression")
-                order_fns.append((fn, descending))
-
-        early_stop = (plan.ordered_by_index and not plan.distinct and
-                      limit is not None)
-        want = None if limit is None else limit + offset
-
-        keyed: List[tuple] = []
-        for env in self._join_rows():
-            projected = tuple(fn(env, params) for fn in item_fns)
-            if needs_sort:
-                keys = tuple(fn(env, params) for fn, __ in order_fns)
-                keyed.append((keys, projected))
-            else:
-                keyed.append((None, projected))
-                if early_stop and len(keyed) >= want:
-                    break
-
-        if needs_sort:
-            self.stats.sort_rows += len(keyed)
-            for pos in range(len(order_fns) - 1, -1, -1):
-                descending = order_fns[pos][1]
-                keyed.sort(key=lambda kr, pos=pos: _sort_key(kr[0][pos]),
-                           reverse=descending)
-
+            for column, descending in reversed(sort_keys):
+                rows.sort(key=lambda row: sort_key(row[column]),
+                          reverse=descending)
+    elif plan.needs_sort:
+        if sort_keys is None:
+            raise SqlError("unresolvable ORDER BY expression")
+        item_fns = plan.item_fns
+        keyed = [([sort_key(fn(env, params)) for fn, __ in sort_keys],
+                  tuple([fn(env, params) for fn in item_fns]))
+                 for __ in joined]
+        stats.sort_rows += len(keyed)
+        for pos in range(len(sort_keys) - 1, -1, -1):
+            keyed.sort(key=lambda kr: kr[0][pos], reverse=sort_keys[pos][1])
         rows = [projected for __, projected in keyed]
-        if plan.distinct:
-            rows = list(dict.fromkeys(rows))
+    else:
+        item_fns = plan.item_fns
+        # Index order + LIMIT: stop fetching at the last wanted row.
+        want = limit + offset if plan.ordered_by_index and \
+            not plan.distinct and limit is not None else None
+        rows = []
+        for __ in joined:
+            rows.append(tuple([fn(env, params) for fn in item_fns]))
+            if want is not None and len(rows) >= want:
+                break
+
+    for path, count in zip(paths, examined):
+        if count:
+            stats.count_examined(path, count)
+    if plan.distinct and not plan.has_aggregates:
+        rows = list(dict.fromkeys(rows))
+    if limit is not None or offset:
         rows = rows[offset:] if limit is None else rows[offset:offset + limit]
-        self.stats.rows_returned = len(rows)
-        return rows
-
-
-def _new_acc(agg: n.Aggregate) -> list:
-    # [count, sum, min, max, distinct_set]
-    return [0, 0.0, None, None, set() if agg.distinct else None]
-
-
-def _accumulate(acc: list, agg: n.Aggregate, value) -> None:
-    if value is None:
-        return
-    if agg.distinct:
-        if value in acc[4]:
-            return
-        acc[4].add(value)
-    acc[0] += 1
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        acc[1] += value
-    if acc[2] is None or _sort_key(value) < _sort_key(acc[2]):
-        acc[2] = value
-    if acc[3] is None or _sort_key(value) > _sort_key(acc[3]):
-        acc[3] = value
-
-
-def _finalize(acc: list, agg: n.Aggregate):
-    count, total, minimum, maximum, __ = acc
-    if agg.func == "COUNT":
-        return count
-    if agg.func == "SUM":
-        return total if count else None
-    if agg.func == "MIN":
-        return minimum
-    if agg.func == "MAX":
-        return maximum
-    if agg.func == "AVG":
-        return total / count if count else None
-    raise SqlError(f"unknown aggregate {agg.func!r}")
-
-
-def _eval_with_aggs(expr, env, params, resolver: Resolver, agg_values: dict):
-    """Evaluate an expression that may contain (pre-computed) aggregates."""
-    if isinstance(expr, n.Aggregate):
-        return agg_values[expr]
-    if isinstance(expr, n.BinaryOp):
-        left = _eval_with_aggs(expr.left, env, params, resolver, agg_values)
-        right = _eval_with_aggs(expr.right, env, params, resolver, agg_values)
-        if expr.op in ("+", "-", "*", "/"):
-            if left is None or right is None:
-                return None
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            return left / right if right else None
-        if left is None or right is None:
-            return False
-        return {"=": left == right, "!=": left != right, "<": left < right,
-                "<=": left <= right, ">": left > right,
-                ">=": left >= right}[expr.op]
-    return compile_expr(expr, resolver)(env, params)
+    stats.rows_returned = len(rows)
+    return rows, stats
 
 
 # ------------------------------------------------------------------ DML
 
 def run_update(plan: DmlPlan, params: tuple) -> ExecStats:
-    stats = ExecStats(tables_written=(plan.path.table.name,),
-                      tables_read=(plan.path.table.name,))
+    stats = ExecStats(tables_written=plan.tables, tables_read=plan.tables)
     table = plan.path.table
-    env: dict = {}
-    # Collect matching rowids first so the update does not see its own
-    # writes (halloween protection).
-    matches = [rowid for rowid, __ in _iter_path(plan.path, env, params, stats)]
     alias = plan.path.alias
-    for rowid in matches:
+    env: dict = {}
+    for rowid in _matching_rowids(plan.path, env, params, stats):
         row = table.get_row(rowid)
         if row is None:
             continue
@@ -398,43 +281,31 @@ def run_update(plan: DmlPlan, params: tuple) -> ExecStats:
 
 
 def run_delete(plan: DmlPlan, params: tuple) -> ExecStats:
-    stats = ExecStats(tables_written=(plan.path.table.name,),
-                      tables_read=(plan.path.table.name,))
+    stats = ExecStats(tables_written=plan.tables, tables_read=plan.tables)
     table = plan.path.table
-    env: dict = {}
-    matches = [rowid for rowid, __ in _iter_path(plan.path, env, params, stats)]
-    for rowid in matches:
+    for rowid in _matching_rowids(plan.path, {}, params, stats):
         table.delete_row(rowid)
         stats.rows_changed += 1
     return stats
 
 
-def _iter_path(path: AccessPath, env: dict, params: tuple, stats: ExecStats):
-    """Yield (rowid, row) pairs matching a single-table access path."""
-    table = path.table
-    if path.kind == "index_eq":
-        key = tuple(fn(env, params) for fn in path.key_fns)
-        if len(key) < len(path.index.columns) and \
-                isinstance(path.index, SortedIndex):
-            rowids = _prefix_rowids(path.index, key)
-        else:
-            rowids = path.index.lookup(key)
-    elif path.kind == "index_range":
-        low = (path.low_fn(env, params),) if path.low_fn else None
-        high = (path.high_fn(env, params),) if path.high_fn else None
-        rowids = path.index.range(low, high, path.low_inclusive,
-                                  path.high_inclusive)
-    elif path.kind == "index_order":
-        rowids = path.index.scan(descending=path.descending)
-    else:
-        rowids = table.scan()
-    kind = "scan" if path.kind == "scan" else "index"
-    lead = path.index.columns[0] if path.index is not None else None
-    for rowid in list(rowids):
-        row = table.get_row(rowid)
-        if row is None:
-            continue
-        stats.bump(kind, table.name, lead_column=lead)
-        env[path.alias] = row
-        if path.filter_fn is None or path.filter_fn(env, params):
-            yield rowid, row
+def _matching_rowids(path: AccessPath, env: dict, params: tuple,
+                     stats: ExecStats) -> List[int]:
+    """Every row id the path selects, collected before the caller writes
+    anything so a statement never sees its own writes (halloween
+    protection)."""
+    examined = [0]
+    matches = list(_path_rows(path, env, params, examined))
+    if examined[0]:
+        stats.count_examined(path, examined[0])
+    return matches
+
+
+def run_insert(plan: InsertPlan, params: tuple) -> int:
+    """Insert one row; returns its row id."""
+    values = [fn({}, params) for fn in plan.value_fns]
+    if plan.positional and len(values) != len(plan.columns):
+        raise SqlError(
+            f"INSERT into {plan.table.name!r} expects {len(plan.columns)} "
+            f"values, got {len(values)}")
+    return plan.table.insert(dict(zip(plan.columns, values)))

@@ -1,17 +1,25 @@
 """Expression compilation: AST -> Python closures.
 
-Expressions are compiled once per (statement, schema) and cached with the
-statement plan, so per-row evaluation is a plain closure call.  The
-environment is a dict mapping table alias -> current row (a list); SQL
-NULL is Python ``None`` and any comparison against it is false, which is
-the practically-relevant slice of three-valued logic for the benchmark
-queries.
+Expressions are compiled once per (statement, schema) by the planner and
+cached with the statement plan -- the executor never calls
+:func:`compile_expr` -- so per-row evaluation is a plain closure call.
+The environment is a dict mapping table alias -> current row (a list);
+SQL NULL is Python ``None`` and any comparison against it is false,
+which is the practically-relevant slice of three-valued logic for the
+benchmark queries.
+
+Aggregate queries compile in two parts: one :class:`AggSpec` per
+distinct aggregate call (argument closure, accumulator step, finalizer)
+and, for the select list and HAVING, closures from
+:func:`compile_agg_expr` that also take the finalized aggregate values
+of the group being emitted.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.db.errors import SqlError
@@ -114,11 +122,17 @@ def compile_expr(expr, resolver: Resolver) -> Callable:
         compiled = [compile_expr(op, resolver) for op in expr.operands]
         if expr.op == "AND":
             def conj(env, params):
-                return all(fn(env, params) for fn in compiled)
+                for fn in compiled:
+                    if not fn(env, params):
+                        return False
+                return True
             return conj
 
         def disj(env, params):
-            return any(fn(env, params) for fn in compiled)
+            for fn in compiled:
+                if fn(env, params):
+                    return True
+            return False
         return disj
     if isinstance(expr, n.NotOp):
         inner = compile_expr(expr.operand, resolver)
@@ -173,6 +187,140 @@ def compile_expr(expr, resolver: Resolver) -> Callable:
     if isinstance(expr, n.Aggregate):
         raise SqlError("aggregate used outside of a select list / HAVING")
     raise SqlError(f"cannot compile expression node {expr!r}")
+
+
+def sort_key(value):
+    """Total-orderable key: None first, then numbers, then strings."""
+    if value is None:
+        return (0, 0, "")
+    if isinstance(value, bool):
+        return (1, int(value), "")
+    if isinstance(value, (int, float)):
+        return (1, value, "")
+    return (2, 0, str(value))
+
+
+# -- aggregates ----------------------------------------------------------------
+#
+# An accumulator is the list [count, sum, min, max, distinct_set]; every
+# aggregate function reads its answer out of the same shape, so a step
+# function only maintains the slots its finalizer reads.
+
+def _step_count(acc: list, value) -> None:
+    acc[0] += 1
+
+
+def _step_sum(acc: list, value) -> None:
+    acc[0] += 1
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        acc[1] += value
+
+
+# Types whose native ``<`` agrees with sort_key (bool is not one).
+_NATIVE_ORDER = frozenset((int, float, str))
+
+
+def _sorts_before(a, b) -> bool:
+    cls = type(a)
+    if cls is type(b) and cls in _NATIVE_ORDER:
+        return a < b
+    return sort_key(a) < sort_key(b)
+
+
+def _step_min(acc: list, value) -> None:
+    if acc[2] is None or _sorts_before(value, acc[2]):
+        acc[2] = value
+
+
+def _step_max(acc: list, value) -> None:
+    if acc[3] is None or _sorts_before(acc[3], value):
+        acc[3] = value
+
+
+# func -> (step, finalize); SUM/AVG of no non-NULL input is NULL.
+_AGGREGATES = {
+    "COUNT": (_step_count, lambda acc: acc[0]),
+    "SUM": (_step_sum, lambda acc: acc[1] if acc[0] else None),
+    "MIN": (_step_min, lambda acc: acc[2]),
+    "MAX": (_step_max, lambda acc: acc[3]),
+    "AVG": (_step_sum, lambda acc: acc[1] / acc[0] if acc[0] else None),
+}
+
+
+@dataclass(frozen=True)
+class AggSpec:
+    """One aggregate call of a statement, compiled.
+
+    ``arg_fn`` is None for ``COUNT(*)``, which counts rows; every other
+    aggregate skips NULL arguments and, with ``distinct``, repeats.
+    """
+
+    arg_fn: Optional[Callable]
+    distinct: bool
+    step: Callable
+    finalize: Callable
+
+    def new_acc(self) -> list:
+        return [0, 0.0, None, None, set() if self.distinct else None]
+
+
+def compile_aggregate(agg: n.Aggregate, resolver: Resolver) -> AggSpec:
+    try:
+        step, finalize = _AGGREGATES[agg.func]
+    except KeyError:
+        raise SqlError(f"unknown aggregate {agg.func!r}") from None
+    arg_fn = compile_expr(agg.arg, resolver) if agg.arg is not None else None
+    return AggSpec(arg_fn=arg_fn, distinct=agg.distinct, step=step,
+                   finalize=finalize)
+
+
+def collect_aggregates(expr, out: list) -> None:
+    """Append the distinct Aggregate nodes ``compile_agg_expr`` can reach
+    (through arithmetic and comparisons) to ``out``."""
+    if isinstance(expr, n.Aggregate):
+        if expr not in out:
+            out.append(expr)
+    elif isinstance(expr, n.BinaryOp):
+        collect_aggregates(expr.left, out)
+        collect_aggregates(expr.right, out)
+
+
+def compile_agg_expr(expr, resolver: Resolver, slots: Dict) -> Callable:
+    """Compile a select-list / HAVING expression of an aggregate query to
+    ``fn(env, params, agg_values) -> value``.
+
+    ``slots`` maps each Aggregate node to its position in ``agg_values``;
+    ``env`` is the first joined row of the group.  Division by zero
+    yields NULL here, as MySQL's does.
+    """
+    if isinstance(expr, n.Aggregate):
+        slot = slots[expr]
+        return lambda env, params, agg_values: agg_values[slot]
+    if isinstance(expr, n.BinaryOp):
+        left = compile_agg_expr(expr.left, resolver, slots)
+        right = compile_agg_expr(expr.right, resolver, slots)
+        if expr.op in _ARITH:
+            fn = _ARITH[expr.op]
+            divides = expr.op == "/"
+
+            def arith(env, params, agg_values):
+                lv = left(env, params, agg_values)
+                rv = right(env, params, agg_values)
+                if lv is None or rv is None or (divides and not rv):
+                    return None
+                return fn(lv, rv)
+            return arith
+        fn = _CMP[expr.op]
+
+        def compare(env, params, agg_values):
+            lv = left(env, params, agg_values)
+            rv = right(env, params, agg_values)
+            if lv is None or rv is None:
+                return False
+            return fn(lv, rv)
+        return compare
+    plain = compile_expr(expr, resolver)
+    return lambda env, params, agg_values: plain(env, params)
 
 
 def expr_has_aggregate(expr) -> bool:

@@ -28,7 +28,7 @@ class HashIndex:
         self._null_rows: list = []
 
     def insert(self, key: tuple, rowid: int) -> None:
-        if any(v is None for v in key):
+        if None in key:
             self._null_rows.append(rowid)
             return
         bucket = self._map.get(key)
@@ -41,7 +41,7 @@ class HashIndex:
             bucket.append(rowid)
 
     def delete(self, key: tuple, rowid: int) -> None:
-        if any(v is None for v in key):
+        if None in key:
             try:
                 self._null_rows.remove(rowid)
             except ValueError:
@@ -57,7 +57,7 @@ class HashIndex:
                 del self._map[key]
 
     def lookup(self, key: tuple) -> list:
-        if any(v is None for v in key):
+        if None in key:
             return []
         return self._map.get(key, [])
 
@@ -85,17 +85,24 @@ class SortedIndex:
         self._null_rows: list = []
 
     def insert(self, key: tuple, rowid: int) -> None:
-        if any(v is None for v in key):
+        if None in key:
             self._null_rows.append(rowid)
             return
-        pos = bisect.bisect_left(self._entries, (key, -1))
-        if self.unique and pos < len(self._entries) and self._entries[pos][0] == key:
+        entries = self._entries
+        if not self.unique:
+            bisect.insort(entries, (key, rowid))
+            return
+        # Row ids are >= 0, so (key, -1) sorts before every entry of
+        # ``key``: one bisect serves the uniqueness test and, no equal
+        # key being present, is also where (key, rowid) belongs.
+        pos = bisect.bisect_left(entries, (key, -1))
+        if pos < len(entries) and entries[pos][0] == key:
             raise IntegrityError(
                 f"duplicate key {key!r} in unique index {self.name!r}")
-        bisect.insort(self._entries, (key, rowid))
+        entries.insert(pos, (key, rowid))
 
     def delete(self, key: tuple, rowid: int) -> None:
-        if any(v is None for v in key):
+        if None in key:
             try:
                 self._null_rows.remove(rowid)
             except ValueError:
@@ -106,13 +113,31 @@ class SortedIndex:
             self._entries.pop(pos)
 
     def lookup(self, key: tuple) -> list:
-        if any(v is None for v in key):
+        if None in key:
             return []
-        lo = bisect.bisect_left(self._entries, (key, -1))
-        out = []
         entries = self._entries
+        lo = bisect.bisect_left(entries, (key, -1))
         n = len(entries)
+        if self.unique:
+            if lo < n and entries[lo][0] == key:
+                return [entries[lo][1]]
+            return []
+        out = []
         while lo < n and entries[lo][0] == key:
+            out.append(entries[lo][1])
+            lo += 1
+        return out
+
+    def prefix(self, key: tuple) -> list:
+        """Row ids whose key starts with ``key``, in index order."""
+        if None in key:
+            return []
+        entries = self._entries
+        lo = bisect.bisect_left(entries, (key, -1))
+        out = []
+        klen = len(key)
+        n = len(entries)
+        while lo < n and entries[lo][0][:klen] == key:
             out.append(entries[lo][1])
             lo += 1
         return out
@@ -120,8 +145,8 @@ class SortedIndex:
     def range(self, low: Optional[tuple], high: Optional[tuple],
               low_inclusive: bool = True, high_inclusive: bool = True) -> Iterator[int]:
         """Yield row ids with low <= key <= high (bounds optional)."""
-        if (low is not None and any(v is None for v in low)) or \
-                (high is not None and any(v is None for v in high)):
+        if (low is not None and None in low) or \
+                (high is not None and None in high):
             return
         entries = self._entries
         if low is None:

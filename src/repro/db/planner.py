@@ -6,6 +6,11 @@ chosen by longest equality prefix, a range path on a sorted index, and an
 index-order scan to avoid sorting for ``ORDER BY indexed_col LIMIT n``.
 Because nested-loop joins preserve outer order, index-ordered plans stay
 valid through joins and support early termination at the LIMIT.
+
+A plan is everything an execution needs, already compiled: the row-id
+source and row-accounting key of every access path, the projection,
+sort keys, aggregate descriptors, HAVING and INSERT value closures.  The
+executor only calls closures (see :mod:`repro.db.exprs`).
 """
 
 from __future__ import annotations
@@ -14,7 +19,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.errors import SqlError
-from repro.db.exprs import Resolver, compile_expr, expr_column_refs, expr_has_aggregate
+from repro.db.exprs import (
+    AggSpec,
+    Resolver,
+    collect_aggregates,
+    compile_agg_expr,
+    compile_aggregate,
+    compile_expr,
+    expr_column_refs,
+    expr_has_aggregate,
+)
 from repro.db.index import HashIndex, SortedIndex
 from repro.db.sql import nodes as n
 from repro.db.storage import Table
@@ -42,22 +56,93 @@ class AccessPath:
     descending: bool = False
     # Residual single-alias predicate applied right after the fetch.
     filter_fn: Optional[Callable] = None
+    # Derived from the fields above, once, for the executor:
+    # ``rowids(env, params)`` iterates the candidate row ids in path
+    # order; examined rows are counted under ``examined_key`` in
+    # ExecStats.rows_examined_scan (``examined_scan``) or _index.
+    rowids: Callable = field(init=False, repr=False)
+    examined_scan: bool = field(init=False)
+    examined_key: object = field(init=False)
+    null_row: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rowids = _rowid_source(self)
+        self.examined_scan = self.kind == "scan"
+        if self.examined_scan:
+            self.examined_key = self.table.name
+        elif self.kind == "index_order" or self.ordered:
+            # Ordered accesses are LIMIT-bounded by early termination,
+            # so their examined count is limit-driven, not
+            # selectivity-driven: recorded unscaled (lead None) for the
+            # cost model.
+            self.examined_key = (self.table.name, None)
+        else:
+            self.examined_key = (self.table.name, self.index.columns[0])
+        # What a LEFT JOIN binds the alias to when nothing matched.
+        self.null_row = (None,) * len(self.table.schema.columns)
+
+
+def _rowid_source(path: AccessPath) -> Callable:
+    """The one access-path dispatch: SELECT, UPDATE and DELETE all draw
+    candidate row ids from the closure built here."""
+    index = path.index
+    if path.kind == "index_eq":
+        key_fns = path.key_fns
+        if len(key_fns) < len(index.columns):
+            # Only a sorted index is planned with a partial key.
+            prefix = index.prefix
+            if path.ordered and path.descending:
+                def rowids(env, params):
+                    found = prefix(tuple([fn(env, params) for fn in key_fns]))
+                    found.reverse()
+                    return found
+                return rowids
+            return lambda env, params: prefix(
+                tuple([fn(env, params) for fn in key_fns]))
+        lookup = index.lookup
+        if len(key_fns) == 1:
+            key_fn = key_fns[0]
+            return lambda env, params: lookup((key_fn(env, params),))
+        return lambda env, params: lookup(
+            tuple([fn(env, params) for fn in key_fns]))
+    if path.kind == "index_range":
+        low_fn, high_fn = path.low_fn, path.high_fn
+        low_inc, high_inc = path.low_inclusive, path.high_inclusive
+        scan_range = index.range
+
+        def rowids(env, params):
+            low = (low_fn(env, params),) if low_fn else None
+            high = (high_fn(env, params),) if high_fn else None
+            return scan_range(low, high, low_inc, high_inc)
+        return rowids
+    if path.kind == "index_order":
+        scan_index = index.scan
+        descending = path.descending
+        return lambda env, params: scan_index(descending=descending)
+    scan_table = path.table.scan
+    return lambda env, params: scan_table()
 
 
 @dataclass
 class SelectPlan:
     paths: List[AccessPath]
-    resolver: Resolver
     post_filter: Optional[Callable]
     outer_flags: List[bool]
-    # Projection: list of (name, fn) for plain queries; aggregates handled
-    # separately by the executor using these descriptors.
     output_names: List[str]
-    item_exprs: List[object]
+    # Projection, one closure per output column: ``fn(env, params)``, or
+    # ``fn(env, params, agg_values)`` when ``has_aggregates``.
+    item_fns: Tuple[Callable, ...]
     has_aggregates: bool
-    group_fns: List[Callable]
-    having_expr: Optional[object]
-    order_items: List[Tuple[Callable, bool, Optional[str]]]
+    group_fns: Tuple[Callable, ...]
+    aggregates: Tuple[AggSpec, ...]
+    having_fn: Optional[Callable]       # fn(env, params, agg_values)
+    # ORDER BY that the access path does not already deliver, as
+    # (key, descending) pairs, most significant first.  ``key`` is a
+    # closure over the joined row, or for an aggregate query the
+    # position of the projected column.  None: the statement has an
+    # ORDER BY this engine cannot evaluate (reported at execution).
+    needs_sort: bool
+    sort_keys: Optional[Tuple[Tuple[object, bool], ...]]
     ordered_by_index: bool
     limit_fn: Optional[Callable]
     offset_fn: Optional[Callable]
@@ -70,8 +155,20 @@ class DmlPlan:
     """Plan for UPDATE/DELETE: one access path plus compiled pieces."""
 
     path: AccessPath
-    resolver: Resolver
     assignments: List[Tuple[str, Callable]] = field(default_factory=list)
+    tables: Tuple[str, ...] = ()        # read and written: the one table
+
+
+@dataclass
+class InsertPlan:
+    """Plan for INSERT: target table, column names, value closures."""
+
+    table: Table
+    columns: Tuple[str, ...]
+    value_fns: Tuple[Callable, ...]
+    # No column list in the statement: the values must cover every
+    # column (checked at execution, after the lock check).
+    positional: bool
 
 
 def split_conjuncts(expr) -> List[object]:
@@ -214,39 +311,74 @@ class Planner:
 
         output_names, item_exprs = self._projection(stmt, alias_tables)
 
-        group_fns = [compile_expr(g, resolver) for g in stmt.group_by]
+        aggregates: Tuple[AggSpec, ...] = ()
+        having_fn = None
+        if has_aggs:
+            agg_nodes: List[n.Aggregate] = []
+            for expr in item_exprs:
+                collect_aggregates(expr, agg_nodes)
+            if stmt.having is not None:
+                collect_aggregates(stmt.having, agg_nodes)
+            slots = {agg: pos for pos, agg in enumerate(agg_nodes)}
+            aggregates = tuple(compile_aggregate(agg, resolver)
+                               for agg in agg_nodes)
+            item_fns = tuple(compile_agg_expr(e, resolver, slots)
+                             for e in item_exprs)
+            if stmt.having is not None:
+                having_fn = compile_agg_expr(stmt.having, resolver, slots)
+        else:
+            item_fns = tuple(compile_expr(e, resolver) for e in item_exprs)
 
-        order_items = []
-        for item in stmt.order_by:
-            alias_name = None
-            if isinstance(item.expr, n.ColumnRef) and item.expr.table is None \
-                    and item.expr.column in output_names:
-                # May refer to a projected alias (e.g. aggregate alias).
-                try:
-                    resolver.resolve(item.expr)
-                    fn = compile_expr(item.expr, resolver)
-                except SqlError:
-                    fn = None
-                alias_name = item.expr.column
-            else:
-                fn = compile_expr(item.expr, resolver) \
-                    if not expr_has_aggregate(item.expr) else None
-                if fn is None and isinstance(item.expr, n.ColumnRef):
-                    alias_name = item.expr.column
-            order_items.append((fn, item.descending, alias_name))
+        needs_sort = bool(stmt.order_by) and not ordered_by_index
+        sort_keys = self._sort_keys(stmt, resolver, output_names, has_aggs) \
+            if needs_sort else None
 
         limit_fn = compile_expr(stmt.limit, resolver) if stmt.limit else None
         offset_fn = compile_expr(stmt.offset, resolver) if stmt.offset else None
 
         return SelectPlan(
-            paths=paths, resolver=resolver, post_filter=post,
+            paths=paths, post_filter=post,
             outer_flags=outer_flags, output_names=output_names,
-            item_exprs=item_exprs, has_aggregates=has_aggs,
-            group_fns=group_fns, having_expr=stmt.having,
-            order_items=order_items, ordered_by_index=ordered_by_index,
+            item_fns=item_fns, has_aggregates=has_aggs,
+            group_fns=tuple(compile_expr(g, resolver)
+                            for g in stmt.group_by),
+            aggregates=aggregates, having_fn=having_fn,
+            needs_sort=needs_sort, sort_keys=sort_keys,
+            ordered_by_index=ordered_by_index,
             limit_fn=limit_fn, offset_fn=offset_fn, distinct=stmt.distinct,
             tables_read=tuple(sorted({t.name for t in alias_tables.values()})),
         )
+
+    def _sort_keys(self, stmt: n.Select, resolver: Resolver,
+                   output_names: List[str], has_aggs: bool):
+        """(key, descending) per ORDER BY item, or None if some item is
+        beyond this engine.  An aggregate query sorts its projected
+        rows, so every item must be the bare name of a projected column;
+        a plain query sorts joined rows, so every item must compile over
+        the FROM tables (a select-list alias does not)."""
+        keys = []
+        resolvable = True
+        for item in stmt.order_by:
+            expr = item.expr
+            key = None
+            if isinstance(expr, n.ColumnRef) and expr.table is None and \
+                    expr.column in output_names:
+                if has_aggs:
+                    key = output_names.index(expr.column)
+                else:
+                    try:
+                        key = compile_expr(expr, resolver)
+                    except SqlError:
+                        pass
+            elif not expr_has_aggregate(expr):
+                # Compiled even where an aggregate query cannot sort by
+                # it, so that an unknown column is reported as such.
+                fn = compile_expr(expr, resolver)
+                key = None if has_aggs else fn
+            if key is None:
+                resolvable = False
+            keys.append((key, item.descending))
+        return tuple(keys) if resolvable else None
 
     def _projection(self, stmt: n.Select, alias_tables: Dict[str, Table]):
         names: List[str] = []
@@ -452,7 +584,7 @@ class Planner:
             return col_side.column, actual_side, inclusive, other
         return None
 
-    # -- UPDATE / DELETE -----------------------------------------------------------
+    # -- UPDATE / DELETE / INSERT ----------------------------------------------------
 
     def plan_update(self, stmt: n.Update) -> DmlPlan:
         table = self._table(stmt.table)
@@ -463,15 +595,28 @@ class Planner:
             for col, expr in stmt.assignments]
         for col, __ in stmt.assignments:
             table.column_pos(col)  # validate
-        return DmlPlan(path=path, resolver=resolver, assignments=assignments)
+        return DmlPlan(path=path, assignments=assignments,
+                       tables=(table.name,))
 
     def plan_delete(self, stmt: n.Delete) -> DmlPlan:
         table = self._table(stmt.table)
         resolver = Resolver({stmt.table: table})
         path = self._dml_path(stmt.table, table, resolver, stmt.where)
-        return DmlPlan(path=path, resolver=resolver)
+        return DmlPlan(path=path, tables=(table.name,))
 
     def _dml_path(self, alias: str, table: Table, resolver: Resolver,
                   where) -> AccessPath:
+        # No order hint: a DML path is never ``ordered``/``index_order``,
+        # so its rows are accounted (and priced) under the index's lead
+        # column exactly as an unordered SELECT path's are.
         conjuncts = split_conjuncts(where)
         return self._choose_path(alias, table, resolver, conjuncts, [], None)
+
+    def plan_insert(self, stmt: n.Insert) -> InsertPlan:
+        table = self._table(stmt.table)
+        resolver = Resolver({stmt.table: table})
+        return InsertPlan(
+            table=table,
+            columns=tuple(stmt.columns or table.schema.column_names()),
+            value_fns=tuple(compile_expr(v, resolver) for v in stmt.values),
+            positional=not stmt.columns)

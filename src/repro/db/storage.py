@@ -108,14 +108,16 @@ class Table:
         auto-increment key is assigned the next counter value.
         """
         row = []
+        consumed = 0
         for col in self.schema.columns:
             if col.name in values:
                 value = col.type.coerce(values[col.name])
+                consumed += 1
             else:
                 value = col.default
             row.append(value)
-        unknown = set(values) - set(self._colmap)
-        if unknown:
+        if consumed != len(values):
+            unknown = set(values) - set(self._colmap)
             raise SqlError(
                 f"insert into {self.name!r}: unknown columns {sorted(unknown)}")
 

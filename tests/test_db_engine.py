@@ -458,3 +458,76 @@ def test_drop_table_statement(db):
     assert sql not in db._plan_cache
     with pytest.raises(SqlError):
         db.execute(sql)
+
+
+# -- compile-once execution ---------------------------------------------------
+
+def _count_compilations(monkeypatch):
+    """Wrap ``compile_expr`` wherever ``repro.db`` can reach it; returns
+    the list that collects one entry per (nested) compilation."""
+    from repro.db import engine, executor, exprs, planner
+
+    compiled = []
+    real = exprs.compile_expr
+
+    def counting(expr, resolver):
+        compiled.append(expr)
+        return real(expr, resolver)
+
+    for module in (engine, executor, exprs, planner):
+        if hasattr(module, "compile_expr"):
+            monkeypatch.setattr(module, "compile_expr", counting)
+    return compiled
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT name, price * quantity FROM items WHERE id = ?", (7,)),
+    ("SELECT name FROM items WHERE category = ? ORDER BY price DESC, name",
+     (2,)),
+    # 20 groups: nothing may be compiled per group either.
+    ("SELECT id, COUNT(*) AS n, SUM(price) / COUNT(*) FROM items "
+     "GROUP BY id HAVING SUM(price) > ? ORDER BY n DESC LIMIT 15", (3.0,)),
+    ("SELECT i.name, MAX(b.amount) AS top FROM items i "
+     "LEFT JOIN bids b ON b.item_id = i.id GROUP BY i.id ORDER BY top",
+     ()),
+    ("INSERT INTO items (name, category, price, quantity) "
+     "VALUES (?, 1 + 2, ?, 4)", ("fresh", 2.5)),
+    ("UPDATE items SET quantity = quantity - 1, price = price * ? "
+     "WHERE category = ? AND quantity > 0", (1.5, 3)),
+    ("DELETE FROM bids WHERE item_id = ? AND amount < ?", (2, 1000.0)),
+], ids=["point-select", "order-by", "group-having", "left-join-group",
+        "insert", "update", "delete"])
+def test_cached_statement_compiles_nothing(db, monkeypatch, sql, params):
+    compiled = _count_compilations(monkeypatch)
+    first = db.execute(sql, params)
+    assert compiled, "planning compiles the statement's expressions"
+    assert first.kind != "select" or first.rows
+    del compiled[:]
+    db.execute(sql, params)
+    assert compiled == []
+
+
+def test_replayed_page_stream_neither_plans_nor_compiles(monkeypatch):
+    """Identical read-only pages through the EJB stack -- the CMP flood
+    of short statements -- are served entirely from cached plans."""
+    import random
+
+    from repro.apps import build_app
+
+    app = build_app("bookstore", tiny=True)
+    presentation, __ = app.deploy("ejb")
+    rng = random.Random(12)
+    state = app.make_state(rng)
+    requests = [app.make_request(name, rng, state)
+                for name in app.interaction_names()
+                if app.is_read_only(name)]
+    for request in requests:
+        presentation.handle(request)
+    cached_plans = len(app.database._plan_cache)
+    statements = app.database.queries_executed
+    compiled = _count_compilations(monkeypatch)
+    for request in requests:
+        presentation.handle(request)
+    assert app.database.queries_executed > statements
+    assert len(app.database._plan_cache) == cached_plans
+    assert compiled == []
