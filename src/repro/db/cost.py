@@ -19,7 +19,7 @@ are deliberately centralized here so ablation benches can perturb them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class TableScale:
         return max(1.0, full_card / loaded_card)
 
 
-@dataclass(frozen=True)
-class QueryCost:
+class QueryCost(NamedTuple):
     """Priced cost of one statement."""
 
     cpu_seconds: float
@@ -75,13 +74,12 @@ class QueryCost:
 
     def __add__(self, other: "QueryCost") -> "QueryCost":
         return QueryCost(
-            cpu_seconds=self.cpu_seconds + other.cpu_seconds,
-            scaled_rows_examined=(self.scaled_rows_examined +
-                                  other.scaled_rows_examined),
-            result_bytes=self.result_bytes + other.result_bytes)
+            self.cpu_seconds + other.cpu_seconds,
+            self.scaled_rows_examined + other.scaled_rows_examined,
+            self.result_bytes + other.result_bytes)
 
 
-ZERO_COST = QueryCost(cpu_seconds=0.0, scaled_rows_examined=0.0, result_bytes=0)
+ZERO_COST = QueryCost(0.0, 0.0, 0)
 
 
 class CostModel:
@@ -104,21 +102,21 @@ class CostModel:
         ``stats`` examined rows of.
         """
         k = self.constants
-        scanned = 0.0
-        feed_factors = [1.0]
+        scanned = indexed = 0.0
+        # A sort grows with whatever fed it: the largest factor below.
+        sort_scale = 1.0
         for table, count in stats.rows_examined_scan.items():
             ctx = scale_of(table)
             factor = ctx.scan_factor() if ctx else 1.0
             scanned += count * factor
-            feed_factors.append(factor)
-        indexed = 0.0
+            if factor > sort_scale:
+                sort_scale = factor
         for (table, column), count in stats.rows_examined_index.items():
             ctx = scale_of(table)
             factor = ctx.probe_factor(column) if ctx else 1.0
             indexed += count * factor
-            feed_factors.append(factor)
-        # A sort grows with whatever fed it.
-        sort_scale = max(feed_factors)
+            if factor > sort_scale:
+                sort_scale = factor
         cpu = (k.per_query_base
                + scanned * k.per_row_scanned
                + indexed * k.per_row_indexed
@@ -127,6 +125,4 @@ class CostModel:
                + result_bytes * k.per_byte_returned
                + stats.rows_changed * k.per_row_written
                + lock_statements * k.per_lock_statement)
-        return QueryCost(cpu_seconds=cpu,
-                         scaled_rows_examined=scanned + indexed,
-                         result_bytes=result_bytes)
+        return QueryCost(cpu, scanned + indexed, result_bytes)

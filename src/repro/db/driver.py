@@ -45,7 +45,7 @@ EJB_JDBC_OVERHEADS = DriverOverheads(
     per_call=0.10e-3, per_result_byte=14.0e-9, wire_overhead_bytes=110)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """One recorded statement execution (profiling capture)."""
 
@@ -298,7 +298,9 @@ class CircuitBreakerConnection:
 
 
 class RecordingConnection:
-    """Wraps a connection, capturing a QueryRecord per statement."""
+    """Wraps a connection, capturing a QueryRecord per statement:
+    every ``execute`` that returns has appended exactly one record,
+    ``records[-1]`` (the middleware files that one on its trace)."""
 
     def __init__(self, inner: Connection):
         self.inner = inner
@@ -306,21 +308,14 @@ class RecordingConnection:
 
     def execute(self, sql: str, params: Sequence = ()) -> ResultSet:
         result = self.inner.execute(sql, params)
-        ast_locks: tuple = ()
-        if result.kind == "lock":
-            ast_locks = tuple(self.inner.session.locks.items())
+        kind, cost, stats = result.kind, result.cost, result.stats
+        lock_set = tuple(self.inner.session.locks.items()) \
+            if kind == "lock" else ()
+        # Positional, in QueryRecord's field order.
         self.records.append(QueryRecord(
-            sql=sql,
-            kind=result.kind,
-            cpu_seconds=result.cost.cpu_seconds,
-            result_bytes=result.cost.result_bytes,
-            rows_returned=len(result.rows),
-            rows_changed=result.stats.rows_changed,
-            tables_read=tuple(result.stats.tables_read),
-            tables_written=tuple(result.stats.tables_written),
-            lock_set=ast_locks,
-            access=result.stats.access_summary(),
-        ))
+            sql, kind, cost.cpu_seconds, cost.result_bytes,
+            len(result.rows), stats.rows_changed, stats.tables_read,
+            stats.tables_written, lock_set, "", stats.access_summary()))
         return result
 
     @property

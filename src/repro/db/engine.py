@@ -12,7 +12,7 @@ the paper's sync-servlet rewrite had to avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.cost import CostModel, QueryCost, TableScale, ZERO_COST
 from repro.db.errors import LockError, SqlError
@@ -30,7 +30,7 @@ from repro.db.sql.parser import parse
 from repro.db.storage import Table
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultSet:
     """Outcome of one executed statement."""
 
@@ -77,12 +77,15 @@ class Session:
         self.scope = scope
 
 
-@dataclass
+@dataclass(slots=True)
 class _Prepared:
     """A parsed + planned statement, cached by SQL text."""
 
     ast: object
     kind: str
+    # The Database method for this statement kind, resolved once:
+    # ``run(database, prepared, params, session) -> ResultSet``.
+    run: Callable
     plan: object = None
     param_count: int = 0
 
@@ -96,6 +99,7 @@ class Database:
         self.cost_model = cost_model or CostModel()
         self._plan_cache: Dict[str, _Prepared] = {}
         self._planner = Planner(self.tables)
+        self._scales: Dict[str, TableScale] = {}
         self.queries_executed = 0
         # Cumulative priced server-side CPU over all statements -- a
         # cheap cross-check for trace-derived DB busy time.
@@ -130,6 +134,7 @@ class Database:
         if name not in self.tables:
             raise SqlError(f"no such table {name!r}")
         del self.tables[name]
+        self._scales.pop(name, None)
         self._plan_cache.clear()
 
     def table(self, name: str) -> Table:
@@ -147,13 +152,20 @@ class Database:
 
     def _table_scale(self, name: str) -> Optional[TableScale]:
         """One table's scaling context; the cost model asks for it only
-        when a statement examined rows of that table."""
+        when a statement examined rows of that table.  Kept until the
+        table's row count or declared statistics change."""
         table = self.tables.get(name)
         if table is None:
             return None
         stats = table.schema.stats
-        return TableScale(nominal=stats.nominal_rows, loaded=len(table),
-                          distinct=stats.distinct_values)
+        scale = self._scales.get(name)
+        if scale is None or scale.loaded != len(table) or \
+                scale.nominal != stats.nominal_rows or \
+                scale.distinct is not stats.distinct_values:
+            scale = self._scales[name] = TableScale(
+                nominal=stats.nominal_rows, loaded=len(table),
+                distinct=stats.distinct_values)
+        return scale
 
     def open_session(self) -> Session:
         return Session(scope=self.name)
@@ -161,62 +173,24 @@ class Database:
     # -- statement preparation ------------------------------------------------------
 
     def _prepare(self, sql: str) -> _Prepared:
-        prepared = self._plan_cache.get(sql)
-        if prepared is not None:
-            return prepared
+        """Parse and plan a statement the plan cache does not hold."""
         ast, param_count = parse(sql)
-        if isinstance(ast, n.Select):
-            prepared = _Prepared(ast=ast, kind="select",
-                                 plan=self._planner.plan_select(ast),
-                                 param_count=param_count)
-        elif isinstance(ast, n.Update):
-            prepared = _Prepared(ast=ast, kind="update",
-                                 plan=self._planner.plan_update(ast),
-                                 param_count=param_count)
-        elif isinstance(ast, n.Delete):
-            prepared = _Prepared(ast=ast, kind="delete",
-                                 plan=self._planner.plan_delete(ast),
-                                 param_count=param_count)
-        elif isinstance(ast, n.Insert):
-            self.table(ast.table)  # must exist
-            prepared = _Prepared(ast=ast, kind="insert",
-                                 plan=self._planner.plan_insert(ast),
-                                 param_count=param_count)
-        elif isinstance(ast, n.LockTables):
-            prepared = _Prepared(ast=ast, kind="lock", param_count=param_count)
-        elif isinstance(ast, n.UnlockTables):
-            prepared = _Prepared(ast=ast, kind="unlock", param_count=param_count)
-        elif isinstance(ast, n.CreateTable):
-            prepared = _Prepared(ast=ast, kind="create_table",
-                                 param_count=param_count)
-        elif isinstance(ast, n.CreateIndex):
-            prepared = _Prepared(ast=ast, kind="create_index",
-                                 param_count=param_count)
-        elif isinstance(ast, n.DropTable):
-            prepared = _Prepared(ast=ast, kind="drop_table",
-                                 param_count=param_count)
-        elif isinstance(ast, n.DropIndex):
-            prepared = _Prepared(ast=ast, kind="drop_index",
-                                 param_count=param_count)
-        elif isinstance(ast, n.Transaction):
-            prepared = _Prepared(ast=ast, kind="txn", param_count=param_count)
-        elif isinstance(ast, n.Explain):
-            inner = ast.inner
-            if isinstance(inner, n.Select):
-                plan = self._planner.plan_select(inner)
-            elif isinstance(inner, n.Update):
-                plan = self._planner.plan_update(inner)
-            elif isinstance(inner, n.Delete):
-                plan = self._planner.plan_delete(inner)
-            else:
-                raise SqlError("EXPLAIN supports SELECT/UPDATE/DELETE only")
-            prepared = _Prepared(ast=ast, kind="explain", plan=plan,
-                                 param_count=param_count)
-        else:  # pragma: no cover - parser covers the statement space
+        entry = _STATEMENTS.get(type(ast))
+        if entry is None:  # pragma: no cover - parser covers the statement space
             raise SqlError(f"unsupported statement: {sql!r}")
+        kind, plan_method, run = entry
+        planned = ast
+        if kind == "explain":
+            planned = ast.inner
+            if not isinstance(planned, (n.Select, n.Update, n.Delete)):
+                raise SqlError("EXPLAIN supports SELECT/UPDATE/DELETE only")
+            plan_method = _STATEMENTS[type(planned)][1]
+        elif kind == "insert":
+            self.table(ast.table)  # must exist
+        plan = plan_method(self._planner, planned) if plan_method else None
+        prepared = _Prepared(ast, kind, run, plan, param_count)
         # DDL invalidates the cache, so only cache DML/queries.
-        if prepared.kind not in ("create_table", "create_index",
-                                 "drop_table", "drop_index"):
+        if run is not Database._run_ddl:
             self._plan_cache[sql] = prepared
         return prepared
 
@@ -270,71 +244,30 @@ class Database:
     def execute(self, sql: str, params: Sequence = (),
                 session: Optional[Session] = None) -> ResultSet:
         """Parse (cached), plan (cached), and run one statement."""
-        result = self._execute_statement(sql, params, session)
-        self.priced_cpu_seconds += result.cost.cpu_seconds
-        return result
-
-    def _execute_statement(self, sql: str, params: Sequence = (),
-                           session: Optional[Session] = None) -> ResultSet:
-        prepared = self._prepare(sql)
+        prepared = self._plan_cache.get(sql)
+        if prepared is None:
+            prepared = self._prepare(sql)
         params = tuple(params)
         if len(params) != prepared.param_count:
             raise SqlError(
                 f"statement takes {prepared.param_count} parameters, "
                 f"got {len(params)}: {sql!r}")
         self.queries_executed += 1
-        session = session or self._ephemeral
-        kind = prepared.kind
-        if kind == "select":
-            return self._run_select(prepared, params, session)
-        if kind == "insert":
-            return self._run_insert(prepared, params, session)
-        if kind == "update" or kind == "delete":
-            plan = prepared.plan
-            self._check_locks(session, plan.tables, plan.tables)
-            run = run_update if kind == "update" else run_delete
-            stats = run(plan, params)
-            cost = self.cost_model.price(stats, self._table_scale)
-            return ResultSet(stats=stats, cost=cost, kind=kind,
-                             last_insert_id=session.last_insert_id)
-        if kind == "lock" or kind == "unlock":
-            if kind == "lock":
-                self.lock_tables(session, prepared.ast.locks)
-            else:
-                self.unlock_tables(session)
-            cost = self.cost_model.price(
-                ExecStats(), self._table_scale, lock_statements=1)
-            return ResultSet(kind=kind, cost=cost)
-        if kind == "create_table":
-            self.create_table(prepared.ast.schema)
-            return ResultSet(kind="create_table")
-        if kind == "create_index":
-            self.create_index(prepared.ast.table, prepared.ast.index)
-            return ResultSet(kind="create_index")
-        if kind == "drop_table":
-            self.drop_table(prepared.ast.name)
-            return ResultSet(kind="drop_table")
-        if kind == "drop_index":
-            self.drop_index(prepared.ast.table, prepared.ast.name)
-            return ResultSet(kind="drop_index")
-        if kind == "txn":
-            # MyISAM: BEGIN/COMMIT/ROLLBACK are accepted no-ops.
-            return ResultSet(kind="txn")
-        if kind == "explain":
-            return self._run_explain(prepared)
-        raise SqlError(f"unsupported statement kind {kind!r}")  # pragma: no cover
+        if session is None:
+            session = self._ephemeral
+        result = prepared.run(self, prepared, params, session)
+        self.priced_cpu_seconds += result.cost.cpu_seconds
+        return result
 
     def _run_select(self, prepared: _Prepared, params: tuple,
                     session: Session) -> ResultSet:
         plan = prepared.plan
         self._check_locks(session, plan.tables_read, ())
         rows, stats = run_select(plan, params)
-        cost = self.cost_model.price(
-            stats, self._table_scale,
-            result_bytes=_estimate_result_bytes(rows))
-        return ResultSet(columns=list(plan.output_names), rows=rows,
-                         stats=stats, cost=cost, kind="select",
-                         last_insert_id=session.last_insert_id)
+        cost = self.cost_model.price(stats, self._table_scale,
+                                     _estimate_result_bytes(rows))
+        return ResultSet(list(plan.output_names), rows, stats, cost,
+                         session.last_insert_id, "select")
 
     def _run_insert(self, prepared: _Prepared, params: tuple,
                     session: Session) -> ResultSet:
@@ -350,7 +283,46 @@ class Database:
         return ResultSet(stats=stats, cost=cost, kind="insert",
                          last_insert_id=session.last_insert_id)
 
-    def _run_explain(self, prepared: _Prepared) -> ResultSet:
+    def _run_dml(self, prepared: _Prepared, params: tuple,
+                 session: Session) -> ResultSet:
+        plan = prepared.plan
+        self._check_locks(session, plan.tables, plan.tables)
+        run = run_update if prepared.kind == "update" else run_delete
+        stats = run(plan, params)
+        cost = self.cost_model.price(stats, self._table_scale)
+        return ResultSet(stats=stats, cost=cost, kind=prepared.kind,
+                         last_insert_id=session.last_insert_id)
+
+    def _run_lock(self, prepared: _Prepared, params: tuple,
+                  session: Session) -> ResultSet:
+        if prepared.kind == "lock":
+            self.lock_tables(session, prepared.ast.locks)
+        else:
+            self.unlock_tables(session)
+        cost = self.cost_model.price(
+            ExecStats(), self._table_scale, lock_statements=1)
+        return ResultSet(kind=prepared.kind, cost=cost)
+
+    def _run_ddl(self, prepared: _Prepared, params: tuple,
+                 session: Session) -> ResultSet:
+        ast, kind = prepared.ast, prepared.kind
+        if kind == "create_table":
+            self.create_table(ast.schema)
+        elif kind == "create_index":
+            self.create_index(ast.table, ast.index)
+        elif kind == "drop_table":
+            self.drop_table(ast.name)
+        else:
+            self.drop_index(ast.table, ast.name)
+        return ResultSet(kind=kind)
+
+    def _run_txn(self, prepared: _Prepared, params: tuple,
+                 session: Session) -> ResultSet:
+        # MyISAM: BEGIN/COMMIT/ROLLBACK are accepted no-ops.
+        return ResultSet(kind="txn")
+
+    def _run_explain(self, prepared: _Prepared, params: tuple,
+                     session: Session) -> ResultSet:
         """Describe the chosen access plan, one row per table access."""
         plan = prepared.plan
         paths = plan.paths if hasattr(plan, "paths") else [plan.path]
@@ -371,6 +343,24 @@ class Database:
         return ResultSet(
             columns=["alias", "table", "access", "index", "notes"],
             rows=rows, kind="explain")
+
+
+# statement class -> (kind, the Planner method that plans it, the
+# Database method that runs it)
+_STATEMENTS = {
+    n.Select: ("select", Planner.plan_select, Database._run_select),
+    n.Update: ("update", Planner.plan_update, Database._run_dml),
+    n.Delete: ("delete", Planner.plan_delete, Database._run_dml),
+    n.Insert: ("insert", Planner.plan_insert, Database._run_insert),
+    n.LockTables: ("lock", None, Database._run_lock),
+    n.UnlockTables: ("unlock", None, Database._run_lock),
+    n.CreateTable: ("create_table", None, Database._run_ddl),
+    n.CreateIndex: ("create_index", None, Database._run_ddl),
+    n.DropTable: ("drop_table", None, Database._run_ddl),
+    n.DropIndex: ("drop_index", None, Database._run_ddl),
+    n.Transaction: ("txn", None, Database._run_txn),
+    n.Explain: ("explain", None, Database._run_explain),
+}
 
 
 def _estimate_result_bytes(rows: List[tuple]) -> int:

@@ -27,7 +27,7 @@ from repro.db.exprs import sort_key
 from repro.db.planner import AccessPath, DmlPlan, InsertPlan, SelectPlan
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecStats:
     """Row accounting for one executed statement.
 
@@ -203,8 +203,30 @@ def _aggregate_rows(plan: SelectPlan, env: dict, params: tuple,
     return rows
 
 
+def _probe_select(plan: SelectPlan, params: tuple):
+    """``run_select`` for a ``plan.probe`` statement: one index probe,
+    one row fetch, the stats built directly."""
+    path = plan.paths[0]
+    env: dict = {}
+    found = path.rowids(env, params)
+    row = path.table.get_row(found[0]) if found else None
+    if row is None:
+        # Miss, NULL key or tombstoned row: nothing examined.
+        return [], ExecStats({}, {}, 0, 0, 0, plan.tables_read)
+    env[path.alias] = row
+    filter_fn = path.filter_fn
+    if filter_fn is None or filter_fn(env, params):
+        rows = [tuple([fn(env, params) for fn in plan.item_fns])]
+    else:
+        rows = []
+    return rows, ExecStats({}, {path.examined_key: 1}, len(rows), 0, 0,
+                           plan.tables_read)
+
+
 def run_select(plan: SelectPlan, params: tuple):
     """Execute a SelectPlan; returns ``(rows, stats)``."""
+    if plan.probe:
+        return _probe_select(plan, params)
     stats = ExecStats(tables_read=plan.tables_read)
     limit, offset = _limits(plan, params)
     sort_keys = plan.sort_keys

@@ -148,6 +148,12 @@ class SelectPlan:
     offset_fn: Optional[Callable]
     distinct: bool
     tables_read: Tuple[str, ...] = ()
+    # The whole statement is one full-key equality probe of a unique
+    # index plus a projection (no aggregate, sort, DISTINCT, LIMIT or
+    # post-filter): the executor serves it without the row pipeline.
+    # Set from the plan's shape alone; clearing it selects the
+    # pipeline, with identical results.
+    probe: bool = False
 
 
 @dataclass
@@ -347,6 +353,12 @@ class Planner:
             ordered_by_index=ordered_by_index,
             limit_fn=limit_fn, offset_fn=offset_fn, distinct=stmt.distinct,
             tables_read=tuple(sorted({t.name for t in alias_tables.values()})),
+            probe=(len(paths) == 1 and paths[0].kind == "index_eq"
+                   and paths[0].index.unique
+                   and len(paths[0].key_fns) == len(paths[0].index.columns)
+                   and post is None and not has_aggs and not needs_sort
+                   and not stmt.distinct and limit_fn is None
+                   and offset_fn is None),
         )
 
     def _sort_keys(self, stmt: n.Select, resolver: Resolver,

@@ -86,10 +86,8 @@ class AppContext:
 
     def query(self, sql: str, params: Sequence = ()) -> ResultSet:
         """Run a statement, recording it on the trace."""
-        before = len(self._conn.records)
         result = self._conn.execute(sql, params)
-        for record in self._conn.records[before:]:
-            self.trace.add_query(record)
+        self.trace.add_query(self._conn.records[-1])
         return result
 
     # An alias that reads naturally at update call sites.

@@ -171,8 +171,7 @@ class EjbContainer:
     def _commit(self) -> None:
         # ejbStore every dirty bean, then drop all instances (option C).
         for bean in self._dirty:
-            home = object.__getattribute__(bean, "_home")
-            home._ejb_store(bean)
+            bean._home._ejb_store(bean)
             self.entity_stores += 1
         self._dirty.clear()
 
@@ -183,15 +182,14 @@ class EjbContainer:
     # -- services used by homes/beans ------------------------------------------------------
 
     def execute(self, sql: str, params=()) -> ResultSet:
-        if self._conn is None:
+        conn = self._conn
+        if conn is None:
             raise RuntimeError(
                 "entity access outside a container transaction")
-        before = len(self._conn.records)
-        result = self._conn.execute(sql, params)
+        result = conn.execute(sql, params)
         self.queries_issued += 1
         if self._trace is not None:
-            for record in self._conn.records[before:]:
-                self._trace.add_query(record)
+            self._trace.add_query(conn.records[-1])
         return result
 
     def materialize(self, home: EntityHome, pk,
@@ -209,9 +207,3 @@ class EjbContainer:
     def register_dirty(self, bean: EntityBean) -> None:
         if bean not in self._dirty:
             self._dirty.append(bean)
-
-    def count_entity_load(self) -> None:
-        self.entity_loads += 1
-
-    def count_field_access(self) -> None:
-        self.field_accesses += 1

@@ -36,79 +36,85 @@ from repro.db.errors import SqlError
 
 class EntityBean:
     """One row, container-managed.  Field access goes through
-    __getattr__/__setattr__ so loads and dirty tracking are implicit."""
+    __getattr__/__setattr__ so loads and dirty tracking are implicit.
 
-    _CONTROL = ("_home", "_pk", "_values", "_loaded_fields", "_dirty",
-                "_removed")
+    A field is loaded exactly when ``_values`` holds it.  ``__getattr__``
+    runs only when ordinary lookup misses, so the control fields below
+    are read as plain attributes.
+    """
+
+    _CONTROL = frozenset(("_home", "_pk", "_values", "_dirty", "_removed"))
 
     def __init__(self, home: "EntityHome", pk, values: Optional[dict] = None):
-        object.__setattr__(self, "_home", home)
-        object.__setattr__(self, "_pk", pk)
-        object.__setattr__(self, "_values", dict(values) if values else {})
-        loaded = set(values) if values else set()
-        object.__setattr__(self, "_loaded_fields", loaded)
-        object.__setattr__(self, "_dirty", set())
-        object.__setattr__(self, "_removed", False)
+        # Straight into the instance dict: __setattr__ is for fields.
+        self.__dict__.update(
+            _home=home, _pk=pk, _values=dict(values) if values else {},
+            _dirty=set(), _removed=False)
 
     # -- field access -------------------------------------------------------------
 
     def __getattr__(self, name: str):
-        home: EntityHome = object.__getattribute__(self, "_home")
-        if name not in home.field_names:
+        if name in EntityBean._CONTROL:
+            # A bean that never ran __init__ (copy, unpickle).
+            raise AttributeError(name)
+        home: EntityHome = self._home
+        if name not in home._load_sql:
             raise AttributeError(
                 f"entity {home.table_name!r} has no field {name!r}")
-        if object.__getattribute__(self, "_removed"):
+        if self._removed:
             raise RuntimeError("accessing a removed entity bean")
-        loaded = object.__getattribute__(self, "_loaded_fields")
-        if name not in loaded:
+        values = self._values
+        if name not in values:
             home._ejb_load(self, name)
-        home.container.count_field_access()
-        return object.__getattribute__(self, "_values")[name]
+        home.container.field_accesses += 1
+        return values[name]
 
     def __setattr__(self, name: str, value) -> None:
         if name in EntityBean._CONTROL:
             object.__setattr__(self, name, value)
             return
-        home: EntityHome = object.__getattribute__(self, "_home")
-        if name not in home.field_names:
+        home: EntityHome = self._home
+        if name not in home._load_sql:
             raise AttributeError(
                 f"entity {home.table_name!r} has no field {name!r}")
-        if object.__getattribute__(self, "_removed"):
+        if self._removed:
             raise RuntimeError("mutating a removed entity bean")
         if name == home.pk_name:
             raise SqlError("primary key of an entity bean is immutable")
-        home.container.count_field_access()
-        object.__getattribute__(self, "_values")[name] = value
-        object.__getattribute__(self, "_loaded_fields").add(name)
-        object.__getattribute__(self, "_dirty").add(name)
+        home.container.field_accesses += 1
+        self._values[name] = value
+        self._dirty.add(name)
         home.container.register_dirty(self)
 
     # -- lifecycle ------------------------------------------------------------------
 
     @property
     def primary_key(self):
-        return object.__getattribute__(self, "_pk")
+        return self._pk
 
     def remove(self) -> None:
         """ejbRemove: delete the underlying row."""
-        home: EntityHome = object.__getattribute__(self, "_home")
-        home._ejb_remove(self)
+        self._home._ejb_remove(self)
 
     def snapshot(self) -> dict:
         """All field values (loading whatever is missing)."""
-        home: EntityHome = object.__getattribute__(self, "_home")
+        home: EntityHome = self._home
         for name in home.field_names:
-            if name not in object.__getattribute__(self, "_loaded_fields"):
+            if name not in self._values:
                 home._ejb_load(self, name)
-        return dict(object.__getattribute__(self, "_values"))
+        return dict(self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        home = object.__getattribute__(self, "_home")
-        return f"<EntityBean {home.table_name}:{self.primary_key}>"
+        return f"<EntityBean {self._home.table_name}:{self._pk}>"
 
 
 class EntityHome:
-    """The home interface of one entity type (one table)."""
+    """The home interface of one entity type (one table).
+
+    The per-key CMP statement texts (load, store, remove, the pk
+    finder) are built once, at deployment, and the same string object is
+    handed to the driver each time; a finder's text is generated per call.
+    """
 
     def __init__(self, container, table_name: str):
         self.container = container
@@ -118,52 +124,54 @@ class EntityHome:
         if schema.primary_key is None:
             raise SqlError(
                 f"entity over {table_name!r} needs a primary-key column")
-        self.pk_name = schema.primary_key
+        self.pk_name = pk = schema.primary_key
         self.field_names = tuple(schema.column_names())
+        by_pk = f"WHERE {pk} = ?"
+        self._find_pk_sql = f"SELECT {pk} FROM {table_name} {by_pk}"
+        self._load_row_sql = f"SELECT * FROM {table_name} {by_pk}"
+        self._remove_sql = f"DELETE FROM {table_name} {by_pk}"
+        self._load_sql = {f: f"SELECT {f} FROM {table_name} {by_pk}"
+                          for f in self.field_names}
+        self._store_sql = {f: f"UPDATE {table_name} SET {f} = ? {by_pk}"
+                           for f in self.field_names}
 
     # -- finders (generate pk-only SELECTs) -------------------------------------------
 
     def find_by_primary_key(self, pk) -> EntityBean:
-        result = self.container.execute(
-            f"SELECT {self.pk_name} FROM {self.table_name} "
-            f"WHERE {self.pk_name} = ?", (pk,))
+        result = self.container.execute(self._find_pk_sql, (pk,))
         if not result.rows:
             raise KeyError(f"{self.table_name}[{pk!r}] does not exist")
         return self.container.materialize(self, pk)
 
-    def find_by(self, column: str, value, order_by: Optional[str] = None,
-                descending: bool = False,
-                limit: Optional[int] = None) -> List[EntityBean]:
-        sql = (f"SELECT {self.pk_name} FROM {self.table_name} "
-               f"WHERE {column} = ?")
+    def _find(self, where: Optional[str], params: Sequence,
+              order_by: Optional[str] = None, descending: bool = False,
+              limit: Optional[int] = None) -> List[EntityBean]:
+        """Generate and run the pk-only SELECT of one finder."""
+        sql = f"SELECT {self.pk_name} FROM {self.table_name}"
+        if where is not None:
+            sql += f" WHERE {where}"
         if order_by:
             sql += f" ORDER BY {order_by}" + (" DESC" if descending else "")
         if limit is not None:
             sql += f" LIMIT {int(limit)}"
-        result = self.container.execute(sql, (value,))
-        return [self.container.materialize(self, row[0])
-                for row in result.rows]
+        materialize = self.container.materialize
+        return [materialize(self, row[0])
+                for row in self.container.execute(sql, params).rows]
+
+    def find_by(self, column: str, value, order_by: Optional[str] = None,
+                descending: bool = False,
+                limit: Optional[int] = None) -> List[EntityBean]:
+        return self._find(f"{column} = ?", (value,), order_by, descending,
+                          limit)
 
     def find_where(self, condition: str, params: Sequence = (),
                    order_by: Optional[str] = None, descending: bool = False,
                    limit: Optional[int] = None) -> List[EntityBean]:
         """A declared finder with a WHERE fragment (EJB-QL stand-in)."""
-        sql = f"SELECT {self.pk_name} FROM {self.table_name} WHERE {condition}"
-        if order_by:
-            sql += f" ORDER BY {order_by}" + (" DESC" if descending else "")
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        result = self.container.execute(sql, params)
-        return [self.container.materialize(self, row[0])
-                for row in result.rows]
+        return self._find(condition, params, order_by, descending, limit)
 
     def find_all(self, limit: Optional[int] = None) -> List[EntityBean]:
-        sql = f"SELECT {self.pk_name} FROM {self.table_name}"
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        result = self.container.execute(sql, ())
-        return [self.container.materialize(self, row[0])
-                for row in result.rows]
+        return self._find(None, (), limit=limit)
 
     def max_primary_key(self):
         """SELECT MAX(pk) -- used by window finders."""
@@ -202,55 +210,44 @@ class EntityHome:
         In ``field`` mode only the requested column is fetched; in
         ``row`` mode the whole row is (classic ejbLoad).
         """
-        pk = object.__getattribute__(bean, "_pk")
-        values = object.__getattribute__(bean, "_values")
-        loaded = object.__getattribute__(bean, "_loaded_fields")
-        if self.container.load_mode == "field":
-            result = self.container.execute(
-                f"SELECT {field} FROM {self.table_name} "
-                f"WHERE {self.pk_name} = ?", (pk,))
-            if not result.rows:
-                raise KeyError(f"{self.table_name}[{pk!r}] vanished")
+        container = self.container
+        pk = bean._pk
+        by_field = container.load_mode == "field"
+        result = container.execute(
+            self._load_sql[field] if by_field else self._load_row_sql, (pk,))
+        if not result.rows:
+            raise KeyError(f"{self.table_name}[{pk!r}] vanished")
+        values = bean._values
+        if by_field:
             values[field] = result.rows[0][0]
-            loaded.add(field)
         else:
-            result = self.container.execute(
-                f"SELECT * FROM {self.table_name} "
-                f"WHERE {self.pk_name} = ?", (pk,))
-            if not result.rows:
-                raise KeyError(f"{self.table_name}[{pk!r}] vanished")
             # Dirty fields keep their in-memory (newer) values.
-            dirty = object.__getattribute__(bean, "_dirty")
+            dirty = bean._dirty
             for name, value in zip(result.columns, result.rows[0]):
                 if name not in dirty:
                     values[name] = value
-                loaded.add(name)
-        self.container.count_entity_load()
+        container.entity_loads += 1
 
     def _ejb_store(self, bean: EntityBean) -> None:
         """Write dirty fields back; granularity set by the container."""
-        dirty = sorted(object.__getattribute__(bean, "_dirty"))
-        if not dirty or object.__getattribute__(bean, "_removed"):
+        dirty = sorted(bean._dirty)
+        if not dirty or bean._removed:
             return
-        values = object.__getattribute__(bean, "_values")
-        pk = object.__getattribute__(bean, "_pk")
+        values, pk = bean._values, bean._pk
         if self.container.store_mode == "field":
             for field in dirty:
-                self.container.execute(
-                    f"UPDATE {self.table_name} SET {field} = ? "
-                    f"WHERE {self.pk_name} = ?", (values[field], pk))
+                self.container.execute(self._store_sql[field],
+                                       (values[field], pk))
         else:  # row mode: one UPDATE for all dirty fields
             assignments = ", ".join(f"{f} = ?" for f in dirty)
             params = tuple(values[f] for f in dirty) + (pk,)
             self.container.execute(
                 f"UPDATE {self.table_name} SET {assignments} "
                 f"WHERE {self.pk_name} = ?", params)
-        object.__getattribute__(bean, "_dirty").clear()
+        bean._dirty.clear()
 
     def _ejb_remove(self, bean: EntityBean) -> None:
-        pk = object.__getattribute__(bean, "_pk")
-        self.container.execute(
-            f"DELETE FROM {self.table_name} WHERE {self.pk_name} = ?", (pk,))
-        object.__setattr__(bean, "_removed", True)
-        object.__getattribute__(bean, "_dirty").clear()
-        self.container.forget(self, pk)
+        self.container.execute(self._remove_sql, (bean._pk,))
+        bean._removed = True
+        bean._dirty.clear()
+        self.container.forget(self, bean._pk)

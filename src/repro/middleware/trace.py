@@ -15,7 +15,7 @@ from repro.db.driver import QueryRecord
 from repro.web.http import HttpResponse
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     """One event inside an interaction.
 
@@ -57,9 +57,10 @@ class InteractionTrace:
             self.origin_stack.pop()
 
     def add_query(self, record: QueryRecord) -> None:
-        if not record.origin:
-            record.origin = self.origin
-        self.steps.append(TraceStep("query", record, origin=record.origin))
+        origin = record.origin
+        if not origin:
+            origin = record.origin = self.origin
+        self.steps.append(TraceStep("query", record, origin))
 
     def add_sync_acquire(self, locks: Tuple[Tuple[str, str], ...]) -> None:
         self.steps.append(TraceStep("sync_acquire", locks,

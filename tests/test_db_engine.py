@@ -531,3 +531,123 @@ def test_replayed_page_stream_neither_plans_nor_compiles(monkeypatch):
     assert app.database.queries_executed > statements
     assert len(app.database._plan_cache) == cached_plans
     assert compiled == []
+
+
+def test_ejb_page_stream_prepares_each_sql_text_once(monkeypatch):
+    """``_prepare`` is the plan cache's miss branch: a page stream reaches
+    it once per distinct SQL text, however often the text recurs."""
+    import random
+
+    from repro.apps import build_app
+
+    prepared, executed = [], []
+    real_prepare, real_execute = Database._prepare, Database.execute
+
+    def counting_prepare(self, sql):
+        prepared.append(sql)
+        return real_prepare(self, sql)
+
+    def counting_execute(self, sql, params=(), session=None):
+        executed.append(sql)
+        return real_execute(self, sql, params, session)
+
+    app = build_app("bookstore", tiny=True)
+    presentation, __ = app.deploy("ejb")
+    monkeypatch.setattr(Database, "_prepare", counting_prepare)
+    monkeypatch.setattr(Database, "execute", counting_execute)
+    rng = random.Random(12)
+    state = app.make_state(rng)
+    for __ in range(2):
+        for name in app.interaction_names():
+            presentation.handle(app.make_request(name, rng, state))
+    assert len(executed) > 40 * len(prepared)
+    assert len(prepared) == len(set(prepared))
+    assert set(prepared) == set(executed)
+
+
+# -- the per-table scale kept by Database._table_scale -----------------------------
+
+def _fresh_copy(db, cost_model=None):
+    """A new Database with the same schemas, statistics, indexes and
+    live rows -- and therefore freshly built scaling contexts."""
+    import copy
+
+    fresh = Database(cost_model=cost_model)
+    for name, table in db.tables.items():
+        fresh.create_table(copy.deepcopy(table.schema))
+        declared = {index.name for index in table.schema.indexes}
+        for index in table.indexes.values():
+            if index.name not in declared and index.name != f"pk_{name}":
+                fresh.create_index(name, IndexDef(
+                    index.name, index.columns, unique=index.unique))
+        fresh.load_rows(name, list(table.rows_as_dicts()))
+    return fresh
+
+
+_PRICED = [
+    ("SELECT COUNT(*) FROM scaled WHERE x > -1", ()),             # scan
+    ("SELECT id FROM scaled WHERE grp = ?", (1,)),                # scaled probe
+    ("SELECT x FROM scaled WHERE id = ?", (3,)),                  # unique probe
+    ("SELECT id FROM scaled WHERE x > -1 ORDER BY x", ()),        # scan + sort
+    ("SELECT id FROM scaled WHERE x = ?", (4,)),                  # new index
+]
+
+
+def _assert_prices_like_fresh(db):
+    fresh = _fresh_copy(db, db.cost_model)
+    for sql, params in _PRICED:
+        got, want = db.execute(sql, params), fresh.execute(sql, params)
+        assert (got.rows, repr(got.stats), got.cost) == \
+            (want.rows, repr(want.stats), want.cost), sql
+
+
+def _scaled_schema(nominal, distinct):
+    schema = TableSchema(
+        name="scaled",
+        columns=[Column("id", ColumnType.INT, nullable=False),
+                 Column("grp", ColumnType.INT),
+                 Column("x", ColumnType.INT)],
+        primary_key="id", auto_increment=True,
+        indexes=[IndexDef("idx_grp", ("grp",))])
+    schema.stats.nominal_rows = nominal
+    schema.stats.distinct_values = dict(distinct)
+    return schema
+
+
+def test_table_scale_follows_row_count_catalog_and_statistics():
+    db = Database()
+    db.create_table(_scaled_schema(10_000, {"grp": 4}))
+    _assert_prices_like_fresh(db)                      # empty table
+    db.load_rows("scaled", [{"grp": i % 4, "x": i} for i in range(40)])
+    _assert_prices_like_fresh(db)
+    assert db._table_scale("scaled") is db._table_scale("scaled")
+    for i in range(3):
+        db.execute("INSERT INTO scaled (grp, x) VALUES (?, ?)", (i, 100 + i))
+        _assert_prices_like_fresh(db)
+    db.execute("DELETE FROM scaled WHERE id = ?", (3,))
+    _assert_prices_like_fresh(db)
+    db.execute("DELETE FROM scaled WHERE grp = ?", (2,))
+    _assert_prices_like_fresh(db)
+    db.create_index("scaled", IndexDef("idx_x", ("x",)))
+    _assert_prices_like_fresh(db)
+
+    # An ablation cost model reads the same scales.
+    db.cost_model = db.cost_model.with_overrides(per_row_scanned=1e-3,
+                                                 per_row_sorted=2e-3)
+    _assert_prices_like_fresh(db)
+
+    # Same name, same row count, other statistics.
+    rows = list(db.table("scaled").rows_as_dicts())
+    db.execute("DROP TABLE scaled")
+    db.create_table(_scaled_schema(500, {"grp": 40, "x": 7}))
+    db.load_rows("scaled", rows)
+    _assert_prices_like_fresh(db)
+
+    # Statistics declared after statements were priced.
+    stats = db.table("scaled").schema.stats
+    stats.nominal_rows = 80_000
+    _assert_prices_like_fresh(db)
+    stats.distinct_values = {"grp": 2}
+    _assert_prices_like_fresh(db)
+    stats.distinct_values["grp"] = 9
+    _assert_prices_like_fresh(db)

@@ -143,3 +143,76 @@ def test_tables_read_lists_every_table(catalog):
     plan = plan_of(catalog,
                    "SELECT u.id FROM t JOIN u ON u.t_id = t.id")
     assert plan.tables_read == ("t", "u")
+
+
+# -- the unique-key probe mark ----------------------------------------------------
+
+@pytest.mark.parametrize("sql, marked", [
+    ("SELECT name FROM t WHERE id = ?", True),
+    ("SELECT name FROM t WHERE id = ? AND a > 1", True),
+    ("SELECT name FROM t WHERE a = ? AND b = ?", False),        # not unique
+    ("SELECT name FROM t WHERE name = ?", False),               # not unique
+    ("SELECT name FROM t WHERE id = ? LIMIT 1", False),
+    ("SELECT DISTINCT name FROM t WHERE id = ?", False),
+    ("SELECT MAX(a) FROM t WHERE id = ?", False),
+    ("SELECT name FROM t WHERE id = ? ORDER BY name", False),
+    ("SELECT u.id FROM t JOIN u ON u.t_id = t.id WHERE t.id = ?", False),
+])
+def test_probe_mark_follows_plan_shape(catalog, sql, marked):
+    assert plan_of(catalog, sql).probe is marked
+
+
+# -- known engine defects, pinned ---------------------------------------------------
+#
+# Found by PR 12 and deliberately not fixed there or since: each fix
+# changes ExecStats, hence priced costs, compiled profiles and every
+# benchmark stats_digest, so it needs a change of its own that
+# regenerates the goldens.  strict=True makes that change announce itself.
+
+def _defect_db():
+    db = Database()
+    db.create_table(TableSchema(
+        name="t",
+        columns=[Column("id", ColumnType.INT, nullable=False),
+                 Column("a", ColumnType.INT),
+                 Column("b", ColumnType.INT)],
+        primary_key="id", auto_increment=True,
+        indexes=[IndexDef("idx_ab", ("a", "b"))]))
+    return db
+
+
+def _ids(db, sql, params=()):
+    return [row[0] for row in db.execute(sql, params).rows]
+
+
+@pytest.mark.xfail(strict=True, reason="range bounds on a composite sorted "
+                   "index are 1-tuples: the boundary key is mis-placed")
+def test_defect_composite_index_range_boundary_key():
+    db = _defect_db()
+    for a in (1, 2, 2, 3):
+        db.execute("INSERT INTO t (a, b) VALUES (?, 7)", (a,))
+    assert (sorted(_ids(db, "SELECT id FROM t WHERE a <= 2")),
+            sorted(_ids(db, "SELECT id FROM t WHERE a > 2"))) == \
+        ([1, 2, 3], [4])
+
+
+@pytest.mark.xfail(strict=True, reason="a NULL anywhere in a sorted-index "
+                   "key hides the row from index-order and prefix scans")
+def test_defect_null_in_sorted_index_key_hides_row():
+    db = _defect_db()
+    db.execute("INSERT INTO t (a, b) VALUES (1, 5)")
+    db.execute("INSERT INTO t (a, b) VALUES (1, NULL)")
+    assert (_ids(db, "SELECT id FROM t WHERE a = 1"),
+            _ids(db, "SELECT id FROM t ORDER BY a LIMIT 5")) == \
+        ([1, 2], [1, 2])
+
+
+@pytest.mark.xfail(strict=True, reason="MIN/MAX of an indexed column is "
+                   "not answered from the index")
+def test_defect_max_of_primary_key_full_scans():
+    db = _defect_db()
+    for a in range(5):
+        db.execute("INSERT INTO t (a, b) VALUES (?, 1)", (a,))
+    result = db.execute("SELECT MAX(id) FROM t")
+    assert result.scalar() == 5
+    assert not result.stats.rows_examined_scan

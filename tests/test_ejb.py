@@ -307,3 +307,97 @@ def test_stateless_lookup_gives_fresh_instance_per_lookup(container):
     container.deploy_session("Sticky", Sticky)
     assert container.lookup("Sticky").poke() == 1
     assert container.lookup("Sticky").poke() == 1  # new instance each time
+
+
+# -- build-once CMP SQL and unchanged container accounting ------------------------
+
+def test_home_hands_out_the_same_sql_object_per_statement_shape():
+    """Each CMP statement text is built once per home, so the driver's
+    plan cache is probed with an identical (already hashed) string."""
+    ejb = EjbContainer(make_db(), load_mode="field")
+    home = ejb.deploy_entity("accounts")
+    issued = []
+    real_execute = ejb.execute
+
+    def recording_execute(sql, params=()):
+        issued.append(sql)
+        return real_execute(sql, params)
+    ejb.execute = recording_execute
+
+    def texts(action):
+        del issued[:]
+        with ejb.transaction():
+            action()
+        return list(issued)
+
+    def load_two_beans():
+        for pk in (2, 3):
+            bean = ejb.materialize(home, pk)
+            assert bean.owner == f"user{pk}"
+            bean.balance = bean.balance + 1.0
+
+    first, second, load1, load2, store1, store2 = texts(load_two_beans)
+    assert first == "SELECT owner FROM accounts WHERE id = ?"
+    assert first is load1
+    assert second == "SELECT balance FROM accounts WHERE id = ?"
+    assert second is load2
+    assert store1 == "UPDATE accounts SET balance = ? WHERE id = ?"
+    assert store1 is store2
+
+    (once,) = texts(lambda: home.find_by_primary_key(4))
+    (again,) = texts(lambda: home.find_by_primary_key(5))
+    assert once == "SELECT id FROM accounts WHERE id = ?"
+    assert once is again
+
+    # Finder texts are generated per call; their shapes are unchanged.
+    assert texts(lambda: home.find_by("region", 0, order_by="balance",
+                                      descending=True, limit=2)) == [
+        "SELECT id FROM accounts WHERE region = ? "
+        "ORDER BY balance DESC LIMIT 2"]
+    assert texts(lambda: home.find_where("balance > ?", (150.0,))) == [
+        "SELECT id FROM accounts WHERE balance > ?"]
+    assert texts(lambda: home.find_all(limit=3)) == [
+        "SELECT id FROM accounts LIMIT 3"]
+
+
+# entity_loads / entity_stores / field_accesses / queries_issued /
+# transactions, then the ejb_work payloads of every interaction in
+# order, as measured at commit d05c199 (before the container's counters
+# were inlined into the bean accessors).
+_PARENT_ACCOUNTING = {
+    "bookstore": ((18481, 6, 26581, 21228, 13), [
+        [(12, 0, 12)], [(28, 0, 28)], [(18198, 0, 25974)], [(15, 0, 15)],
+        [], [(0, 0, 0)], [(2, 0, 8)], [(0, 0, 2)], [(12, 1, 15)],
+        [(7, 3, 17)], [(0, 1, 1)], [(3, 0, 3)], [(6, 0, 6)],
+        [(198, 1, 500)]]),
+    "auction": ((493, 8, 514, 560, 19), [
+        [], [], [(2, 1, 4)], [], [(80, 0, 80)], [(5, 0, 6)], [(124, 0, 124)],
+        [(1, 0, 1), (80, 0, 80)], [(0, 0, 0)], [(11, 0, 11)], [(9, 0, 9)],
+        [(50, 0, 50)], [], [(4, 0, 4)], [(5, 2, 10)], [], [(4, 0, 4)],
+        [(5, 2, 9)], [], [(3, 0, 3)], [(4, 2, 7)], [], [(80, 0, 80)], [],
+        [(3, 1, 5)], [(23, 0, 27)]]),
+}
+
+
+@pytest.mark.parametrize("app_name", sorted(_PARENT_ACCOUNTING))
+def test_container_accounting_unchanged_on_tiny_apps(app_name):
+    import random
+
+    from repro.apps import build_app
+    from tests.test_golden_db_exec import _fresh_registration_tags
+
+    with _fresh_registration_tags():
+        app = build_app(app_name, tiny=True)
+        presentation, container = app.deploy("ejb")
+        rng = random.Random(f"1203/{app_name}/ejb-counters")
+        state = app.make_state(rng)
+        work = []
+        for name in app.interaction_names():
+            __, trace = presentation.handle(app.make_request(name, rng, state))
+            work.append([step.payload for step in trace.steps
+                         if step.kind == "ejb_work"])
+    counters, parent_work = _PARENT_ACCOUNTING[app_name]
+    assert (container.entity_loads, container.entity_stores,
+            container.field_accesses, container.queries_issued,
+            container.transactions) == counters
+    assert work == parent_work

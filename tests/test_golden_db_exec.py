@@ -10,8 +10,13 @@ be speed-only can be checked statement by statement:
   every :class:`ExecStats` field, and ``repr`` of the priced
   ``cpu_seconds`` / ``scaled_rows_examined`` / ``result_bytes`` (``repr``
   round-trips a float exactly, so a reordered float sum shows up).
-* ``profile_sha256`` -- ``profile_all_flavors`` of the tiny bookstore
-  serialised through :mod:`repro.harness.profile_io`.
+* ``profile_sha256`` / ``auction_profile_sha256`` -- ``profile_all_flavors``
+  of the tiny bookstore / auction serialised through
+  :mod:`repro.harness.profile_io`.
+* ``ejb_best_sellers_records_sha256`` -- ``repr`` of every
+  :class:`QueryRecord` the trace of one EJB ``best_sellers`` page holds
+  (the ~20 K single-field CMP loads), so the recording layers are pinned
+  field by field as well.
 
 Regenerate (only when statement semantics or pricing change on
 purpose)::
@@ -125,16 +130,30 @@ def page_digests() -> dict:
     return out
 
 
-def profile_digest() -> str:
+def profile_digest(app_name: str = "bookstore") -> str:
     from repro.apps import build_app
     from repro.harness.profile_io import profile_to_dict
     from repro.harness.profiles import profile_all_flavors
 
     with _fresh_registration_tags():
-        profiles = profile_all_flavors(build_app("bookstore", tiny=True),
+        profiles = profile_all_flavors(build_app(app_name, tiny=True),
                                        repetitions=PROFILE_REPETITIONS)
     return _sha({flavor: profile_to_dict(profile)
                  for flavor, profile in profiles.items()})
+
+
+def ejb_best_sellers_records() -> list:
+    """``repr`` of each QueryRecord of one EJB ``best_sellers`` page."""
+    from repro.apps import build_app
+
+    with _fresh_registration_tags():
+        app = build_app("bookstore", tiny=True)
+        presentation, __container = app.deploy("ejb")
+        rng = random.Random(f"{SEED}/bookstore/ejb/best_sellers")
+        state = app.make_state(rng)
+        __response, trace = presentation.handle(
+            app.make_request("best_sellers", rng, state))
+    return [repr(record) for record in trace.queries()]
 
 
 def test_every_statement_matches_golden():
@@ -155,9 +174,27 @@ def test_tiny_bookstore_profiles_match_golden():
         "profile_all_flavors(tiny bookstore) is no longer bit-identical")
 
 
+def test_tiny_auction_profiles_match_golden():
+    golden = json.loads(GOLDEN_PATH.read_text())["auction_profile_sha256"]
+    assert profile_digest("auction") == golden, (
+        "profile_all_flavors(tiny auction) is no longer bit-identical")
+
+
+def test_ejb_best_sellers_query_records_match_golden():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    records = ejb_best_sellers_records()
+    assert len(records) == golden["ejb_best_sellers_records"]
+    assert _sha(records) == golden["ejb_best_sellers_records_sha256"], (
+        "some QueryRecord of the EJB best_sellers page changed a field")
+
+
 if __name__ == "__main__":
+    best_sellers = ejb_best_sellers_records()
     GOLDEN_PATH.write_text(json.dumps(
-        {"pages": page_digests(), "profile_sha256": profile_digest()},
+        {"pages": page_digests(), "profile_sha256": profile_digest(),
+         "auction_profile_sha256": profile_digest("auction"),
+         "ejb_best_sellers_records": len(best_sellers),
+         "ejb_best_sellers_records_sha256": _sha(best_sellers)},
         indent=1) + "\n")
     golden = json.loads(GOLDEN_PATH.read_text())
     print(f"wrote {GOLDEN_PATH}: "

@@ -1,9 +1,11 @@
 """Property-based tests (hypothesis) for the database engine."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.db import Column, ColumnType, Database, IndexDef, TableSchema
+from repro.db import (Column, ColumnType, Database, IndexDef, LockError,
+                      SqlError, TableSchema)
 
 
 def fresh_db(kind="sorted"):
@@ -299,3 +301,149 @@ def test_select_shapes_match_sqlite(t_rows, u_rows, probe, low, high, text,
     same("SELECT v, id FROM t ORDER BY v, id DESC", ordered=True)
     same("SELECT DISTINCT k FROM t")
     lite.close()
+
+
+# -- unique-key probe path vs the row pipeline ---------------------------------
+#
+# A SELECT plan whose mark (``plan.probe``) is cleared runs the generic
+# pipeline; both must report the same rows, ExecStats, QueryCost and
+# access summary.  UPDATE and DELETE have no probe path (it bought 0.4 %
+# of profile capture and was deleted); they run in the stream so that
+# the SELECTs meet deleted rows and moved keys.
+
+def probe_db(kind, rows, deleted):
+    """Table ``p`` with a pk and a composite unique index of ``kind``;
+    ``deleted`` picks rows to delete again (their keys then miss)."""
+    db = Database()
+    db.create_table(TableSchema(
+        name="p",
+        columns=[Column("id", ColumnType.INT, nullable=False),
+                 Column("a", ColumnType.INT),
+                 Column("b", ColumnType.INT),
+                 Column("v", ColumnType.VARCHAR)],
+        primary_key="id", auto_increment=True,
+        indexes=[IndexDef("uq_ab", ("a", "b"), unique=True, kind=kind)]))
+    db.create_table(TableSchema(
+        name="other",
+        columns=[Column("id", ColumnType.INT, nullable=False)],
+        primary_key="id", auto_increment=True))
+    db.load_rows("p", [{"a": a, "b": b, "v": v} for a, b, v in rows])
+    for pos in sorted(deleted):
+        if pos < len(rows):
+            db.table("p").delete_row(pos)
+    return db
+
+
+def _unique_rows(rows):
+    """Drop rows whose non-NULL (a, b) repeats (NULL keys never clash)."""
+    seen, out = set(), []
+    for a, b, v in rows:
+        if b is not None and (a, b) in seen:
+            continue
+        seen.add((a, b))
+        out.append((a, b, v))
+    return out
+
+
+small_key = st.integers(min_value=0, max_value=6)
+probe_rows_strategy = st.lists(
+    st.tuples(small_key, st.one_of(st.none(), small_key),
+              st.text(alphabet="abc", max_size=3)),
+    max_size=25).map(_unique_rows)
+
+# (sql, how many keys it takes, does the planner mark it a probe?  --
+# None: not a SELECT, nothing to mark)
+PROBE_SHAPES = [
+    ("SELECT v, a FROM p WHERE id = ?", 1, True),
+    ("SELECT * FROM p WHERE a = ? AND b = ?", 2, True),
+    ("SELECT v FROM p WHERE id = ? AND a > ?", 2, True),       # residual
+    ("SELECT v FROM p WHERE a = ?", 1, False),                 # partial key
+    ("SELECT v FROM p WHERE id = ? LIMIT 0", 1, False),
+    ("SELECT v FROM p WHERE id = ? LIMIT 1 OFFSET 0", 1, False),
+    ("SELECT DISTINCT v FROM p WHERE id = ?", 1, False),
+    ("SELECT v FROM p WHERE id = ? ORDER BY v", 1, False),
+    ("SELECT COUNT(*) FROM p WHERE id = ?", 1, False),
+    ("UPDATE p SET v = 'w' WHERE id = ?", 1, None),
+    ("UPDATE p SET b = b + 1 WHERE a = ? AND b = ?", 2, None),  # moves the key
+    ("UPDATE p SET v = 'x' WHERE id = ? AND a > ?", 2, None),
+    ("DELETE FROM p WHERE id = ?", 1, None),
+    ("DELETE FROM p WHERE a = ? AND b = ?", 2, None),
+]
+
+probe_ops_strategy = st.lists(
+    st.tuples(st.integers(0, len(PROBE_SHAPES) - 1),
+              st.integers(min_value=0, max_value=30),       # pk: hit or miss
+              st.one_of(st.none(), small_key),               # NULL key too
+              small_key),
+    min_size=1, max_size=30)
+
+
+def _plan(db, sql):
+    prepared = db._plan_cache.get(sql) or db._prepare(sql)
+    return prepared.plan
+
+
+def _outcome(db, sql, params):
+    try:
+        result = db.execute(sql, params)
+    except Exception as exc:       # both paths must fail alike, too
+        return type(exc), str(exc)
+    return (result.kind, result.columns, result.rows, result.rowcount,
+            repr(result.stats), result.cost, result.stats.access_summary())
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["sorted", "hash"]), rows=probe_rows_strategy,
+       deleted=st.sets(st.integers(0, 24), max_size=6),
+       ops=probe_ops_strategy)
+def test_probe_path_equals_row_pipeline(kind, rows, deleted, ops):
+    probing = probe_db(kind, rows, deleted)
+    generic = probe_db(kind, rows, deleted)
+    for shape, pk, nullable_key, key in ops:
+        sql, arity, marked = PROBE_SHAPES[shape]
+        if "id = ?" in sql:
+            params = (pk, key)[:arity]
+        else:
+            params = (key, nullable_key)[:arity]
+        if marked is not None:
+            assert _plan(probing, sql).probe is marked, sql
+            _plan(generic, sql).probe = False
+        assert _outcome(probing, sql, params) == \
+            _outcome(generic, sql, params), (sql, params)
+    everything = "SELECT * FROM p ORDER BY id"
+    assert probing.execute(everything).rows == generic.execute(everything).rows
+    # The unique index still agrees with the heap on both sides.
+    for a, b, __ in rows:
+        by_key = ("SELECT id FROM p WHERE a = ? AND b = ?", (a, b))
+        assert probing.execute(*by_key).rows == generic.execute(*by_key).rows
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT v FROM p WHERE id = ?", (1,)),
+    ("UPDATE p SET v = 'w' WHERE id = ?", (1,)),
+    ("DELETE FROM p WHERE id = ?", (1,)),
+])
+def test_probe_statement_checks_locks_and_parameters_first(monkeypatch, sql,
+                                                           params):
+    """Lock enforcement and the parameter count come before any row is
+    read, for a probe SELECT as for pipeline statements."""
+    from repro.db import engine
+
+    db = probe_db("sorted", [(1, 1, "a"), (2, 2, "b")], ())
+    if sql.startswith("SELECT"):
+        assert _plan(db, sql).probe
+
+    def must_not_run(*args):
+        raise AssertionError("statement reached the executor")
+    for runner in ("run_select", "run_update", "run_delete"):
+        monkeypatch.setattr(engine, runner, must_not_run)
+
+    with pytest.raises(SqlError, match="takes 1 parameters, got 2"):
+        db.execute(sql, params + (9,))
+    session = db.open_session()
+    db.execute("LOCK TABLES other WRITE", session=session)
+    with pytest.raises(LockError, match="'p' was not locked"):
+        db.execute(sql, params, session)
+    db.execute("UNLOCK TABLES", session=session)
+    monkeypatch.undo()
+    assert db.execute(sql, params, session).rowcount == 1
