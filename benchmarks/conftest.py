@@ -1,9 +1,9 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
 Every bench runs a *reduced* grid (fewer client counts, shorter phases)
-of the exact pipeline the ``repro.experiments.figNN`` modules use, then
+of the exact pipeline ``python -m repro figure NN`` uses, then
 prints the same rows/series the paper's figure reports.  Use
-``python -m repro.experiments.figNN --full`` for paper-scale grids.
+``python -m repro figure NN --full`` for paper-scale grids.
 
 Profiles and sweep reports are cached for the whole pytest session, so a
 CPU-utilization bench reuses the sweep of its throughput sibling.

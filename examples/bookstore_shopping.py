@@ -3,8 +3,8 @@ PHP and plain servlets stall around the database's lock-contention
 plateau while the (sync) variants push the database CPU to 100%.
 
 This is a reduced sweep (three configurations, three client counts) so
-it finishes in under a minute; ``python -m repro.experiments.fig05``
-runs the complete figure.
+it finishes in under a minute; ``python -m repro figure 5`` runs the
+complete figure.
 
 Run:  python examples/bookstore_shopping.py
 """

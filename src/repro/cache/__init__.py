@@ -4,8 +4,8 @@ caches as a topology axis.
 Selected per configuration through the unified topology grammar
 (``Ws-Servlet-Cache{2}-DB``; see :mod:`repro.topology.spec`), the tier
 places N cache nodes between the generators and the database in
-``sharded`` or ``round_robin`` mode.  :class:`CachedClusteredSite`
-simulates it; :class:`CachingConnection` / :class:`CachedDeployment`
+``sharded`` or ``round_robin`` mode.  :class:`SiteCache` interposes it
+on a simulated site; :class:`CachingConnection` / :class:`CachedDeployment`
 apply the identical invalidation discipline to the functional stack so
 correctness is testable against real results.  The ``python -m repro
 cache`` CLI sweeps cache size x node count
@@ -17,7 +17,7 @@ package, draws no RNG, and schedules no events.
 
 from repro.cache.functional import CachedDeployment, CachingConnection
 from repro.cache.lru import ENTRY_OVERHEAD_BYTES, LruStore
-from repro.cache.site import CachedClusteredSite
+from repro.cache.site import SiteCache, attach_cache
 from repro.cache.tier import (
     CacheCosts,
     CacheTierStats,
@@ -28,11 +28,12 @@ from repro.cache.tier import (
 __all__ = [
     "CacheCosts",
     "CacheTierStats",
-    "CachedClusteredSite",
     "CachedDeployment",
     "CachingConnection",
     "ENTRY_OVERHEAD_BYTES",
     "LruStore",
     "SimCacheTier",
+    "SiteCache",
+    "attach_cache",
     "shard_index",
 ]

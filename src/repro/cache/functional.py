@@ -6,11 +6,10 @@ functional stack that actually executes SQL and renders pages, so
 invalidation correctness is testable against ground truth:
 
 * :class:`CachingConnection` interposes the query-result cache in the
-  DB driver -- the functional counterpart of
-  ``CachedClusteredSite._db_query``;
+  DB driver -- the functional counterpart of ``SiteCache.db_query``;
 * :class:`CachedDeployment` interposes the page-fragment cache at the
-  servlet/PHP dispatch layer -- the counterpart of the page cache in
-  ``_run_container`` / ``_run_php``.
+  servlet/PHP dispatch layer -- the counterpart of the fragment lookup
+  in ``_run_container`` / ``_run_php``.
 
 Both cache only clean reads (no explicit locks held, statement/
 interaction is read-only), tag entries with the tables they read, and

@@ -1,24 +1,31 @@
-"""A clustered site with a cache tier interposed.
+"""The cache tier as an interposer on a clustered site.
 
-:class:`CachedClusteredSite` extends the scale-out site with the two
-caches of the tentpole design:
+:class:`SiteCache` is the :class:`~repro.cache.tier.SimCacheTier` of one
+site plus the decisions about *where* it sits on the request path and
+*what* it keys on; :func:`attach_cache` puts it there (DESIGN.md "How a
+site is composed"):
 
-* a **query-result cache** in the DB driver path: a cacheable read
-  (no explicit locks held, no writes, reads at least one table) first
-  asks the tier; a hit skips the entire database round trip;
-* a **page-fragment cache** at the servlet/PHP dispatch layer: a
-  read-only interaction's page is looked up before the generation work;
-  a hit skips page generation *and* every query it would replay.
+* a **query-result cache** on the site's *db_query* seam: a cacheable
+  read (no explicit locks held, no writes, reads at least one table)
+  first asks the tier; a hit skips the entire database round trip,
+  whichever database tier (one primary, replicas, shards) sits below;
+* a **page-fragment cache** for read-only interactions; a hit skips
+  page generation *and* every query it would replay.  Where the lookup
+  happens depends on the application (:data:`WEB_FRAGMENT_APPS`): at
+  the web tier, on the *generate* seam, or inside the generator's own
+  process, through the site's ``_fragments`` hook in the one
+  ``php.script`` / ``servlet.engine`` body.
 
-Keys are entity-scoped: each request draws an entity per table from the
+Keys are entity-scoped: each session draws an entity per table from the
 profile's key space with a hot-set skew (see
 :data:`repro.cache.tier.HOT_PROBABILITY`), memoized per request so the
 page and its queries agree.  Every entry carries dependency tags and the
-commit hook invalidates them synchronously, so cached runs stay
-consistent under arbitrary read/write interleavings.
+site reports each commit (:meth:`SiteCache.committed`), which
+invalidates them synchronously, so cached runs stay consistent under
+arbitrary read/write interleavings.
 
-The subclass adds zero branches to the un-cached paths -- a plain
-``ClusteredSite`` (and the paper sites) never import this module.
+A site without cache nodes never imports this module: its seams stay
+bound to the mechanisms and its ``cache`` is None.
 """
 
 from __future__ import annotations
@@ -32,10 +39,6 @@ from repro.cache.tier import (
     CacheCosts,
     SimCacheTier,
 )
-from repro.cluster.site import ClusteredSite
-from repro.harness.profiles import AppProfile
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
 
 #: Per-application fragment-cache placement defaults.  The bookstore
 #: keeps the page lookup in the servlet container (its pages interleave
@@ -48,127 +51,119 @@ from repro.sim.rng import RngStreams
 WEB_FRAGMENT_APPS = frozenset({"auction", "bboard"})
 
 
-class CachedClusteredSite(ClusteredSite):
-    """A deployed topology with cache nodes under simulation."""
+class SiteCache(SimCacheTier):
+    """The cache nodes of one deployed topology, as its site sees them."""
 
-    def __init__(self, sim: Simulator, config, profile: AppProfile,
-                 rng: Optional[RngStreams] = None,
-                 cache_costs: Optional[CacheCosts] = None, **kwargs):
-        super().__init__(sim, config, profile, rng=rng, **kwargs)
+    def __init__(self, site, costs: Optional[CacheCosts] = None):
+        config = site.config
         spec = config.cluster
         if spec.cache_nodes <= 0:
-            raise ValueError(f"{config.name!r} has no cache nodes; use "
-                             f"ClusteredSite")
-        node_names = config.cache_node_names()
-        self._cache_node_names = frozenset(node_names)
-        self.cache = SimCacheTier(
-            sim, self, [self.machines[n] for n in node_names], spec,
-            costs=cache_costs)
+            raise ValueError(f"{config.name!r} has no cache nodes")
+        super().__init__(
+            site.sim, site,
+            [site.machines[n] for n in config.cache_node_names()], spec,
+            costs=costs)
+        self._key_spaces = site.profile.key_spaces
         # Page fragments are cached for read-only interactions only:
         # anything that writes must see its own update on the next page.
         self._page_cacheable = frozenset(
-            name for name, prof in profile.interactions.items()
-            if prof.read_only) if self.cache.page_ttl > 0 else frozenset()
-        # Where the fragment lookup happens for the servlet flavors:
-        # at the web tier for the session-free apps, in the container
-        # otherwise.  (PHP always looks up at the web -- the script
-        # runs there anyway.)
-        self._web_fragments = profile.app_name in WEB_FRAGMENT_APPS
+            name for name, prof in site.profile.interactions.items()
+            if prof.read_only)
         # client -> {table: entity}: a session keeps revisiting the same
         # entities (its own customer row, its cart, the items it
         # browses), which is exactly the locality a cache tier serves.
         self._session_entities = {}
 
-    # -- sessions --------------------------------------------------------------
+    # -- what the site tells its cache ------------------------------------------
 
-    def new_session(self, client_id, rng) -> None:
-        super().new_session(client_id, rng)
+    def forget_session(self, client_id) -> None:
+        """A session of ``client_id`` started or ended."""
         self._session_entities.pop(client_id, None)
 
-    def end_session(self, client_id) -> None:
-        super().end_session(client_id)
-        self._session_entities.pop(client_id, None)
+    def committed(self, route, writes) -> None:
+        """A write statement of ``route``'s request committed (and was
+        log-shipped): invalidate what depended on the written tables."""
+        if self.granularity == "key":
+            # Pin the write to an entity per table (this session's own
+            # rows) so key-granular invalidation can spare bystanders.
+            for table in writes:
+                self.entity(route, table)
+        self.invalidate(writes, route.cache_keys)
 
-    # -- routing: carry the request rng + entity memo on the route -------------
+    # -- keys --------------------------------------------------------------------
 
-    def _route(self, name, client_id, rng):
-        route = super()._route(name, client_id, rng)
-        route.rng = rng
-        route.cache_keys = {}
-        route.cache_seq = 0
-        return route
-
-    def _cache_entity(self, route, table: str):
+    def entity(self, route, table: str):
         """The entity this request's cache keys pin for ``table``.
 
         Drawn once per *session* (hot-set skewed over the table's key
         space) and memoized, so a client's repeated pages and queries
         agree -- the per-session revisit locality a cache tier lives on.
+        The sharded site routes by the same draw.
         """
-        entity = route.cache_keys.get(table)
+        keys = route.cache_keys
+        if keys is None:
+            keys = route.cache_keys = {}
+        entity = keys.get(table)
         if entity is not None:
             return entity
         session = self._session_entities.setdefault(route.client_id, {})
         entity = session.get(table)
         if entity is None:
             rng = route.rng
-            space = max(1, self.profile.key_spaces.get(table, 1_000_000))
+            space = max(1, self._key_spaces.get(table, 1_000_000))
             hot = max(1, min(int(space * HOT_FRACTION), HOT_KEYS_MAX))
             if rng.random() < HOT_PROBABILITY:
                 entity = rng.randrange(hot)
             else:
                 entity = rng.randrange(space)
             session[table] = entity
-        route.cache_keys[table] = entity
+        keys[table] = entity
         return entity
 
-    def _dep_tags(self, route, tables):
+    def dep_tags(self, route, tables):
         """Dependency tags for an entry: each read table pinned to the
         entity this request drew for it (key granularity spares entries
         pinned to other entities on a write; table granularity tags the
         whole table, so any write to it kills the entry)."""
-        if self.cache.granularity == "key":
+        if self.granularity == "key":
             # Draw an entity for *every* read table: an un-pinned table
             # would tag (table, None) and die on any write to it, which
             # lets one hot-table writer nuke the whole cache.
-            return tuple((t, self._cache_entity(route, t))
+            return tuple((t, self.entity(route, t))
                          for t in sorted(set(tables)))
         return tuple((t, None) for t in sorted(set(tables)))
 
-    # -- the query-result cache ------------------------------------------------
+    # -- the query-result cache (db_query seam) -----------------------------------
 
-    def _db_query(self, step, held_explicit, route, rc=None, label=""):
-        reads, writes = step[4], step[5]
-        if self.cache.query_ttl <= 0 or held_explicit or writes \
-                or not reads:
-            yield from super()._db_query(step, held_explicit, route, rc,
-                                         label)
+    def db_query(self, step, held_explicit, route, rc=None, label=""):
+        reads = step[4]
+        if held_explicit or step[5] or not reads:
+            yield from self.next_db_query(step, held_explicit, route, rc,
+                                          label)
             return
-        table = reads[0]
-        entity = self._cache_entity(route, table)
+        entity = self.entity(route, reads[0])
         # Logical statement identity: the i-th cacheable read of this
         # interaction over these tables, for this entity.  (The step
         # tuple itself carries per-variant priced costs and would never
         # repeat across requests.)
         route.cache_seq += 1
         key = ("q", route.interaction, route.cache_seq, reads, entity)
-        entry = yield from self.cache.get(route.db_client, "query", key, rc)
+        entry = yield from self.get(route.db_client, "query", key, rc)
         if entry is not None:
-            stats = self.cache.stats
+            stats = self.stats
             stats.absorbed_db_cpu += step[1]
             stats.absorbed_queries += step[6]
             return
-        yield from super()._db_query(step, held_explicit, route, rc, label)
-        yield from self.cache.put(route.db_client, "query", key, step[3],
-                                  self._dep_tags(route, reads), rc)
+        yield from self.next_db_query(step, held_explicit, route, rc, label)
+        yield from self.put(route.db_client, "query", key, step[3],
+                            self.dep_tags(route, reads), rc)
 
-    # -- the page-fragment cache -----------------------------------------------
+    # -- the page-fragment cache ----------------------------------------------------
 
-    def _page_plan(self, variant, route):
+    def page_plan(self, variant, route):
         """(key, dep tables) when this request's page is cacheable,
         else None."""
-        if self.cache.page_ttl <= 0 \
-                or route.interaction not in self._page_cacheable:
+        if route.interaction not in self._page_cacheable:
             return None
         tables = set()
         primary = None
@@ -180,132 +175,61 @@ class CachedClusteredSite(ClusteredSite):
                 tables.update(reads)
         if primary is None:
             return None             # no reads: nothing worth caching
-        entity = self._cache_entity(route, primary)
-        key = ("p", route.interaction, entity)
-        return key, tables
+        return ("p", route.interaction, self.entity(route, primary)), tables
 
-    def _run_container(self, variant, rng, route, rc=None):
-        plan = self._page_plan(variant, route)
+    def absorbed_page(self, variant) -> None:
+        """A fragment hit served ``variant``'s page: its generation and
+        every query it would have replayed never happened."""
+        stats = self.stats
+        stats.absorbed_db_cpu += variant.db_cpu_seconds
+        stats.absorbed_queries += variant.query_count
+
+    def generate(self, variant, rng, route, rc=None):
+        """Apache-level fragment cache for the session-free apps
+        (*generate* seam): the lookup happens at the *web* tier, before
+        the AJP connector.  A hit serves the page from the front end --
+        no AJP crossing, no container work, no queries -- leaving the
+        web box's HTTP send as the only per-byte cost, which is how the
+        auction browsing mix reaches the NIC ceiling instead of the web
+        CPU."""
+        plan = self.page_plan(variant, route)
         if plan is None:
-            yield from super()._run_container(variant, rng, route, rc)
+            yield from self.next_generate(variant, rng, route, rc)
             return
-        if self._web_fragments:
-            yield from self._web_fragment_page(plan, variant, rng, route,
-                                               rc)
-            return
-        key, tables = plan
-        ajp = self.ajp_costs
-        web, gen = route.web, route.gen
-        if self.down:
-            self._check_up(gen)
-        request_ipc = ajp.request_overhead_bytes + 80
-        reply_ipc = ajp.reply_overhead_bytes + variant.response_bytes
-        yield from self._ajp_request(web, gen, request_ipc, rc)
-
-        span = rc.push("servlet.engine", "phase", gen.name) \
-            if rc is not None else None
-        try:
-            servlet = self.servlet_costs
-            entry = yield from self.cache.get(gen, "page", key, rc)
-            if entry is not None:
-                # Serve the cached fragment: the per-request container
-                # work remains; generation and its queries are absorbed.
-                yield from gen.cpu.execute(servlet.per_request)
-                stats = self.cache.stats
-                stats.absorbed_db_cpu += variant.db_cpu_seconds
-                stats.absorbed_queries += variant.query_count
-            else:
-                yield from gen.cpu.execute(
-                    servlet.per_request +
-                    variant.response_bytes * servlet.per_output_byte)
-                if self.config.flavor != "ejb":
-                    yield from gen.cpu.execute(
-                        variant.query_count * servlet.per_query_call)
-                yield from self._replay_steps(variant, rng, route, rc)
-                yield from self.cache.put(
-                    gen, "page", key, variant.response_bytes,
-                    self._dep_tags(route, tables), rc)
-        finally:
-            if span is not None:
-                rc.pop(span)
-
-        yield from self._ajp_reply(web, gen, reply_ipc, rc)
-
-    def _web_fragment_page(self, plan, variant, rng, route, rc=None):
-        """Apache-level fragment cache for the session-free apps: the
-        lookup happens at the *web* tier, before the AJP connector.  A
-        hit serves the page from the front end -- no AJP crossing, no
-        container work, no queries -- leaving the web box's HTTP send
-        as the only per-byte cost, which is how the auction browsing
-        mix reaches the NIC ceiling instead of the web CPU."""
         key, tables = plan
         web = route.web
         span = rc.push("web.fragment", "phase", "web") \
             if rc is not None else None
         try:
-            entry = yield from self.cache.get(web, "page", key, rc)
+            entry = yield from self.get(web, "page", key, rc)
             if entry is not None:
-                stats = self.cache.stats
-                stats.absorbed_db_cpu += variant.db_cpu_seconds
-                stats.absorbed_queries += variant.query_count
+                self.absorbed_page(variant)
                 return
         finally:
             if span is not None:
                 rc.pop(span)
-        yield from super()._run_container(variant, rng, route, rc)
-        yield from self.cache.put(web, "page", key,
-                                  variant.response_bytes,
-                                  self._dep_tags(route, tables), rc)
+        yield from self.next_generate(variant, rng, route, rc)
+        yield from self.put(web, "page", key, variant.response_bytes,
+                            self.dep_tags(route, tables), rc)
 
-    def _run_php(self, variant, rng, route, rc=None):
-        plan = self._page_plan(variant, route)
-        if plan is None:
-            yield from super()._run_php(variant, rng, route, rc)
-            return
-        key, tables = plan
-        php = self.php_costs
-        web = route.web
-        span = rc.push("php.script", "phase", "web") \
-            if rc is not None else None
-        try:
-            entry = yield from self.cache.get(web, "page", key, rc)
-            if entry is not None:
-                yield from web.cpu.execute(php.per_request)
-                stats = self.cache.stats
-                stats.absorbed_db_cpu += variant.db_cpu_seconds
-                stats.absorbed_queries += variant.query_count
-            else:
-                yield from web.cpu.execute(
-                    php.per_request +
-                    variant.response_bytes * php.per_output_byte +
-                    variant.query_count * php.per_query_call)
-                yield from self._replay_steps(variant, rng, route, rc)
-                yield from self.cache.put(
-                    web, "page", key, variant.response_bytes,
-                    self._dep_tags(route, tables), rc)
-        finally:
-            if span is not None:
-                rc.pop(span)
 
-    # -- invalidation and faults -----------------------------------------------
+def attach_cache(site, costs: Optional[CacheCosts] = None) -> SiteCache:
+    """Put the cache tier of ``site``'s topology on its request path
+    (``site`` is a :class:`~repro.cluster.site.ClusteredSite` whose
+    configuration has cache nodes); returns it (also ``site.cache``).
 
-    def _note_commit(self, route, writes, db_cpu: float, db=None) -> None:
-        super()._note_commit(route, writes, db_cpu, db)
-        if self.cache.granularity == "key":
-            # Pin the write to an entity per table (this session's own
-            # rows) so key-granular invalidation can spare bystanders.
-            for table in writes:
-                self._cache_entity(route, table)
-        self.cache.invalidate(writes, route.cache_keys)
-
-    def mark_down(self, machine_name: str) -> None:
-        super().mark_down(machine_name)
-        if machine_name in self._cache_node_names:
-            self.cache.node_crashed(machine_name)
-
-    def crash_victims(self, machine_name: str) -> list:
-        # A dying cache node takes no request with it: in-flight cache
-        # calls complete, later ones miss cold.
-        if machine_name in self._cache_node_names:
-            return []
-        return super().crash_victims(machine_name)
+    A cache whose TTL is zero is not interposed at all.  PHP always
+    looks its fragments up in-process (the script runs in the web server
+    anyway); the servlet flavors do unless the application's pages are
+    session-free."""
+    cache = SiteCache(site, costs)
+    site.cache = cache
+    if cache.query_ttl > 0:
+        site.interpose(cache, "db_query")
+    if cache.page_ttl > 0:
+        if site.config.flavor != "php" \
+                and site.profile.app_name in WEB_FRAGMENT_APPS:
+            site.interpose(cache, "generate")
+        else:
+            site._fragments = cache
+    return cache

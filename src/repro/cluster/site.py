@@ -2,16 +2,21 @@
 
 :class:`ClusteredSite` keeps every mechanism of the base site -- the
 same cost tables, lock semantics, fault surface and tracing hooks --
-and adds the scale-out plumbing of a :class:`ClusterConfiguration`:
+and adds the scale-out plumbing of a :class:`TopologyConfiguration`:
 
 * per-request routing: the web and servlet pools sit behind
   :class:`~repro.cluster.balancer.LoadBalancer` instances, and the
   route (which machines, which Apache process pool, which sync-lock
   registry) travels with the request;
-* a :class:`~repro.cluster.replication.ReplicatedDb`: writes and
-  explicit ``LOCK TABLES`` spans go to the primary, plain reads go to
-  caught-up replicas (read-your-writes per session), and committed
-  writes ship asynchronously to every replica;
+* one :class:`~repro.cluster.replication.ReplicatedDb` per write
+  primary (exactly one unless :class:`~repro.shard.site.ShardedSite`
+  partitions the database): writes and explicit ``LOCK TABLES`` spans
+  go to the primary, plain reads go to caught-up replicas
+  (read-your-writes per session), and committed writes ship
+  asynchronously to every replica;
+* the notifications an attached cache tier (``self.cache``, None
+  without cache nodes) needs: commits (after log shipping), session
+  start/end, crashes of its nodes;
 * crash containment: when a pool member crashes, only the requests
   routed *through that member* are interrupted, and interrupted
   requests re-route through the balancer instead of aborting (unless
@@ -20,8 +25,8 @@ and adds the scale-out plumbing of a :class:`ClusterConfiguration`:
 
 A trivial cluster (1 web, 1 gen, 0 replicas) takes none of the new
 paths that schedule events or draw RNG, so its reports are field-for-
-field identical to the paper configuration it wraps -- tests assert
-this, and the ``scale-smoke`` CI job guards it.
+field identical to the paper configuration it wraps
+(``tests/test_cluster_site.py``, ``tests/test_axis_isolation.py``).
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from typing import Dict, Optional
 
 from repro.cluster.balancer import LoadBalancer
 from repro.cluster.replication import DbInstance, ReplicatedDb, SessionState
-from repro.cluster.spec import ClusterConfiguration
 from repro.faults.errors import TierDown
 from repro.harness.profiles import AppProfile
 from repro.sim.kernel import Interrupt, Simulator
 from repro.sim.resources import Resource, RWLock
 from repro.sim.rng import RngStreams
 from repro.topology.simulation import SimulatedSite
+from repro.topology.spec import TopologyConfiguration
 from repro.web.server import SPAN_LB_ROUTE
 
 
@@ -50,7 +55,8 @@ class ClusterRoute:
                  "shard_writes", "scatter_shards")
 
     def __init__(self, web, gen, ejb, db, db_client, web_processes,
-                 session, client_id, web_token, gen_token):
+                 session, client_id, web_token, gen_token, interaction,
+                 rng):
         self.web = web
         self.gen = gen
         self.ejb = ejb
@@ -63,9 +69,9 @@ class ClusterRoute:
         self.gen_token = gen_token
         self.db_busy_on = None        # replica currently serving a read
         self.writes_committed = 0     # commits by *this* attempt
-        self.interaction = None       # set by _route
-        self.rng = None               # set by the caching site
-        self.cache_keys = None        # table -> entity, memoized per request
+        self.interaction = interaction
+        self.rng = rng                # the request's stream (entity draws)
+        self.cache_keys = None        # table -> entity (cache tier's memo)
         self.cache_seq = 0            # cacheable-query ordinal in request
         self.shard_groups = None      # group -> shard, set by the sharded site
         self.span_shards = ()         # shards locked by the current span
@@ -76,13 +82,13 @@ class ClusterRoute:
 class ClusteredSite(SimulatedSite):
     """A deployed cluster configuration under simulation."""
 
-    def __init__(self, sim: Simulator, config: ClusterConfiguration,
+    def __init__(self, sim: Simulator, config: TopologyConfiguration,
                  profile: AppProfile, rng: Optional[RngStreams] = None,
                  **kwargs):
-        if not isinstance(config, ClusterConfiguration):
-            raise TypeError(f"ClusteredSite needs a ClusterConfiguration, "
+        if not isinstance(config, TopologyConfiguration):
+            raise TypeError(f"ClusteredSite needs a TopologyConfiguration, "
                             f"got {config.name!r}; wrap it with "
-                            f"repro.cluster.clustered()")
+                            f"repro.topology.spec.topology()")
         super().__init__(sim, config, profile, **kwargs)
         spec = config.cluster
         rng = rng if rng is not None else RngStreams(42)
@@ -119,27 +125,43 @@ class ClusteredSite(SimulatedSite):
             machine.name: {} for machine in self.gen_pool}
         self._sync_registries[self.gen.name] = self._sync_locks
 
-        # -- replicated database -------------------------------------------
-        primary = DbInstance(sim, self.db,
-                             write_priority=self.costs.db_write_priority,
-                             table_locks=self._table_locks, is_primary=True)
-        replica_names = config.db_replica_names()
-        replicas = [DbInstance(sim, self.machines[n],
-                               write_priority=self.costs.db_write_priority)
-                    for n in replica_names]
-        read_lb = LoadBalancer(
-            "lb.db", replica_names or [self.db.name],
-            policy=spec.db_read_policy,
-            rng=rng.stream("cluster.lb.db"), is_up=is_up)
-        self.repl = ReplicatedDb(
-            sim, self, primary, replicas,
-            replication_lag=spec.replication_lag,
-            apply_cost_factor=spec.apply_cost_factor, balancer=read_lb)
-        self._db_instances: Dict[str, DbInstance] = {
-            self.db.name: primary}
-        self._db_instances.update(
-            (r.machine.name, r) for r in replicas)
-        self._db_replica_names = frozenset(replica_names)
+        # -- replicated database: one replica set per write primary --------
+        # The first primary *is* the paper ``db``: it shares the site's
+        # own lock registry and keeps the un-sharded RNG stream name, so
+        # one primary without replicas is the paper database exactly.
+        write_priority = self.costs.db_write_priority
+        self._db_instances: Dict[str, DbInstance] = {}
+        # replica machine name -> the replica set it belongs to.
+        self._replica_sets: Dict[str, ReplicatedDb] = {}
+        repls = []
+        for primary_name in config.db_shard_names():
+            first = primary_name == self.db.name
+            primary = DbInstance(
+                sim, self.machines[primary_name],
+                write_priority=write_priority, is_primary=True,
+                table_locks=self._table_locks if first else None)
+            replica_names = config.shard_replica_names(primary_name)
+            replicas = [DbInstance(sim, self.machines[n],
+                                   write_priority=write_priority)
+                        for n in replica_names]
+            read_lb = LoadBalancer(
+                f"lb.{primary_name}", replica_names or [primary_name],
+                policy=spec.db_read_policy,
+                rng=rng.stream("cluster.lb.db" if first
+                               else f"shard.lb.{primary_name}"),
+                is_up=is_up)
+            repl = ReplicatedDb(
+                sim, self, primary, replicas,
+                replication_lag=spec.replication_lag,
+                apply_cost_factor=spec.apply_cost_factor, balancer=read_lb)
+            repls.append(repl)
+            self._db_instances[primary_name] = primary
+            for replica in replicas:
+                self._db_instances[replica.machine.name] = replica
+                self._replica_sets[replica.machine.name] = repl
+        self.repls = tuple(repls)
+        self.repl = repls[0]          # the paper primary's replica set
+        self._cache_node_names = frozenset(config.cache_node_names())
 
         # -- routing state --------------------------------------------------
         self._sessions: Dict[int, SessionState] = {}
@@ -167,18 +189,21 @@ class ClusteredSite(SimulatedSite):
     def new_session(self, client_id: int, rng) -> None:
         """Session start: fresh consistency watermark, fresh affinity."""
         self._session(client_id).reset()
-        self.web_lb.forget_session(client_id)
-        if self.gen_lb is not None:
-            self.gen_lb.forget_session(client_id)
-        self.repl.balancer.forget_session(client_id)
+        self._forget_session(client_id)
 
     def end_session(self, client_id: int) -> None:
         """Session end: release the sticky balancer bindings so an
         affinity pool re-spreads when the client comes back."""
+        self._forget_session(client_id)
+
+    def _forget_session(self, client_id: int) -> None:
         self.web_lb.forget_session(client_id)
         if self.gen_lb is not None:
             self.gen_lb.forget_session(client_id)
-        self.repl.balancer.forget_session(client_id)
+        for repl in self.repls:
+            repl.balancer.forget_session(client_id)
+        if self.cache is not None:
+            self.cache.forget_session(client_id)
 
     # -- routing --------------------------------------------------------------
 
@@ -204,8 +229,8 @@ class ClusteredSite(SimulatedSite):
             db_client=db_client,
             web_processes=self._web_processes[web.name],
             session=session, client_id=client_id,
-            web_token=web_token, gen_token=gen_token)
-        route.interaction = name
+            web_token=web_token, gen_token=gen_token,
+            interaction=name, rng=rng)
         if self._track_inflight:
             proc = self.sim.current_process
             if proc is not None:
@@ -247,7 +272,7 @@ class ClusteredSite(SimulatedSite):
         while True:
             route = self._route(name, client_id, rng)
             try:
-                yield from self._perform(variant, name, rng, route)
+                yield from self._front(variant, name, rng, route)
                 return
             except Interrupt as exc:
                 cause = exc.cause
@@ -282,7 +307,7 @@ class ClusteredSite(SimulatedSite):
 
     # -- database routing -----------------------------------------------------
 
-    def _db_query(self, step, held_explicit, route, rc=None, label=""):
+    def _db_statement(self, step, held_explicit, route, rc=None, label=""):
         repl = self.repl
         writes = step[5]
         # Writes and LOCK TABLES spans always execute on the primary;
@@ -295,22 +320,18 @@ class ClusteredSite(SimulatedSite):
                                             route.session, rc, label)
 
     def _db_read_replicated(self, step, route, repl, session,
-                            rc=None, label="", held_explicit=None):
+                            rc=None, label=""):
         """Serve one read via ``repl``'s balancer + read-your-writes
         routing, resubmitting on a replica crash.  Shared by the
         replicated and sharded sites (the latter passes each shard's own
-        ``ReplicatedDb`` and per-shard session).  A truthy
-        ``held_explicit`` marks a reference read issued from inside a
-        lock span: it skips statement-level locks wherever it lands
-        (mid-span acquisition would break the global lock order)."""
+        ``ReplicatedDb`` and per-shard session)."""
         while True:
             instance, token = repl.route_read(session, rc)
             if token is not None:
                 route.db_busy_on = instance.machine.name
             try:
-                yield from self._db_access(step, held_explicit or {},
-                                           route, instance.machine, rc,
-                                           label)
+                yield from self._db_access(step, {}, route,
+                                           instance.machine, rc, label)
                 return
             except Interrupt as exc:
                 cause = exc.cause
@@ -327,23 +348,41 @@ class ClusteredSite(SimulatedSite):
                     route.db_busy_on = None
 
     def _instance_table_lock(self, db, table: str) -> RWLock:
-        instance = self._db_instances.get(db.name)
-        if instance is None or instance.is_primary:
-            return self.table_lock(table)
-        return instance.table_lock(table)
+        return self._db_instances[db.name].table_lock(table)
 
     def _note_commit(self, route: ClusterRoute, writes,
-                     db_cpu: float, db=None) -> None:
-        self.repl.commit_write(route.session, writes, db_cpu)
+                     db_cpu: float, db) -> None:
+        self._ship_commit(route, writes, db_cpu, db)
         route.writes_committed += 1
+        if self.cache is not None:
+            # After log shipping, so an invalidated entry can only be
+            # re-filled by a read routed behind this commit.
+            self.cache.committed(route, writes)
+
+    def _ship_commit(self, route: ClusterRoute, writes, db_cpu: float,
+                     db) -> None:
+        """Log-ship one commit to the replicas of the primary ``db``
+        (the sharded site picks that shard's replica set)."""
+        self.repl.commit_write(route.session, writes, db_cpu)
 
     # -- fault surface --------------------------------------------------------
 
+    def mark_down(self, machine_name: str) -> None:
+        super().mark_down(machine_name)
+        if self.cache is not None \
+                and machine_name in self._cache_node_names:
+            self.cache.node_crashed(machine_name)
+
     def mark_up(self, machine_name: str) -> None:
         super().mark_up(machine_name)
-        self.repl.notify_up(machine_name)
+        for repl in self.repls:
+            repl.notify_up(machine_name)
 
     def crash_victims(self, machine_name: str) -> list:
+        if machine_name in self._cache_node_names:
+            # A dying cache node takes no request with it: in-flight
+            # cache calls complete, later ones miss cold.
+            return []
         pool = self._pool_names.get(machine_name)
         if pool is not None \
                 and any(m != machine_name and m not in self.down
@@ -352,8 +391,11 @@ class ClusteredSite(SimulatedSite):
                     if not proc.finished
                     and (route.web.name == machine_name
                          or route.gen.name == machine_name)]
-        if machine_name in self._db_replica_names \
-                and self.db.name not in self.down:
+        repl = self._replica_sets.get(machine_name)
+        if repl is not None \
+                and repl.primary.machine.name not in self.down:
+            # A read replica with its primary alive: only the reads it
+            # is serving right now die (they reroute).
             return [proc for proc, route in self._routes.items()
                     if not proc.finished
                     and route.db_busy_on == machine_name]

@@ -1,16 +1,17 @@
-"""Per-figure experiment modules.
+"""Experiment drivers: the paper's figures and the extensions.
 
-Each ``figNN`` module regenerates one figure of the paper's evaluation
-(Figures 5-14).  Throughput figures (5, 7, 9, 11, 13) and their
-CPU-utilization companions (6, 8, 10, 12, 14) share the same sweep, so
-companion modules reuse the cached report of their throughput sibling.
+The figures of the paper's evaluation (Figures 5-14) are entries of
+:mod:`repro.experiments.registry`.  Throughput figures (5, 7, 9, 11,
+13) and their CPU-utilization companions (6, 8, 10, 12, 14) share one
+sweep, so a companion reuses the cached report of its throughput
+sibling.
 
-Run one directly::
+Run one from the command line::
 
-    python -m repro.experiments.fig05           # quick grid
-    python -m repro.experiments.fig05 --full    # paper-scale grid
+    python -m repro figure 5            # quick grid
+    python -m repro figure 5 --full     # paper-scale grid
 
-or use :func:`repro.experiments.registry.run_figure`.
+or call :func:`repro.experiments.registry.run_figure`.
 """
 
 from repro.experiments.registry import FIGURES, figure_spec, run_figure

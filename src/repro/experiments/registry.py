@@ -4,13 +4,12 @@ One :class:`~repro.experiments.common.FigureSpec` describes a
 throughput/CPU figure pair completely -- application, interaction mix,
 and per-configuration client grids -- so regenerating a figure is pure
 interpretation: ``python -m repro figure 5`` (or ``fig05``, ``05``)
-looks the spec up here and runs it.  The ``repro.experiments.figNN``
-modules are thin back-compat shims over this registry.
+looks the spec up here and runs it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments.common import (
     FigureSpec,
@@ -129,46 +128,3 @@ def render_figure(figure_id: str, full: bool = False, jobs=None,
         text += "\n\n" + render_figure_bottlenecks(
             figure_id, full=full, configurations=configurations)
     return text
-
-
-def figure_shim(figure_id: str):
-    """Build the (run, render) pair a ``figNN`` back-compat module
-    exports; both close over the registered figure id."""
-
-    def run(full: bool = False):
-        """Run the sweep and return the ExperimentReport."""
-        return run_figure(figure_id, full=full)
-
-    def render(full: bool = False) -> str:
-        """The figure as printable text."""
-        return render_figure(figure_id, full=full)
-
-    return run, render
-
-
-def main(figure_id: str, argv=None) -> None:
-    """CLI entry point shared by the figNN modules and ``repro figure``."""
-    import argparse
-
-    figure_id = normalize_figure_id(figure_id)
-    parser = argparse.ArgumentParser(
-        description=f"Regenerate {figure_id} of Cecchet et al. 2003")
-    parser.add_argument("--full", action="store_true",
-                        help="paper-scale client grid and phase durations")
-    parser.add_argument("--csv", metavar="PATH",
-                        help="also write the sweep data as CSV")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default: "
-                             "serial; 0 = one per CPU)")
-    parser.add_argument("--trace", action="store_true",
-                        help="re-run each configuration's peak point with "
-                             "request tracing; append bottleneck "
-                             "attribution")
-    args = parser.parse_args(argv)
-    print(render_figure(figure_id, full=args.full, jobs=args.jobs,
-                        trace=args.trace))
-    if args.csv:
-        spec, __ = FIGURES[figure_id]
-        run_figure_spec(spec, full=args.full, jobs=args.jobs) \
-            .save_csv(args.csv)
-        print(f"\n[csv written to {args.csv}]")

@@ -86,56 +86,48 @@ class ExperimentSpec:
 
 
 def build_site(sim: Simulator, spec: ExperimentSpec) -> SimulatedSite:
-    """The site for a spec: clustered when the configuration carries a
-    cluster axis (:mod:`repro.cluster`), the plain single-machine-per-
-    tier site otherwise.  The import stays lazy so the paper
-    configurations never load the cluster package."""
+    """The site for a spec, composed in a fixed order (DESIGN.md "How a
+    site is composed"): the database tier the configuration's topology
+    axis calls for (none: the plain single-machine-per-tier site), then
+    the cache tier, then the degradation guard -- so the guard is
+    outermost on every seam, then the cache, then the tier.  The imports
+    stay lazy so the paper configurations never load an axis package."""
     kwargs = dict(ssl_interactions=spec.ssl_interactions,
                   costs=spec.sim_costs or SimCosts(),
                   web_config=spec.web_config)
     topo = getattr(spec.config, "cluster", None)
-    shards = getattr(topo, "db_shards", 1) if topo is not None else 1
-    if shards > 1 and topo.cache_nodes > 0:
-        from repro.shard.cached import CachedShardedSite
-        site = CachedShardedSite(sim, spec.config, spec.profile,
-                                 rng=RngStreams(spec.seed), **kwargs)
-    elif shards > 1:
+    if topo is None:
+        site = SimulatedSite(sim, spec.config, spec.profile, **kwargs)
+    elif topo.db_shards > 1:
         from repro.shard.site import ShardedSite
         site = ShardedSite(sim, spec.config, spec.profile,
                            rng=RngStreams(spec.seed), **kwargs)
-    elif topo is not None and topo.cache_nodes > 0:
-        from repro.cache.site import CachedClusteredSite
-        site = CachedClusteredSite(sim, spec.config, spec.profile,
-                                   rng=RngStreams(spec.seed), **kwargs)
-    elif topo is not None:
+    else:
         from repro.cluster.site import ClusteredSite
         site = ClusteredSite(sim, spec.config, spec.profile,
                              rng=RngStreams(spec.seed), **kwargs)
-    else:
-        site = SimulatedSite(sim, spec.config, spec.profile, **kwargs)
+    if topo is not None and topo.cache_nodes > 0:
+        from repro.cache.site import attach_cache
+        attach_cache(site)
     if spec.degradation is not None:
         from repro.overload.degradation import install_degradation
         install_degradation(site, spec.degradation)
     return site
 
 
-def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
-    """Run one point and report its throughput + peak-window CPU."""
-    if spec.overload is not None:
-        from repro.overload.runner import run_open_loop
-        return run_open_loop(spec)
-    sim = Simulator()
-    site = build_site(sim, spec)
+def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
+                  stop_before_ramp_down: bool = False):
+    """Drive ``population`` through ramp-up / measurement / ramp-down
+    and assemble the point: the one place a run is windowed, for the
+    closed and the open loop alike.  Returns ``(point, stats,
+    measure_end)`` with ``stats`` the population's measurement-window
+    record."""
     tracer = None
     if spec.trace:
         from repro.obs import Tracer
         tracer = Tracer(sim, window=(spec.ramp_up,
                                      spec.ramp_up + spec.measure))
         sim.tracer = tracer
-    rng = RngStreams(spec.seed)
-    population = ClientPopulation(
-        sim, spec.clients, spec.mix, site, rng, choose_interaction,
-        think=spec.think, retry=spec.retry)
     sampler = SysstatSampler(sim, site.machines,
                              interval=spec.sample_interval)
     if spec.fault_plan:
@@ -147,9 +139,9 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
     population.begin_measurement()
     db_wait0 = site.db_lock_wait_time
     sync_wait0 = site.sync_lock_wait_time
-    cache = getattr(site, "cache", None)
+    cache = site.cache
     cache_stats0 = cache.stats.snapshot() if cache is not None else None
-    shard = getattr(site, "shard_stats", None)
+    shard = site.shard_stats
     shard_stats0 = shard.snapshot() if shard is not None else None
     measure_start = sim.now
     sim.run(until=spec.ramp_up + spec.measure)
@@ -159,6 +151,8 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
                    if cache is not None else None)
     shard_stats = (shard.delta(shard_stats0)
                    if shard is not None else None)
+    if stop_before_ramp_down:
+        population.stop()
     sim.run(until=spec.ramp_up + spec.measure + spec.ramp_down)
     # Credit batched CPU slices still in flight so kernel_events matches
     # the per-quantum count.
@@ -190,9 +184,6 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
         sync_lock_wait_per_interaction=(
             (site.sync_lock_wait_time - sync_wait0) / completed),
         kernel_events=sim.events_processed)
-    if spec.wirt_limits is not None:
-        from repro.metrics.wirt import evaluate_wirt
-        point.wirt = evaluate_wirt(stats, spec.wirt_limits)
     if cache_stats is not None:
         # Undeclared attribute (like ``tracer`` below): a picklable
         # snapshot of the tier's hit/miss/absorption aggregates over
@@ -217,6 +208,23 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
         # process pool (tracing runs serially).
         point.tracer = tracer
         point.bottleneck_report = bottleneck
+    return point, stats, measure_end
+
+
+def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
+    """Run one point and report its throughput + peak-window CPU."""
+    if spec.overload is not None:
+        from repro.overload.runner import run_open_loop
+        return run_open_loop(spec)
+    sim = Simulator()
+    site = build_site(sim, spec)
+    population = ClientPopulation(
+        sim, spec.clients, spec.mix, site, RngStreams(spec.seed),
+        choose_interaction, think=spec.think, retry=spec.retry)
+    point, stats, __ = measure_point(spec, sim, site, population)
+    if spec.wirt_limits is not None:
+        from repro.metrics.wirt import evaluate_wirt
+        point.wirt = evaluate_wirt(stats, spec.wirt_limits)
     return point
 
 

@@ -30,12 +30,14 @@ arXiv:1405.1618 -- keep one saturated tier from collapsing the others):
   a *successful* (if lesser) interaction: it counts toward goodput and
   is tallied separately.
 
-Installation (:func:`install_degradation`) wraps the site's
-``_perform`` / ``_run_container`` / ``_run_php`` / ``_db_query``
-methods as *instance attributes* capturing the class-level originals,
-so a site without a policy runs byte-for-byte the unwrapped hot path --
-zero extra frames, zero RNG, zero events -- and ``ClusteredSite``'s
-class-level overrides keep working underneath the wrappers.
+Installation (:func:`install_degradation`) interposes one
+:class:`DegradationState` on the site's three seams -- shedding on
+*front*, the container gate on *generate*, breaker and driver gate on
+*db_query* (DESIGN.md "How a site is composed") -- so a site without a
+policy runs byte-for-byte the bare mechanisms: zero extra frames, zero
+RNG, zero events.  Installed last, the guard is outermost: an open
+breaker fails a read before any cache lookup, and a full container gate
+answers busy before any fragment lookup.
 """
 
 from __future__ import annotations
@@ -201,9 +203,12 @@ class CircuitBreaker:
 
 
 class DegradationState:
-    """Gates, breaker, and tallies attached to one site."""
+    """Gates, breaker, and tallies attached to one site, and the three
+    generator methods that interpose them on its seams."""
 
-    def __init__(self, sim, policy: DegradationPolicy):
+    def __init__(self, site, policy: DegradationPolicy):
+        sim = site.sim
+        self.site = site
         self.policy = policy
         self.container_gate = (
             Resource(sim, capacity=policy.container_concurrency,
@@ -217,6 +222,17 @@ class DegradationState:
             if policy.breaker is not None else None
         self.degraded_served = 0
         self.backpressure_rejects: Dict[str, int] = {"servlet": 0, "db": 0}
+        # CPU of the busy page a full container gate answers with, paid
+        # by whoever turns the request away: PHP runs inside the web
+        # process (the gate bounds concurrent scripts exactly like the
+        # servlet tier), the other flavors reject in their container.
+        flavor = site.config.flavor
+        if flavor == "php":
+            self._busy_page_cpu = site.web_config.per_reject_cpu
+        elif flavor == "ejb":
+            self._busy_page_cpu = site.ejb_costs.per_busy_reject
+        else:
+            self._busy_page_cpu = site.servlet_costs.per_busy_reject
 
     def shedding(self, route) -> bool:
         """Is the site under enough pressure to degrade browses?
@@ -237,29 +253,22 @@ class DegradationState:
             return True
         return self.breaker is not None and self.breaker.is_open
 
+    # -- front: priority shedding -----------------------------------------------
 
-def _gate_full(gate: Resource, backlog: int) -> bool:
-    return gate.in_use >= gate.capacity and gate.queue_length >= backlog
-
-
-def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
-    """Wrap ``site`` (a :class:`~repro.topology.simulation.SimulatedSite`
-    or subclass) with the degradation layer; returns the state object
-    (also exposed as ``site.degradation``)."""
-    sim = site.sim
-    state = DegradationState(sim, policy)
-    site.degradation = state
-
-    cls = type(site)
-    base_perform = cls._perform
-    base_container = cls._run_container
-    base_php = cls._run_php
-    base_db_query = cls._db_query
-
-    def degraded_reply(name, route, rc):
-        """Serve the static fallback from the web tier alone."""
+    def front(self, variant, name, rng, route):
+        if name not in self.policy.degradable or not self.shedding(route):
+            yield from self.next_front(variant, name, rng, route)
+            return
+        # Serve the static fallback from the web tier alone.
+        site = self.site
         web = route.web
         cfg = site.web_config
+        if site.down:
+            site._check_up(web)
+        yield from site.lan.transfer(site.client_machine, web,
+                                     site.costs.request_bytes)
+        tracer = site.sim.tracer
+        rc = tracer.current() if tracer is not None else None
         span = rc.push(SPAN_DEGRADED, "phase", "web",
                        meta={"origin": name}) if rc is not None else None
         try:
@@ -270,82 +279,52 @@ def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
             yield from web.cpu.execute(cpu)
             yield from site.lan.transfer(web, site.client_machine,
                                          cfg.degraded_response_bytes)
-            state.degraded_served += 1
+            self.degraded_served += 1
         finally:
             if span is not None:
                 rc.pop(span)
 
-    def perform_wrapper(variant, name, rng, route):
-        if name in policy.degradable and state.shedding(route):
-            if site.down:
-                site._check_up(route.web)
-            yield from site.lan.transfer(site.client_machine, route.web,
-                                         site.costs.request_bytes)
-            tracer = sim.tracer
-            rc = tracer.current() if tracer is not None else None
-            yield from degraded_reply(name, route, rc)
-            return
-        yield from base_perform(site, variant, name, rng, route)
+    # -- generate: the container gate ----------------------------------------------
 
-    def busy_reject(route, tier, reject_cpu):
-        """Fast busy page: charge the rejecting tier, answer the client
-        through the web machine, raise backpressure."""
-        state.backpressure_rejects[tier] += 1
-        cfg = site.web_config
-        yield from route.web.cpu.execute(
-            reject_cpu + cfg.reject_response_bytes * cfg.per_net_byte_cpu)
-        yield from site.lan.transfer(route.web, site.client_machine,
-                                     cfg.reject_response_bytes)
-        raise BackpressureError(tier)
-
-    def container_wrapper(variant, rng, route, rc=None):
-        gate = state.container_gate
-        if gate is None:
-            yield from base_container(site, variant, rng, route, rc)
-            return
-        if _gate_full(gate, policy.container_backlog):
-            reject_cpu = site.ejb_costs.per_busy_reject \
-                if site.config.flavor == "ejb" \
-                else site.servlet_costs.per_busy_reject
-            yield from busy_reject(route, "servlet", reject_cpu)
+    def generate(self, variant, rng, route, rc=None):
+        gate = self.container_gate
+        if _gate_full(gate, self.policy.container_backlog):
+            # Fast busy page: charge the rejecting tier, answer the
+            # client through the web machine, raise backpressure.
+            site = self.site
+            cfg = site.web_config
+            self.backpressure_rejects["servlet"] += 1
+            yield from route.web.cpu.execute(
+                self._busy_page_cpu
+                + cfg.reject_response_bytes * cfg.per_net_byte_cpu)
+            yield from site.lan.transfer(route.web, site.client_machine,
+                                         cfg.reject_response_bytes)
+            raise BackpressureError("servlet")
         yield from safe_acquire(gate)
         try:
-            yield from base_container(site, variant, rng, route, rc)
+            yield from self.next_generate(variant, rng, route, rc)
         finally:
             gate.release()
 
-    def php_wrapper(variant, rng, route, rc=None):
-        # PHP runs inside the web process: the container gate bounds the
-        # scripts executing concurrently, exactly like the servlet tier.
-        gate = state.container_gate
-        if gate is None:
-            yield from base_php(site, variant, rng, route, rc)
-            return
-        if _gate_full(gate, policy.container_backlog):
-            yield from busy_reject(route, "servlet",
-                                   site.web_config.per_reject_cpu)
-        yield from safe_acquire(gate)
-        try:
-            yield from base_php(site, variant, rng, route, rc)
-        finally:
-            gate.release()
+    # -- db_query: circuit breaker + driver gate -------------------------------------
 
-    def db_query_wrapper(step, held_explicit, route, rc=None, label=""):
-        breaker = state.breaker
+    def db_query(self, step, held_explicit, route, rc=None, label=""):
+        site = self.site
+        breaker = self.breaker
         if breaker is not None and not breaker.allow():
             # Fail fast at the driver: one call's worth of client CPU.
             yield from route.db_client.cpu.execute(site._driver.per_call)
             raise CircuitOpenError("database circuit open")
-        gate = state.db_gate
-        if gate is not None and _gate_full(gate, policy.db_backlog):
-            state.backpressure_rejects["db"] += 1
+        gate = self.db_gate
+        if gate is not None and _gate_full(gate, self.policy.db_backlog):
+            self.backpressure_rejects["db"] += 1
             yield from route.db_client.cpu.execute(site._driver.per_call)
             raise BackpressureError("db")
         if gate is not None:
             yield from safe_acquire(gate)
         try:
-            yield from base_db_query(site, step, held_explicit, route,
-                                     rc, label)
+            yield from self.next_db_query(step, held_explicit, route,
+                                          rc, label)
         except (TierDown, TransientDbError):
             if breaker is not None:
                 breaker.record_failure()
@@ -364,8 +343,21 @@ def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
             if gate is not None:
                 gate.release()
 
-    site._perform = perform_wrapper
-    site._run_container = container_wrapper
-    site._run_php = php_wrapper
-    site._db_query = db_query_wrapper
+
+def _gate_full(gate: Resource, backlog: int) -> bool:
+    return gate.in_use >= gate.capacity and gate.queue_length >= backlog
+
+
+def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
+    """Interpose the degradation layer on ``site`` (a
+    :class:`~repro.topology.simulation.SimulatedSite` or subclass);
+    returns the state object (also exposed as ``site.degradation``).
+    A lever the policy disables is not interposed at all."""
+    state = DegradationState(site, policy)
+    site.degradation = state
+    site.interpose(state, "front")
+    if state.container_gate is not None:
+        site.interpose(state, "generate")
+    if state.breaker is not None or state.db_gate is not None:
+        site.interpose(state, "db_query")
     return state

@@ -1,9 +1,10 @@
 """Open-loop experiment execution.
 
 :func:`run_open_loop` is the open-loop twin of
-:func:`repro.harness.experiment.run_experiment`: same ramp-up /
-measurement / ramp-down phases, same samplers, same
-:class:`~repro.metrics.report.ThroughputPoint` result -- but driven by
+:func:`repro.harness.experiment.run_experiment`: the same
+:func:`~repro.harness.experiment.measure_point` phases, samplers and
+:class:`~repro.metrics.report.ThroughputPoint` assembly (so cache and
+shard records, and the traced verdict, come along) -- but driven by
 an :class:`~repro.overload.openloop.OpenLoopPopulation` and carrying the
 windowed SLO series as undeclared point attributes (the ``point.tracer``
 idiom): ``point.slo`` (the :class:`~repro.metrics.slo.SloSummary` over
@@ -17,8 +18,7 @@ work unchanged.
 
 from __future__ import annotations
 
-from repro.metrics.report import CpuUtilization, ThroughputPoint
-from repro.metrics.sampler import SysstatSampler
+from repro.metrics.report import ThroughputPoint
 from repro.metrics.slo import (
     SloSeries,
     SloSpec,
@@ -34,51 +34,22 @@ from repro.workload.markov import choose_interaction
 
 def run_open_loop(spec) -> ThroughputPoint:
     """Run one open-loop point (``spec.overload`` must be set)."""
-    from repro.harness.experiment import build_site
-    from repro.faults.injector import FaultInjector
+    from repro.harness.experiment import build_site, measure_point
 
     if spec.overload is None:
         raise ValueError("run_open_loop needs an ExperimentSpec with "
                          "an OverloadSpec in .overload")
     sim = Simulator()
     site = build_site(sim, spec)
-    tracer = None
-    if spec.trace:
-        from repro.obs import Tracer
-        tracer = Tracer(sim, window=(spec.ramp_up,
-                                     spec.ramp_up + spec.measure))
-        sim.tracer = tracer
-    rng = RngStreams(spec.seed)
     slo_spec = spec.slo if spec.slo is not None else SloSpec()
     series = SloSeries(sim, slo_spec)
     population = OpenLoopPopulation(
-        sim, spec.overload, spec.mix, site, rng, choose_interaction,
-        retry=spec.retry, slo=series)
-    sampler = SysstatSampler(sim, site.machines,
-                             interval=spec.sample_interval)
-    if spec.fault_plan:
-        FaultInjector(sim, site, spec.fault_plan).start()
-    population.start()
-    sampler.start()
-
-    sim.run(until=spec.ramp_up)
-    population.begin_measurement()
-    db_wait0 = site.db_lock_wait_time
-    sync_wait0 = site.sync_lock_wait_time
-    measure_start = sim.now
-    sim.run(until=spec.ramp_up + spec.measure)
-    stats = population.end_measurement()
-    measure_end = sim.now
+        sim, spec.overload, spec.mix, site, RngStreams(spec.seed),
+        choose_interaction, retry=spec.retry, slo=series)
     # Stop the open loop before ramp-down: unlike closed-loop clients,
     # sessions keep *arriving*, so an un-stopped drain never ends.
-    population.stop()
-    sim.run(until=spec.ramp_up + spec.measure + spec.ramp_down)
-    # Credit batched CPU slices still in flight so kernel_events matches
-    # the per-quantum count.
-    sim.finalize_events()
-
-    minutes = (measure_end - measure_start) / 60.0
-    throughput = stats.interactions_completed / minutes if minutes else 0.0
+    point, stats, measure_end = measure_point(
+        spec, sim, site, population, stop_before_ramp_down=True)
 
     windows = series.windows()
     stable = select_stable_windows(windows, horizon=measure_end)
@@ -93,48 +64,12 @@ def run_open_loop(spec) -> ThroughputPoint:
         summary.p95 = percentile(samples, 0.95)
         summary.p99 = percentile(samples, 0.99)
 
-    roles = site.role_machines()
-    cpu = CpuUtilization(
-        web_server=sampler.mean_cpu(roles["web"].name, measure_start,
-                                    measure_end),
-        database=sampler.mean_cpu(roles["db"].name, measure_start,
-                                  measure_end),
-        servlet_container=sampler.mean_cpu(
-            roles["servlet"].name, measure_start, measure_end)
-        if "servlet" in roles else None,
-        ejb_server=sampler.mean_cpu(roles["ejb"].name, measure_start,
-                                    measure_end)
-        if "ejb" in roles else None)
-    completed = max(1, stats.interactions_completed)
-    point = ThroughputPoint(
-        clients=spec.clients, throughput_ipm=throughput, cpu=cpu,
-        mean_response_time=stats.mean_response_time(),
-        web_nic_tx_mbps=sampler.mean_nic_tx_mbps(
-            roles["web"].name, measure_start, measure_end),
-        db_lock_wait_per_interaction=(
-            (site.db_lock_wait_time - db_wait0) / completed),
-        sync_lock_wait_per_interaction=(
-            (site.sync_lock_wait_time - sync_wait0) / completed),
-        kernel_events=sim.events_processed)
     # Undeclared attributes, following the point.tracer idiom: ignored
     # by asdict()-based equality, never shipped across the process pool
     # boundary unpickled (the parallel runner round-trips fine).
     point.slo = summary
     point.slo_windows = stable
     point.overload_stats = stats
-    degradation = getattr(site, "degradation", None)
-    if degradation is not None:
-        point.degradation = degradation
-    if tracer is not None:
-        from repro.obs import build_report
-        tracer.finalize()
-        nic = site.web.nic
-        nic_util = (point.web_nic_tx_mbps * 1e6) / nic.base_bandwidth
-        bottleneck = build_report(
-            tracer, configuration=spec.config.name,
-            interaction_mix=spec.app_name or spec.profile.app_name,
-            clients=spec.clients, web_nic_utilization=nic_util)
-        point.bottleneck = bottleneck.bottleneck
-        point.tracer = tracer
-        point.bottleneck_report = bottleneck
+    if spec.degradation is not None:
+        point.degradation = site.degradation
     return point

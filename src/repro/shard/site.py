@@ -7,10 +7,12 @@ by its own replica set (``DB[N](1+R)`` gives every shard R read
 replicas with the cluster tier's log shipping and read-your-writes
 routing).
 
-Shard 1 *is* the base cluster's database -- same machine name (``db``),
-same site-owned lock registry, same ``ReplicatedDb`` -- so every
-mechanism the cluster tier already proved (replica crash rerouting,
-lag fallbacks, session watermarks) applies per shard unchanged.
+The replica sets themselves are the cluster tier's: ``ClusteredSite``
+builds one ``ReplicatedDb`` per shard primary (``self.repls``), and
+shard 1 *is* the base cluster's database -- same machine name (``db``),
+same site-owned lock registry -- so every mechanism the cluster tier
+already proved (replica crash rerouting, lag fallbacks, session
+watermarks) applies per shard unchanged.
 Shards 2..N get private lock registries (``db.s2.items`` ...), which is
 the whole point: a checkout's ``LOCK TABLES`` span now serializes only
 the sessions that hashed to the *same* shard, so the bookstore ordering
@@ -27,26 +29,30 @@ Routing is driver-level, per statement:
   wrote two or more shards the ``UNLOCK`` runs two-phase commit
   (:mod:`repro.shard.twopc`) *before* any lock drops.
 
+This class is a database *tier* (DESIGN.md section 13): it replaces
+the terminal of the *db_query* seam and the lock/unlock steps.  With a
+cache tier attached, the partition-key draw is the cache's per-session
+entity draw, so a cached checkout page invalidates on the same shard
+that executed the write.
+
 ``DB[1]`` never constructs this class (``build_site`` dispatches on
 ``db_shards > 1``), and nothing here is imported by the paper
-configurations -- the import-isolation invariant the CI smoke job
-asserts.
+configurations -- the import-isolation invariant
+``tests/test_axis_isolation.py`` asserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.cluster.balancer import LoadBalancer
-from repro.cluster.replication import DbInstance, ReplicatedDb, SessionState
+from repro.cluster.replication import SessionState
 from repro.cluster.site import ClusteredSite
 from repro.harness.profiles import AppProfile
 from repro.shard.routing import ShardScheme, scheme_for, shard_index
 from repro.shard.twopc import ShardStats, TwoPcCoordinator, TwoPcCosts
 from repro.sim.kernel import Simulator
 from repro.sim.resources import (
-    RWLock,
     safe_acquire_read,
     safe_acquire_write,
     traced_acquire_lock,
@@ -80,7 +86,6 @@ class ShardedSite(ClusteredSite):
         if spec is None or getattr(spec, "db_shards", 1) <= 1:
             raise ValueError(f"{config.name!r} has a single shard; use "
                              f"ClusteredSite")
-        rng = rng if rng is not None else RngStreams(42)
         super().__init__(sim, config, profile, rng=rng, **kwargs)
         self.shard_costs = shard_costs or ShardCosts()
         self.scheme = scheme if scheme is not None \
@@ -91,46 +96,15 @@ class ShardedSite(ClusteredSite):
             | (frozenset((HOME_GROUP,)) if not self.scheme.groups
                else frozenset())
 
-        # -- shards 2..N (shard 1 is the base cluster's database) -----------
-        is_up = lambda name: name not in self.down   # noqa: E731
-        write_priority = self.costs.db_write_priority
-        repls = [self.repl]
-        replica_names = set(self._db_replica_names)
-        for primary_name in config.db_shard_names()[1:]:
-            machine = self.machines[primary_name]
-            primary = DbInstance(sim, machine,
-                                 write_priority=write_priority,
-                                 is_primary=True)
-            names = config.shard_replica_names(primary_name)
-            replicas = [DbInstance(sim, self.machines[n],
-                                   write_priority=write_priority)
-                        for n in names]
-            balancer = LoadBalancer(
-                f"lb.{primary_name}", names or [primary_name],
-                policy=spec.db_read_policy,
-                rng=rng.stream(f"shard.lb.{primary_name}"), is_up=is_up)
-            repls.append(ReplicatedDb(
-                sim, self, primary, replicas,
-                replication_lag=spec.replication_lag,
-                apply_cost_factor=spec.apply_cost_factor,
-                balancer=balancer))
-            self._db_instances[primary_name] = primary
-            self._db_instances.update(
-                (r.machine.name, r) for r in replicas)
-            replica_names.update(names)
-        self._shard_repls = tuple(repls)
+        # -- shards: the replica sets ClusteredSite built, by index ----------
         self._shard_primaries = tuple(
-            r.primary.machine for r in self._shard_repls)
-        self._db_replica_names = frozenset(replica_names)
-        self._shard_of_machine: Dict[str, int] = {}
-        for idx, repl in enumerate(self._shard_repls):
-            self._shard_of_machine[repl.primary.machine.name] = idx
-            for replica in repl.replicas:
-                self._shard_of_machine[replica.machine.name] = idx
+            r.primary.machine for r in self.repls)
+        self._shard_of_primary: Dict[str, int] = {
+            m.name: idx for idx, m in enumerate(self._shard_primaries)}
 
         # -- routing/commit state -------------------------------------------
-        # (client, shard >= 1) -> per-shard RYW session watermark.
-        self._shard_sessions: Dict[Tuple[int, int], SessionState] = {}
+        # client -> {shard >= 1 -> that shard's RYW session watermark}.
+        self._shard_sessions: Dict[int, Dict[int, SessionState]] = {}
         # client -> {session group -> shard} (a session is one customer).
         self._session_shards: Dict[int, Dict[str, int]] = {}
         self.twopc = TwoPcCoordinator(self, self.shard_costs.twopc)
@@ -141,44 +115,30 @@ class ShardedSite(ClusteredSite):
     def _shard_session(self, client_id: int, shard: int) -> SessionState:
         if shard == 0:
             return self._session(client_id)
-        key = (client_id, shard)
-        session = self._shard_sessions.get(key)
+        sessions = self._shard_sessions.setdefault(client_id, {})
+        session = sessions.get(shard)
         if session is None:
-            session = SessionState(client_id)
-            self._shard_sessions[key] = session
+            session = sessions[shard] = SessionState(client_id)
         return session
 
     def new_session(self, client_id: int, rng) -> None:
         super().new_session(client_id, rng)
         self._session_shards.pop(client_id, None)
-        for shard in range(1, self.n_shards):
-            session = self._shard_sessions.get((client_id, shard))
-            if session is not None:
-                session.reset()
-            self._shard_repls[shard].balancer.forget_session(client_id)
+        for session in self._shard_sessions.get(client_id, {}).values():
+            session.reset()
 
     def end_session(self, client_id: int) -> None:
         super().end_session(client_id)
         self._session_shards.pop(client_id, None)
-        for shard in range(1, self.n_shards):
-            self._shard_sessions.pop((client_id, shard), None)
-            self._shard_repls[shard].balancer.forget_session(client_id)
+        self._shard_sessions.pop(client_id, None)
 
     # -- routing: group -> shard ----------------------------------------------
 
     def _route(self, name, client_id, rng):
         route = super()._route(name, client_id, rng)
-        route.rng = rng
         route.shard_groups = {}
-        route.span_shards = ()
         route.shard_writes = set()
         return route
-
-    def _shard_entity(self, route, group: str, space: int) -> int:
-        """The partition-key entity this request targets in ``group``.
-        The caching subclass reuses its cache-entity draw so cache keys
-        and shard routing agree on which row the request touches."""
-        return route.rng.randrange(space)
 
     def _shard_of_group(self, route, group: str) -> int:
         shard = route.shard_groups.get(group)
@@ -198,7 +158,13 @@ class ShardedSite(ClusteredSite):
 
     def _draw_shard(self, route, group: str) -> int:
         space = max(1, self.profile.key_spaces.get(group, 1_000_000))
-        entity = self._shard_entity(route, group, space)
+        # The partition-key entity this request targets in ``group``:
+        # the cache tier's per-session draw for the group's root table
+        # when there is one, so cache keys and shard routing name the
+        # same row.
+        cache = self.cache
+        entity = cache.entity(route, group) if cache is not None \
+            else route.rng.randrange(space)
         return shard_index(group, entity, space, self.n_shards,
                            self.strategy)
 
@@ -227,7 +193,7 @@ class ShardedSite(ClusteredSite):
 
     # -- statement execution ---------------------------------------------------
 
-    def _db_query(self, step, held_explicit, route, rc=None, label=""):
+    def _db_statement(self, step, held_explicit, route, rc=None, label=""):
         writes = step[5]
         stats = self.shard_stats
         if held_explicit:
@@ -248,7 +214,7 @@ class ShardedSite(ClusteredSite):
                                        rc, label)
             return
         stats.single_shard_reads += 1
-        repl = self._shard_repls[shard]
+        repl = self.repls[shard]
         if repl.replicas:
             yield from self._db_read_replicated(
                 step, route, repl,
@@ -341,7 +307,7 @@ class ShardedSite(ClusteredSite):
         kernel."""
         self.shard_stats.scatter_legs += 1
         try:
-            repl = self._shard_repls[shard]
+            repl = self.repls[shard]
             if repl.replicas:
                 yield from self._db_read_replicated(
                     sub, route, repl,
@@ -354,18 +320,6 @@ class ShardedSite(ClusteredSite):
             outcomes.append(("err", exc))
 
     # -- locks: per-shard scoping ----------------------------------------------
-
-    def _shard_table_lock(self, shard: int, table: str) -> RWLock:
-        if shard == 0:
-            return self.table_lock(table)     # the site registry ("db.*")
-        return self._shard_repls[shard].primary.table_lock(table)
-
-    def _instance_table_lock(self, db, table: str) -> RWLock:
-        instance = self._db_instances.get(db.name)
-        if instance is not None and not instance.is_primary:
-            return instance.table_lock(table)    # replica-local
-        return self._shard_table_lock(
-            self._shard_of_machine.get(db.name, 0), table)
 
     def _db_explicit_lock(self, lock_set, held_explicit, route,
                           rc=None, label=""):
@@ -418,7 +372,7 @@ class ShardedSite(ClusteredSite):
         for table, mode, shard in sorted(placed):
             if shard not in locked_shards:
                 continue             # remote reference read: no span lock
-            lock = self._shard_table_lock(shard, table)
+            lock = self.repls[shard].primary.table_lock(table)
             waited_from = self.sim.now
             if rc is not None:
                 yield from traced_acquire_lock(lock, mode, rc, lock.name,
@@ -460,36 +414,21 @@ class ShardedSite(ClusteredSite):
 
     # -- commits ---------------------------------------------------------------
 
-    def _note_commit(self, route, writes, db_cpu: float, db=None) -> None:
-        shard = self._shard_of_machine.get(
-            db.name if db is not None else self.db.name, 0)
-        repl = self._shard_repls[shard]
-        repl.commit_write(self._shard_session(route.client_id, shard),
-                          writes, db_cpu)
-        route.writes_committed += 1
+    def _ship_commit(self, route, writes, db_cpu: float, db) -> None:
+        shard = self._shard_of_primary[db.name]
+        self.repls[shard].commit_write(
+            self._shard_session(route.client_id, shard), writes, db_cpu)
         route.shard_writes.add(shard)
 
     # -- fault surface ---------------------------------------------------------
 
-    def mark_up(self, machine_name: str) -> None:
-        super().mark_up(machine_name)
-        for repl in self._shard_repls[1:]:
-            repl.notify_up(machine_name)
-
     def crash_victims(self, machine_name: str) -> list:
-        shard = self._shard_of_machine.get(machine_name)
-        if shard is not None and shard > 0:
-            primary_name = self._shard_repls[shard].primary.machine.name
-            if machine_name != primary_name:
-                # A shard's replica: with its primary alive, only the
-                # reads it is serving right now die (they reroute).
-                if primary_name not in self.down:
-                    return [proc for proc, route in self._routes.items()
-                            if not proc.finished
-                            and route.db_busy_on == machine_name]
-                return self.inflight_processes()
-            # A shard primary: only requests touching that shard die --
-            # the fault-isolation upside of partitioning.
+        shard = self._shard_of_primary.get(machine_name)
+        if shard:
+            # The primary of shard 2..N: only requests touching that
+            # shard die -- the fault-isolation upside of partitioning.
+            # (Shard 1's primary is the paper ``db`` every route holds
+            # as ``route.db``; it takes every request with it, below.)
             return [proc for proc, route in self._routes.items()
                     if not proc.finished and route.shard_groups is not None
                     and (shard in route.shard_groups.values()

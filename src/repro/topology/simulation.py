@@ -16,6 +16,11 @@ The contention mechanics are real, not modeled:
   bookstore configurations;
 * sync spans hold named locks in the *container* instead, so database
   readers keep flowing -- the (sync) configurations' advantage.
+
+The request path has three declared seams -- *front*, *generate*,
+*db_query* -- that opt-in interposers (the cache tier, overload
+degradation) wrap through :meth:`SimulatedSite.interpose`; database
+tiers subclass the site and replace the statement terminal.
 """
 
 from __future__ import annotations
@@ -160,6 +165,31 @@ class SimulatedSite:
         # The machine that issues database queries.
         self.db_client = self.ejb if config.flavor == "ejb" else self.gen
 
+        # -- the three seams (DESIGN.md section 13) ---------------------------
+        # Bound once, here, to the mechanisms; only interpose() rebinds
+        # them.  A database tier (repro.cluster, repro.shard) overrides
+        # the terminal _db_statement instead of wrapping the seam.
+        self._front = self._perform
+        self._generate = self._run_php if config.flavor == "php" \
+            else self._run_container
+        self._db_query = self._db_statement
+        # The attached cache tier (repro.cache) or None; ``_fragments``
+        # is the same object when its page fragments are looked up
+        # *inside* the generator's process (php.script / servlet.engine).
+        self.cache = None
+        self._fragments = None
+        # Routing/2PC counters of a sharded database tier (repro.shard).
+        self.shard_stats = None
+
+    def interpose(self, stage, *seams: str) -> None:
+        """Wrap the named seams (``"front"``, ``"generate"``,
+        ``"db_query"``) with ``stage``: the stage's generator method of
+        that name becomes the seam and its ``next_<seam>`` attribute the
+        previous binding, so the latest stage interposed is outermost."""
+        for seam in seams:
+            setattr(stage, "next_" + seam, getattr(self, "_" + seam))
+            setattr(self, "_" + seam, getattr(stage, seam))
+
     # -- lock tables ---------------------------------------------------------------
 
     def table_lock(self, table: str) -> RWLock:
@@ -280,7 +310,7 @@ class SimulatedSite:
                   client_id: int, rng):
         route = self._route(name, client_id, rng)
         try:
-            yield from self._perform(variant, name, rng, route)
+            yield from self._front(variant, name, rng, route)
         finally:
             self._end_route(route)
 
@@ -327,10 +357,7 @@ class SimulatedSite:
                     web_cpu += web_cfg.per_ssl_request_cpu
                 yield from web.cpu.execute(web_cpu)
 
-                if self.config.flavor == "php":
-                    yield from self._run_php(variant, rng, route, rc)
-                else:
-                    yield from self._run_container(variant, rng, route, rc)
+                yield from self._generate(variant, rng, route, rc)
             finally:
                 if span is not None:
                     rc.pop(span)
@@ -360,27 +387,46 @@ class SimulatedSite:
     # -- generator execution ------------------------------------------------------------
 
     def _run_php(self, variant: InteractionVariant, rng, route, rc=None):
-        """PHP module: everything happens in the web server process."""
+        """PHP module: everything happens in the web server process.
+        (A fragment hit leaves only the per-request work.)"""
         php = self.php_costs
         web = route.web
+        fragments = self._fragments
+        plan = fragments.page_plan(variant, route) \
+            if fragments is not None else None
         span = rc.push("php.script", "phase", "web") \
             if rc is not None else None
         try:
-            yield from web.cpu.execute(
-                php.per_request +
-                variant.response_bytes * php.per_output_byte +
-                variant.query_count * php.per_query_call)
-            yield from self._replay_steps(variant, rng, route, rc)
+            entry = None
+            if plan is not None:
+                entry = yield from fragments.get(web, "page", plan[0], rc)
+            if entry is not None:
+                yield from web.cpu.execute(php.per_request)
+                fragments.absorbed_page(variant)
+            else:
+                yield from web.cpu.execute(
+                    php.per_request +
+                    variant.response_bytes * php.per_output_byte +
+                    variant.query_count * php.per_query_call)
+                yield from self._replay_steps(variant, rng, route, rc)
+                if plan is not None:
+                    yield from fragments.put(
+                        web, "page", plan[0], variant.response_bytes,
+                        fragments.dep_tags(route, plan[1]), rc)
         finally:
             if span is not None:
                 rc.pop(span)
 
     def _run_container(self, variant: InteractionVariant, rng, route,
                        rc=None):
-        """Servlet (and EJB) flavors: AJP crossing, container work."""
+        """Servlet (and EJB) flavors: AJP crossing, container work.
+        (A fragment hit leaves the crossing and the per-request work.)"""
         ajp = self.ajp_costs
         web = route.web
         gen = route.gen
+        fragments = self._fragments
+        plan = fragments.page_plan(variant, route) \
+            if fragments is not None else None
         if self.down:
             # The AJP connector to a crashed container fails fast.
             self._check_up(gen)
@@ -392,13 +438,24 @@ class SimulatedSite:
             if rc is not None else None
         try:
             servlet = self.servlet_costs
-            yield from gen.cpu.execute(
-                servlet.per_request +
-                variant.response_bytes * servlet.per_output_byte)
-            if self.config.flavor != "ejb":
+            entry = None
+            if plan is not None:
+                entry = yield from fragments.get(gen, "page", plan[0], rc)
+            if entry is not None:
+                yield from gen.cpu.execute(servlet.per_request)
+                fragments.absorbed_page(variant)
+            else:
                 yield from gen.cpu.execute(
-                    variant.query_count * servlet.per_query_call)
-            yield from self._replay_steps(variant, rng, route, rc)
+                    servlet.per_request +
+                    variant.response_bytes * servlet.per_output_byte)
+                if self.config.flavor != "ejb":
+                    yield from gen.cpu.execute(
+                        variant.query_count * servlet.per_query_call)
+                yield from self._replay_steps(variant, rng, route, rc)
+                if plan is not None:
+                    yield from fragments.put(
+                        gen, "page", plan[0], variant.response_bytes,
+                        fragments.dep_tags(route, plan[1]), rc)
         finally:
             if span is not None:
                 rc.pop(span)
@@ -505,14 +562,13 @@ class SimulatedSite:
                 self._sync_release([name for name, __, __ in held_sync],
                                    held_sync, route)
 
-    def _db_query(self, step, held_explicit, route, rc=None, label=""):
-        yield from self._db_access(step, held_explicit, route,
-                                   self._db_target(route), rc, label)
-
-    def _db_target(self, route):
-        """Database machine serving this statement; the clustered site
-        splits reads off to replicas here."""
-        return route.db
+    def _db_statement(self, step, held_explicit, route, rc=None, label=""):
+        """Terminal of the *db_query* seam: route one statement to the
+        database machine(s) that execute it.  One database here; the
+        clustered site splits reads off to replicas, the sharded site
+        routes by partition key."""
+        yield from self._db_access(step, held_explicit, route, route.db,
+                                   rc, label)
 
     def _db_access(self, step, held_explicit, route, db, rc=None, label=""):
         __, db_cpu, request_bytes, reply_bytes, reads, writes, count = step
@@ -568,13 +624,13 @@ class SimulatedSite:
 
     def _instance_table_lock(self, db, table: str) -> RWLock:
         """Table-lock registry of the database machine ``db``; one
-        registry here, one per replica in a cluster."""
+        registry here, one per database instance in a cluster."""
         return self.table_lock(table)
 
-    def _note_commit(self, route, writes, db_cpu: float, db=None) -> None:
+    def _note_commit(self, route, writes, db_cpu: float, db) -> None:
         """A write statement committed on database machine ``db``; the
-        replicated DB ships it to the replicas.  Nothing to do with a
-        single database."""
+        replicated DB ships it to the replicas and tells the cache
+        tier.  Nothing to do with a single database."""
 
     def _db_explicit_lock(self, lock_set, held_explicit, route,
                           rc=None, label=""):
@@ -697,7 +753,6 @@ class SimulatedSite:
     def _ejb_work(self, loads, stores, fields, route, rc=None, label=""):
         k = self.ejb_costs
         ejb = route.ejb
-        queries = 0  # driver costs are charged per query step
         cpu = (k.per_method + loads * k.per_entity_load +
                stores * k.per_entity_store + fields * k.per_field_access)
         span = rc.push("ejb.work", "ejb", ejb.name,

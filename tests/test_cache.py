@@ -4,8 +4,6 @@ the functional twins' field-for-field equivalence with uncached stacks
 identity, node crashes), and the ext_cache experiment plumbing."""
 
 import random
-import subprocess
-import sys
 from dataclasses import asdict
 
 import pytest
@@ -15,8 +13,9 @@ from hypothesis import given, settings
 from repro.apps.bookstore import BookstoreApp, build_bookstore_database
 from repro.cache.functional import CachedDeployment, CachingConnection
 from repro.cache.lru import ENTRY_OVERHEAD_BYTES, LruStore
-from repro.cache.site import CachedClusteredSite
+from repro.cache.site import SiteCache, attach_cache
 from repro.cache.tier import CacheTierStats, shard_index
+from repro.cluster.site import ClusteredSite
 from repro.db import Column, ColumnType, Database, TableSchema
 from repro.db.driver import NativeDriver
 from repro.faults.injector import FaultInjector
@@ -230,45 +229,30 @@ def test_round_robin_mode_replicates_stores(app, profiles):
 
 
 def test_disabled_cache_builds_the_plain_site_types(app, profiles):
-    from repro.cluster.site import ClusteredSite
+    """Without cache nodes nothing is interposed: every seam *is* its
+    mechanism and ``site.cache`` is None, on the paper site and on a
+    cluster alike.  With them, the same ``ClusteredSite`` carries a
+    ``SiteCache`` on its *db_query* seam and (bookstore: in-process
+    fragments) on the ``_fragments`` hook."""
     from repro.topology.simulation import SimulatedSite
 
     paper = topology("Ws-Servlet-DB", TopologySpec())
-    site = build_site(Simulator(), _spec(paper, profiles, app))
-    assert type(site) is SimulatedSite
     cluster = topology("Ws-Servlet-DB", TopologySpec(web=2))
-    site = build_site(Simulator(), _spec(cluster, profiles, app))
-    assert type(site) is ClusteredSite
+    for config, cls in ((paper, SimulatedSite), (cluster, ClusteredSite)):
+        site = build_site(Simulator(), _spec(config, profiles, app))
+        assert type(site) is cls
+        assert site.cache is None and site._fragments is None
+        assert site._front == site._perform
+        assert site._generate == site._run_container
+        assert site._db_query == site._db_statement
     cached = topology("Ws-Servlet-DB", TopologySpec(**CACHED_CONFIG_KW))
     site = build_site(Simulator(), _spec(cached, profiles, app))
-    assert type(site) is CachedClusteredSite
-
-
-def test_plain_runs_never_import_the_cache_package():
-    """The paper configurations and uncached clusters must not touch
-    repro.cache at all (fresh process: this file already imported it)."""
-    code = """
-import sys
-from repro.apps.bookstore import BookstoreApp, build_bookstore_database
-from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.profiles import profile_application
-from repro.topology.spec import TopologySpec, topology
-
-app = BookstoreApp(build_bookstore_database(scale=0.002, tiny=True))
-profile = profile_application(app, app.deploy_php(), "php", repetitions=2)
-for config in (topology("WsPhp-DB", TopologySpec()),
-               topology("WsPhp-DB", TopologySpec(web=2))):
-    run_experiment(ExperimentSpec(
-        config=config, profile=profile, mix=app.mix("shopping"),
-        clients=4, ramp_up=10.0, measure=20.0, ramp_down=2.0, seed=1))
-    assert not any(m.startswith("repro.cache") for m in sys.modules), \\
-        f"repro.cache imported for {config.name}"
-print("clean")
-"""
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "clean" in proc.stdout
+    assert type(site) is ClusteredSite
+    assert type(site.cache) is SiteCache
+    assert site._db_query == site.cache.db_query
+    assert site.cache.next_db_query == site._db_statement
+    assert site._fragments is site.cache
+    assert site._generate == site._run_container
 
 
 def test_cache_node_crash_degrades_and_leaves_the_system_clean(app, profiles):
@@ -279,9 +263,9 @@ def test_cache_node_crash_degrades_and_leaves_the_system_clean(app, profiles):
     plan = FaultPlan((FaultEvent(kind="crash", tier="cache", at=20.0,
                                  duration=15.0),))
     sim = Simulator()
-    site = CachedClusteredSite(sim, config,
-                               profiles[config.profile_flavor],
-                               rng=RngStreams(7))
+    site = ClusteredSite(sim, config, profiles[config.profile_flavor],
+                         rng=RngStreams(7))
+    attach_cache(site)
     population = ClientPopulation(
         sim, 8, app.mix("browsing"), site, RngStreams(7),
         choose_interaction, retry=RetryPolicy(deadline=5.0, max_retries=2))

@@ -1,11 +1,8 @@
 """Overload layer: open-loop arrivals, graceful degradation, circuit
 breakers, and the open-loop experiment runner."""
 
-import os
 import random
-import subprocess
-import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -424,8 +421,8 @@ def test_degradation_on_clustered_site(php_profile):
     state.breaker._trip()
     sim.spawn(site.perform(0, "home", random.Random(1)))
     sim.run()
-    # Cluster routing (a class-level _perform override) still runs
-    # underneath the instance-attribute wrapper.
+    # Cluster routing (ClusteredSite._dispatch) still runs in front
+    # of the interposed *front* seam.
     assert state.degraded_served == 1
     assert site.interactions_done == 1
 
@@ -520,31 +517,33 @@ def test_run_open_loop_deterministic(app, php_profile):
     assert one.kernel_events == two.kernel_events
 
 
+def _shadowed_methods(site):
+    """Instance attributes hiding a method of the site's class."""
+    return [name for name in vars(site)
+            if callable(getattr(type(site), name, None))]
+
+
 def test_closed_loop_leaves_site_unwrapped(php_profile):
-    """Without a policy the hot-path methods stay class-level -- the
-    degradation layer adds zero frames, zero RNG, zero events."""
-    sim = Simulator()
+    """Without a policy every seam is bound to the mechanism itself and
+    nothing on the instance shadows a method of its class -- the
+    degradation layer adds zero frames, zero RNG, zero events.  With
+    one, the guard sits in front of each mechanism."""
     spec = ExperimentSpec(config=WS_PHP_DB, profile=php_profile,
                           mix={"home": 1.0}, clients=1)
-    site = build_site(sim, spec)
-    for name in ("_perform", "_run_container", "_run_php", "_db_query"):
-        assert name not in vars(site), f"{name} wrapped without a policy"
+    site = build_site(Simulator(), spec)
+    assert site._front == site._perform
+    assert site._generate == site._run_php
+    assert site._db_query == site._db_statement
     assert not hasattr(site, "degradation")
+    assert not _shadowed_methods(site)
 
-
-def test_closed_loop_never_imports_overload_package():
-    """The experiment harness must not pull repro.overload in unless a
-    spec opts in: disabled-by-default means not even imported."""
-    code = (
-        "import sys\n"
-        "import repro.harness.experiment\n"
-        "import repro.workload.client\n"
-        "import repro.topology.simulation\n"
-        "import repro.metrics\n"
-        "bad = [m for m in sys.modules if m.startswith('repro.overload')]\n"
-        "assert not bad, bad\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))), "src")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    guarded = build_site(Simulator(),
+                         replace(spec, degradation=DegradationPolicy()))
+    state = guarded.degradation
+    assert guarded._front == state.front
+    assert state.next_front == guarded._perform
+    assert guarded._generate == state.generate
+    assert state.next_generate == guarded._run_php
+    assert guarded._db_query == state.db_query
+    assert state.next_db_query == guarded._db_statement
+    assert not _shadowed_methods(guarded)

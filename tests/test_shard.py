@@ -6,8 +6,6 @@ mandates: any fault plan over shard members leaves no
 prepared-but-undecided transactions, no dangling locks, and a
 quiescent kernel."""
 
-import subprocess
-import sys
 from dataclasses import asdict
 
 import pytest
@@ -255,24 +253,42 @@ def test_sharded_run_is_deterministic_and_exercises_the_router(app,
 
 
 def test_build_site_dispatches_on_the_shard_count(app, profiles):
+    """The database tiers are a linear chain of classes and the shard
+    count picks one; a cache tier on top is an interposer on the same
+    ``ShardedSite``, not another class."""
+    from repro.cache.site import SiteCache
     from repro.cluster.site import ClusteredSite
-    from repro.shard.cached import CachedShardedSite
     from repro.shard.site import ShardedSite
     from repro.topology.simulation import SimulatedSite
 
+    assert ShardedSite.__mro__[:3] == (ShardedSite, ClusteredSite,
+                                       SimulatedSite)
     sharded = topology("Ws-Servlet-DB", db_shards=2)
-    assert type(build_site(Simulator(), _spec(sharded, profiles, app))) \
-        is ShardedSite
+    site = build_site(Simulator(), _spec(sharded, profiles, app))
+    assert type(site) is ShardedSite
+    assert site.cache is None and site.shard_stats is not None
+    assert len(site.repls) == 2
+    # No interposer: the seam is the tier's own terminal.
+    assert site._db_query == site._db_statement
+    assert site._db_query.__func__ is ShardedSite._db_statement
+
     both = topology("Ws-Servlet-DB", db_shards=2, cache_nodes=1,
                     cache_mb=8.0)
-    assert type(build_site(Simulator(), _spec(both, profiles, app))) \
-        is CachedShardedSite
+    site = build_site(Simulator(), _spec(both, profiles, app))
+    assert type(site) is ShardedSite
+    assert type(site.cache) is SiteCache
+    assert site._db_query == site.cache.db_query
+    assert site.cache.next_db_query == site._db_statement
+
     cluster = topology("Ws-Servlet-DB", db_replicas=1)
-    assert type(build_site(Simulator(), _spec(cluster, profiles, app))) \
-        is ClusteredSite
+    site = build_site(Simulator(), _spec(cluster, profiles, app))
+    assert type(site) is ClusteredSite
+    assert site.shard_stats is None and len(site.repls) == 1
+    assert site._db_query.__func__ is ClusteredSite._db_statement
     paper = topology("Ws-Servlet-DB", TopologySpec())
-    assert type(build_site(Simulator(), _spec(paper, profiles, app))) \
-        is SimulatedSite
+    site = build_site(Simulator(), _spec(paper, profiles, app))
+    assert type(site) is SimulatedSite
+    assert site._db_query.__func__ is SimulatedSite._db_statement
 
 
 def test_sharded_site_refuses_single_shard_configs(app, profiles):
@@ -282,36 +298,6 @@ def test_sharded_site_refuses_single_shard_configs(app, profiles):
     with pytest.raises(ValueError, match="single shard"):
         ShardedSite(Simulator(), config,
                     profiles[config.profile_flavor])
-
-
-def test_db1_runs_never_import_the_shard_package():
-    """DB[1] *is* the paper database: the paper configurations and
-    plain clusters must not touch repro.shard at all (fresh process:
-    this file already imported it)."""
-    code = """
-import sys
-from repro.apps.bookstore import BookstoreApp, build_bookstore_database
-from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.profiles import profile_application
-from repro.topology.spec import TopologySpec, parse_topology, topology
-
-assert getattr(parse_topology("Ws-Servlet-DB[1]"), "cluster", None) is None
-
-app = BookstoreApp(build_bookstore_database(scale=0.002, tiny=True))
-profile = profile_application(app, app.deploy_php(), "php", repetitions=2)
-for config in (topology("WsPhp-DB", TopologySpec()),
-               topology("WsPhp-DB", TopologySpec(web=2, db_replicas=1))):
-    run_experiment(ExperimentSpec(
-        config=config, profile=profile, mix=app.mix("shopping"),
-        clients=4, ramp_up=10.0, measure=20.0, ramp_down=2.0, seed=1))
-    assert not any(m.startswith("repro.shard") for m in sys.modules), \\
-        f"repro.shard imported for {config.name}"
-print("clean")
-"""
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "clean" in proc.stdout
 
 
 # -- the 2PC fault property ----------------------------------------------------
@@ -349,7 +335,7 @@ def test_any_shard_member_crash_leaves_no_undecided_transactions(
     assert all(p.finished for p in population._procs), "stuck client"
     assert not site.inflight_processes(), "stuck in-flight interaction"
     registries = [site._table_locks]
-    for repl in site._shard_repls[1:]:
+    for repl in site.repls[1:]:
         registries.append(repl.primary.table_locks)
         registries.extend(r.table_locks for r in repl.replicas)
     for registry in registries:
