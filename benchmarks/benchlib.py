@@ -1,33 +1,22 @@
 """Benchmark support: reduced-grid figure runs with session caching.
 
 The reduced grids and phases themselves live in
-:mod:`repro.harness.perf` so the ``python -m repro perf`` harness and
-these pytest benches time the identical workload; this module adds the
+:mod:`repro.harness.perf` so ``tests/test_golden_fig05.py`` and these
+pytest benches run the identical workload; this module adds the
 pytest-session report cache.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.experiments.common import (
-    Phases,
-    get_app,
-    get_profiles,
-    normalize_configurations,
-)
+from repro.experiments.common import normalize_configurations
 from repro.experiments.registry import FIGURES
-from repro.harness.experiment import ExperimentSpec, run_figure
-from repro.harness.perf import BENCH_GRIDS, bench_grids
-from repro.harness.perf import BENCH_PHASES as _PERF_PHASES
+from repro.harness.experiment import run_figure
+from repro.harness.perf import build_bench_specs
 from repro.metrics.report import ExperimentReport
-from repro.topology.configs import ALL_CONFIGURATIONS
 
-# Kept as Phases objects for callers that index phase fields.
-BENCH_PHASES: Dict[str, Phases] = {
-    app: Phases(*durations) for app, durations in _PERF_PHASES.items()}
-
-__all__ = ["BENCH_GRIDS", "BENCH_PHASES", "bench_grids", "run_bench_figure"]
+__all__ = ["run_bench_figure"]
 
 
 def run_bench_figure(figure_id: str, state: dict,
@@ -45,24 +34,8 @@ def run_bench_figure(figure_id: str, state: dict,
     key = (spec.throughput_figure, configurations)
     if key in state:
         return state[key]
-    app = get_app(spec.app_name)
-    profiles = get_profiles(spec.app_name)
-    mix = app.mix(spec.mix_name)
-    phases = BENCH_PHASES[spec.app_name]
-    grids = bench_grids(figure_id)
-    todo = configurations or tuple(c.name for c in ALL_CONFIGURATIONS)
-    specs_by_config = {}
-    counts_by_config = {}
-    for config in ALL_CONFIGURATIONS:
-        if config.name not in todo:
-            continue
-        specs_by_config[config.name] = ExperimentSpec(
-            config=config, profile=profiles[config.profile_flavor],
-            mix=mix, clients=1, ramp_up=phases.ramp_up,
-            measure=phases.measure, ramp_down=phases.ramp_down,
-            ssl_interactions=app.SSL_INTERACTIONS,
-            app_name=spec.app_name)
-        counts_by_config[config.name] = grids[config.name]
+    specs_by_config, counts_by_config = build_bench_specs(
+        spec, configurations)
     report = run_figure(
         title=spec.title + " [bench grid]",
         workload=f"{spec.app_name}/{spec.mix_name}",

@@ -12,14 +12,12 @@ CPU-utilization bench reuses the sweep of its throughput sibling.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+# The bench modules import ``benchlib`` by its bare name.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from benchlib import BENCH_PHASES, bench_grids, run_bench_figure  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,8 @@ the bulletin-board submission mix through all six configurations on a
 reduced grid and asserts the auction-shaped ordering.
 """
 
-from repro.experiments.common import (
-    BBOARD_SUBMISSION,
-    Phases,
-    run_figure_spec,
-)
+from repro.experiments.common import Phases, run_figure_spec
+from repro.experiments.registry import BBOARD_SUBMISSION
 
 
 def run_bboard(state):

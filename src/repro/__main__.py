@@ -3,39 +3,35 @@
 Commands
 --------
 figures              list the reproducible figures
-figure NN [--full] [--jobs N] [--trace] [--csv PATH]
+figure NN [--full] [--jobs N] [--trace] [--csv PATH] [--config NAME]
                      regenerate one figure by number ("6", "06" and
                      "fig06" all work); ``--trace`` appends bottleneck
                      attribution from request-level tracing
-run FIG [--full] [--jobs N]
-                     regenerate one figure (legacy spelling of ``figure``)
 trace FIG [...]      re-run figure points with request-level tracing;
                      print bottleneck reports, optionally write Chrome
                      trace JSON (see ``trace FIG --help``)
 calibrate            print analytic saturation points vs paper targets
-bboard [--full] [--jobs N]
-                     run the bulletin-board extension experiment
-faults [...]         crash/restart one tier mid-run, report availability
-scale [...]          scale-out experiment: peak throughput vs database
+bboard [--full]      run the bulletin-board extension experiment
+faults [--tier T]    crash/restart one tier mid-run, report availability
+scale [--replicas N] scale-out experiment: peak throughput vs database
                      read replicas (repro.cluster)
-slo [...]            open-loop overload experiment: offered-load sweep
+slo [--no-chaos | --chaos-only]
+                     open-loop overload experiment: offered-load sweep
                      through saturation + flash-crowd/crash chaos run
                      (repro.overload)
-cache [...]          cache-tier experiment: hit rate and throughput vs
-                     cache capacity x node count, with traced
-                     bottleneck-migration verdicts (repro.cache)
-shard [...]          sharding vs replication head-to-head at equal
-                     database box count on the write-lock-bound
-                     ordering mix (repro.shard)
-perf [...]           time a bench grid serial vs parallel; write
-                     BENCH_perf.json
+cache [--mode M] [--granularity G]
+                     cache-tier experiment: hit rate and throughput vs
+                     cache capacity x node count (repro.cache)
+shard                sharding vs replication head-to-head at equal
+                     database box count (repro.shard)
 version              print the package version
 
-Sweep commands accept ``--jobs N`` to fan the independent simulation
-runs out over N worker processes (default: one per CPU; ``--jobs 1``
-is the exact serial legacy path).  Parallel output is bit-identical
-to serial output under pinned seeds.  ``--config NAME`` restricts a
-sweep to named configurations; names are validated up front, so a typo
+The experiment commands share one set of flags, declared once in
+``FLAGS``: ``--app --mix --config --scale --seed --jobs --trace``.
+``--jobs N`` fans the independent simulation runs out over N worker
+processes (default: ``REPRO_JOBS``, else one per CPU; ``--jobs 1`` runs
+in-process); output is bit-identical for every N under pinned seeds.
+``--config`` and ``--mix`` are validated before any work, so a typo
 exits (code 2) with the list of known names instead of costing a run.
 """
 
@@ -43,31 +39,41 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
+
+from repro.apps import APP_NAMES, mix_names
+from repro.topology.spec import (
+    CACHE_GRANULARITIES,
+    CACHE_MODES,
+    validate_config_names,
+)
+
+SCALES = ("tiny", "quick", "full")
+
+#: The flags experiment commands share: one declaration each.  A command
+#: row lists the ones it takes; ``--scale``'s default is per command.
+FLAGS = {
+    "--app": dict(default="bookstore", choices=APP_NAMES),
+    "--mix": dict(action="append", metavar="NAME",
+                  help="workload mix (default: the experiment's choice "
+                       "for the app)"),
+    "--config": dict(action="append", metavar="NAME",
+                     help="configuration to run, or to build the "
+                          "experiment's deployments on (default: the "
+                          "experiment's choice)"),
+    "--scale": dict(choices=SCALES, help="grid size and phase lengths"),
+    "--seed": dict(type=int, default=42),
+    "--jobs": dict(type=int, default=None, metavar="N",
+                   help="worker processes for the sweep (default: "
+                        "REPRO_JOBS, else one per CPU; 1 = in-process)"),
+    "--trace": dict(action="store_true",
+                    help="re-run the experiment's probe points with "
+                         "request tracing; append bottleneck verdicts"),
+    "--full": dict(action="store_true", help="paper-scale grid"),
+}
 
 
-def _reject_invalid_configs(names, paper_only: bool = True) -> bool:
-    """Validate ``--config`` names before any sweep starts.
-
-    Every subcommand calls this first, so a typo costs milliseconds,
-    not a simulation run.  Validation is one grammar for the whole CLI
-    (:func:`repro.topology.spec.validate_config_names`): ``paper_only``
-    commands accept the six paper names, the rest accept any topology
-    name -- ``Ws{2}-Servlet{2}-Cache{2}-DB(1+1)`` and friends -- and
-    print the grammar on error.  Returns True when something was
-    rejected (the caller exits 2).
-    """
-    if not names:
-        return False
-    from repro.topology.spec import validate_config_names
-    errors = validate_config_names(names, paper_only=paper_only)
-    if not errors:
-        return False
-    for line in errors:
-        print(line, file=sys.stderr)
-    return True
-
-
-def _cmd_figures(__args) -> int:
+def _figures(__args) -> int:
     from repro.experiments.registry import FIGURES
     print("figure  kind        workload")
     for figure_id in sorted(FIGURES):
@@ -77,167 +83,158 @@ def _cmd_figures(__args) -> int:
     return 0
 
 
-def _cmd_figure(args) -> int:
-    from repro.experiments.registry import (
-        FIGURES,
-        normalize_figure_id,
-        render_figure,
-        run_figure_spec,
-    )
-    configurations = tuple(getattr(args, "config", None) or ()) or None
-    if _reject_invalid_configs(configurations):
-        return 2
+def _figure(args) -> int:
+    from repro.experiments import registry
     try:
-        figure_id = normalize_figure_id(args.figure)
+        figure_id = registry.normalize_figure_id(args.figure)
     except KeyError:
         print(f"unknown figure {args.figure!r}; try 'python -m repro "
               f"figures'", file=sys.stderr)
         return 2
-    print(render_figure(figure_id, full=args.full, jobs=args.jobs,
-                        trace=getattr(args, "trace", False),
-                        configurations=configurations))
-    if getattr(args, "csv", None):
-        spec, __ = FIGURES[figure_id]
-        run_figure_spec(spec, full=args.full, jobs=args.jobs,
-                        configurations=configurations) \
-            .save_csv(args.csv)
+    sweep = dict(full=args.full, jobs=args.jobs, configurations=args.config)
+    print(registry.render_figure(figure_id, trace=args.trace, **sweep))
+    if args.csv:
+        registry.run_figure(figure_id, **sweep).save_csv(args.csv)
         print(f"\n[csv written to {args.csv}]")
     return 0
 
 
-def _cmd_trace(args) -> int:
+def _trace(args) -> int:
     from repro.experiments.trace import main as trace_main
     trace_main(args.trace_args)
     return 0
 
 
-def _cmd_calibrate(__args) -> int:
+def _calibrate(__args) -> int:
     from repro.harness.calibrate import calibration_report
     print(calibration_report())
     return 0
 
 
-def _cmd_bboard(args) -> int:
+def _version(__args) -> int:
+    import repro
+    print(repro.__version__)
+    return 0
+
+
+def _bboard(args) -> int:
     from repro.experiments.ext_bboard import render
     print(render(full=args.full, jobs=args.jobs))
     return 0
 
 
-def _cmd_faults(args) -> int:
-    configurations = tuple(args.config) if args.config else None
-    if _reject_invalid_configs(configurations):
-        return 2
-    from repro.experiments.common import default_mix
-    from repro.experiments.ext_failover import render
-    mix_name = args.mix or default_mix(args.app)
-    print(render(tier=args.tier, scale=args.scale, app_name=args.app,
-                 mix_name=mix_name, seed=args.seed, jobs=args.jobs,
-                 configurations=configurations))
+def _experiment(args, **kwargs) -> int:
+    """Print an extension experiment: the arguments every ``render``
+    takes, plus the command's own."""
+    module = import_module(f"repro.experiments.{args.module}")
+    print(module.render(scale=args.scale, app_name=args.app, seed=args.seed,
+                        jobs=args.jobs, **kwargs))
     return 0
 
 
-def _cmd_scale(args) -> int:
-    if args.config is not None and _reject_invalid_configs((args.config,)):
-        return 2
-    from repro.experiments.ext_scaleout import DEFAULT_MIXES, render
-    mixes = tuple(args.mix) if args.mix else (
-        DEFAULT_MIXES if args.app == "bookstore"
-        else ({"auction": ("bidding",),
-               "bboard": ("submission",)}[args.app]))
-    bases = ({mix: args.config for mix in mixes}
-             if args.config is not None else None)
-    print(render(scale=args.scale, app_name=args.app, mix_names=mixes,
-                 base_configs=bases,
-                 replica_counts=(tuple(args.replicas)
-                                 if args.replicas else None),
-                 seed=args.seed, jobs=args.jobs, trace=args.trace))
-    return 0
+def _faults(args) -> int:
+    return _experiment(args, tier=args.tier, mix_name=args.mix[0],
+                       configurations=args.config)
 
 
-def _cmd_slo(args) -> int:
-    configurations = tuple(args.config) if args.config else None
-    if _reject_invalid_configs(configurations):
-        return 2
-    from repro.experiments.common import default_mix
-    from repro.experiments.ext_slo import render
-    mix_name = args.mix or default_mix(args.app)
-    print(render(scale=args.scale, app_name=args.app, mix_name=mix_name,
-                 seed=args.seed, jobs=args.jobs,
-                 configurations=configurations,
-                 chaos=not args.no_chaos, sweep=not args.chaos_only))
-    return 0
+def _scale(args) -> int:
+    return _experiment(args, mix_names=args.mix, base_name=args.config,
+                       replica_counts=args.replicas, trace=args.trace)
 
 
-def _cmd_cache(args) -> int:
-    # The base may be any topology name (the tier composes with web/
-    # servlet pools and read replicas), so the full grammar applies.
-    if args.config is not None and \
-            _reject_invalid_configs((args.config,), paper_only=False):
-        return 2
-    from repro.experiments.ext_cache import DEFAULT_MIXES, render
-    mixes = tuple(args.mix) if args.mix else (
-        DEFAULT_MIXES if args.app == "bookstore"
-        else ({"auction": ("browsing",),
-               "bboard": ("reading",)}[args.app]))
-    bases = ({mix: args.config for mix in mixes}
-             if args.config is not None else None)
-    print(render(scale=args.scale, app_name=args.app, mix_names=mixes,
-                 base_configs=bases, mode=args.mode,
-                 granularity=args.granularity, seed=args.seed,
-                 jobs=args.jobs, trace=args.trace))
-    return 0
+def _slo(args) -> int:
+    return _experiment(args, mix_name=args.mix[0],
+                       configurations=args.config,
+                       chaos=not args.no_chaos, sweep=not args.chaos_only)
 
 
-def _cmd_shard(args) -> int:
-    if args.config is not None and _reject_invalid_configs((args.config,)):
-        return 2
-    from repro.experiments.ext_shard import DEFAULT_BASE, DEFAULT_MIX, render
-    mix = args.mix or {"bookstore": DEFAULT_MIX, "auction": "bidding",
-                       "bboard": "submission"}[args.app]
-    print(render(scale=args.scale, app_name=args.app, mix_name=mix,
-                 base_name=args.config or DEFAULT_BASE,
-                 seed=args.seed, jobs=args.jobs, trace=args.trace))
-    return 0
+def _cache(args) -> int:
+    return _experiment(args, mix_names=args.mix, base_name=args.config,
+                       mode=args.mode, granularity=args.granularity,
+                       trace=args.trace)
 
 
-def _cmd_perf(args) -> int:
-    from repro.harness.perf import render_perf, run_perf, run_ratchet
-    configurations = tuple(args.config) if args.config else None
-    if _reject_invalid_configs(configurations):
-        return 2
-    if args.ratchet:
-        result = run_ratchet(figure_id=args.figure)
-        print(f"perf ratchet: {result['config']}@{result['clients']} "
-              f"best of {result['reps']}: {result['events_per_sec']:,} "
-              f"events/s (wall {result['best_wall_s']} s)")
-        baseline = result["baseline"]
-        if baseline is None:
-            print("  no committed baseline; nothing to ratchet against")
-            return 0
-        print(f"  baseline {baseline['events_per_sec']:,} events/s "
-              f"({baseline['source']}): {result['ratio_vs_baseline']}x "
-              f"(floor {result['floor']}x)")
-        if not result["ok"]:
-            print("ERROR: kernel rate regressed below the ratchet floor",
-                  file=sys.stderr)
-            return 1
-        return 0
-    result = run_perf(figure_id=args.figure, jobs=args.jobs,
-                      out_path=args.out, configurations=configurations)
-    print(render_perf(result))
-    if args.out:
-        print(f"\n[perf data written to {args.out}]")
-    if result["parallel_identical_to_serial"] is False:
-        print("ERROR: parallel sweep output differs from serial output",
-              file=sys.stderr)
-        return 1
-    return 0
+def _shard(args) -> int:
+    return _experiment(args, mix_name=args.mix[0], base_name=args.config,
+                       trace=args.trace)
 
 
-def _cmd_version(__args) -> int:
-    import repro
-    print(repro.__version__)
-    return 0
+_EXPERIMENT = ("--app", "--mix", "--config", "--scale", "--seed", "--jobs")
+
+#: One row per command: its handler, help text, the shared ``flags`` it
+#: takes, its own ``args``, and -- every other key -- parser defaults.
+#: An experiment row sets ``scale`` (its default ``--scale``), ``module``
+#: (the experiment module, whose ``DEFAULT_MIXES[app]`` is the default
+#: ``--mix``), ``one_mix`` / ``one_config`` (the command takes a single
+#: mix / a single base configuration, not a repeatable list) and
+#: ``any_topology`` (``--config`` accepts the whole topology grammar, not
+#: just the six paper names).
+COMMANDS = {
+    "figures": dict(func=_figures, help="list reproducible figures"),
+    "figure": dict(
+        func=_figure, help="regenerate one figure by id or number",
+        flags=("--full", "--trace", "--config", "--jobs"),
+        args={"figure": dict(help="figure id: 6, 06 and fig06 all work"),
+              "--csv": dict(metavar="PATH",
+                            help="also write the sweep data as CSV")}),
+    "trace": dict(
+        func=_trace, help="re-run figure points with request-level "
+                          "tracing and print bottleneck attribution",
+        args={"trace_args": dict(
+            nargs=argparse.REMAINDER, metavar="FIG [options]",
+            help="arguments for the tracer; run 'python -m repro trace "
+                 "fig06 --help' for the full list")}),
+    "calibrate": dict(func=_calibrate,
+                      help="analytic demands vs paper targets"),
+    "bboard": dict(func=_bboard, help="bulletin-board extension experiment",
+                   flags=("--full", "--jobs")),
+    "faults": dict(
+        func=_faults, help="failover experiment: crash and restart one "
+                           "tier mid-run for all six configurations",
+        flags=_EXPERIMENT, scale="quick", module="ext_failover",
+        one_mix=True,
+        args={"--tier": dict(default="db",
+                             choices=("web", "servlet", "ejb", "db"),
+                             help="tier to crash (default: db)")}),
+    "scale": dict(
+        func=_scale, help="scale-out experiment: peak throughput vs "
+                          "database read replicas for CPU-bound and "
+                          "lock-bound mixes",
+        flags=_EXPERIMENT + ("--trace",), scale="quick",
+        module="ext_scaleout", one_config=True,
+        args={"--replicas": dict(
+            action="append", type=int, metavar="N",
+            help="replica count to sweep (repeatable; default: the "
+                 "scale level's grid)")}),
+    "slo": dict(
+        func=_slo, help="open-loop overload experiment: goodput/latency "
+                        "vs offered load through saturation, plus a "
+                        "flash-crowd + replica-crash chaos run",
+        flags=_EXPERIMENT, scale="tiny", module="ext_slo", one_mix=True,
+        args={"--no-chaos": dict(
+                  action="store_true",
+                  help="skip the flash-crowd + crash scenario"),
+              "--chaos-only": dict(action="store_true",
+                                   help="run only the chaos scenario")}),
+    "cache": dict(
+        func=_cache, help="cache-tier experiment: hit rate and throughput "
+                          "vs cache capacity x node count, with traced "
+                          "bottleneck-migration verdicts",
+        flags=_EXPERIMENT + ("--trace",), scale="tiny", module="ext_cache",
+        one_config=True, any_topology=True,
+        args={"--mode": dict(default="sharded", choices=CACHE_MODES,
+                             help="key placement across cache nodes"),
+              "--granularity": dict(
+                  default="key", choices=CACHE_GRANULARITIES,
+                  help="invalidation granularity on writes")}),
+    "shard": dict(
+        func=_shard, help="sharding vs replication head-to-head: spend "
+                          "the same database box budget as read "
+                          "replicas, shard primaries, or both",
+        flags=_EXPERIMENT + ("--trace",), scale="quick",
+        module="ext_shard", one_mix=True, one_config=True),
+    "version": dict(func=_version, help="print version"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,202 +242,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduction of Cecchet et al., Middleware 2003")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("figures", help="list reproducible figures") \
-        .set_defaults(func=_cmd_figures)
-
-    def add_jobs_argument(cmd_parser) -> None:
-        from repro.harness.parallel import default_jobs
-        cmd_parser.add_argument(
-            "--jobs", type=int, default=default_jobs(), metavar="N",
-            help="worker processes for the sweep (default: one per CPU, "
-                 "honoring REPRO_JOBS; 1 = exact serial legacy path)")
-
-    figure = sub.add_parser(
-        "figure", help="regenerate one figure by id or number")
-    figure.add_argument("figure",
-                        help="figure id: 6, 06 and fig06 all work")
-    figure.add_argument("--full", action="store_true",
-                        help="paper-scale grid")
-    figure.add_argument("--trace", action="store_true",
-                        help="re-run each configuration's peak with "
-                             "request tracing; append bottleneck "
-                             "attribution")
-    figure.add_argument("--csv", metavar="PATH",
-                        help="also write the sweep data as CSV")
-    figure.add_argument("--config", action="append", metavar="NAME",
-                        help="restrict the sweep to one configuration "
-                             "(repeatable; default: all six)")
-    add_jobs_argument(figure)
-    figure.set_defaults(func=_cmd_figure)
-
-    run = sub.add_parser("run",
-                         help="regenerate one figure (alias of 'figure')")
-    run.add_argument("figure", help="figure id, e.g. fig05")
-    run.add_argument("--full", action="store_true",
-                     help="paper-scale grid")
-    add_jobs_argument(run)
-    run.set_defaults(func=_cmd_figure)
-
-    trace = sub.add_parser(
-        "trace", help="re-run figure points with request-level tracing "
-                      "and print bottleneck attribution")
-    trace.add_argument("trace_args", nargs=argparse.REMAINDER,
-                       metavar="FIG [options]",
-                       help="arguments for the tracer; run 'python -m "
-                            "repro trace fig06 --help' for the full list")
-    trace.set_defaults(func=_cmd_trace)
-
-    sub.add_parser("calibrate", help="analytic demands vs paper targets") \
-        .set_defaults(func=_cmd_calibrate)
-
-    bboard = sub.add_parser("bboard",
-                            help="bulletin-board extension experiment")
-    bboard.add_argument("--full", action="store_true")
-    add_jobs_argument(bboard)
-    bboard.set_defaults(func=_cmd_bboard)
-
-    faults = sub.add_parser(
-        "faults", help="failover experiment: crash and restart one tier "
-                       "mid-run for all six configurations")
-    faults.add_argument("--tier", default="db",
-                        choices=("web", "servlet", "ejb", "db"),
-                        help="tier to crash (default: db)")
-    faults.add_argument("--scale", default="quick",
-                        choices=("tiny", "quick", "full"))
-    faults.add_argument("--app", default="bookstore",
-                        choices=("bookstore", "auction", "bboard"))
-    faults.add_argument("--mix", default=None,
-                        help="workload mix (default: app's headline mix)")
-    faults.add_argument("--seed", type=int, default=42)
-    faults.add_argument("--config", action="append", metavar="NAME",
-                        help="restrict to one configuration "
-                             "(repeatable; default: all six)")
-    add_jobs_argument(faults)
-    faults.set_defaults(func=_cmd_faults)
-
-    scale = sub.add_parser(
-        "scale", help="scale-out experiment: peak throughput vs database "
-                      "read replicas for CPU-bound and lock-bound mixes")
-    scale.add_argument("--app", default="bookstore",
-                       choices=("bookstore", "auction", "bboard"))
-    scale.add_argument("--mix", action="append", metavar="NAME",
-                       help="workload mix (repeatable; default: shopping "
-                            "and ordering for the bookstore)")
-    scale.add_argument("--config", default=None, metavar="NAME",
-                       help="base paper configuration to cluster for "
-                            "every mix (default: per-mix choices)")
-    scale.add_argument("--replicas", action="append", type=int,
-                       metavar="N",
-                       help="replica count to sweep (repeatable; "
-                            "default: the scale level's grid)")
-    scale.add_argument("--scale", default="quick",
-                       choices=("tiny", "quick", "full"))
-    scale.add_argument("--trace", action="store_true",
-                       help="re-run each replica count's peak with "
-                            "request tracing; append the bottleneck "
-                            "verdict")
-    scale.add_argument("--seed", type=int, default=42)
-    add_jobs_argument(scale)
-    scale.set_defaults(func=_cmd_scale)
-
-    slo = sub.add_parser(
-        "slo", help="open-loop overload experiment: goodput/latency vs "
-                    "offered load through saturation, plus a flash-"
-                    "crowd + replica-crash chaos run")
-    slo.add_argument("--scale", default="tiny",
-                     choices=("tiny", "quick", "full"))
-    slo.add_argument("--app", default="bookstore",
-                     choices=("bookstore", "auction", "bboard"))
-    slo.add_argument("--mix", default=None,
-                     help="workload mix (default: app's headline mix)")
-    slo.add_argument("--seed", type=int, default=42)
-    slo.add_argument("--config", action="append", metavar="NAME",
-                     help="restrict the sweep to one configuration "
-                          "(repeatable; default: all six)")
-    slo.add_argument("--no-chaos", action="store_true",
-                     help="skip the flash-crowd + crash scenario")
-    slo.add_argument("--chaos-only", action="store_true",
-                     help="run only the chaos scenario")
-    add_jobs_argument(slo)
-    slo.set_defaults(func=_cmd_slo)
-
-    cache = sub.add_parser(
-        "cache", help="cache-tier experiment: hit rate and throughput "
-                      "vs cache capacity x node count, with traced "
-                      "bottleneck-migration verdicts")
-    cache.add_argument("--app", default="bookstore",
-                       choices=("bookstore", "auction", "bboard"))
-    cache.add_argument("--mix", action="append", metavar="NAME",
-                       help="workload mix (repeatable; default: browsing "
-                            "and shopping for the bookstore)")
-    cache.add_argument("--config", default=None, metavar="NAME",
-                       help="base configuration to put the cache tier in "
-                            "front of -- any topology name works, e.g. "
-                            "Ws{2}-Servlet{2}-DB(1+1) "
-                            "(default: per-mix choices)")
-    from repro.topology.spec import CACHE_GRANULARITIES, CACHE_MODES
-    cache.add_argument("--mode", default="sharded", choices=CACHE_MODES,
-                       help="key placement across cache nodes")
-    cache.add_argument("--granularity", default="key",
-                       choices=CACHE_GRANULARITIES,
-                       help="invalidation granularity on writes")
-    cache.add_argument("--scale", default="tiny",
-                       choices=("tiny", "quick", "full"))
-    cache.add_argument("--trace", action="store_true",
-                       help="re-run each mix's baseline and best cached "
-                            "point with request tracing; append both "
-                            "bottleneck verdicts")
-    cache.add_argument("--seed", type=int, default=42)
-    add_jobs_argument(cache)
-    cache.set_defaults(func=_cmd_cache)
-
-    shard = sub.add_parser(
-        "shard", help="sharding vs replication head-to-head: spend the "
-                      "same database box budget as read replicas, shard "
-                      "primaries, or both (repro.shard)")
-    shard.add_argument("--app", default="bookstore",
-                       choices=("bookstore", "auction", "bboard"))
-    shard.add_argument("--mix", default=None, metavar="NAME",
-                       help="workload mix (default: ordering for the "
-                            "bookstore)")
-    shard.add_argument("--config", default=None, metavar="NAME",
-                       help="base paper configuration to partition "
-                            "(default: Ws-Servlet-DB)")
-    shard.add_argument("--scale", default="quick",
-                       choices=("tiny", "quick", "full"))
-    shard.add_argument("--trace", action="store_true",
-                       help="re-run each arm at the probe points with "
-                            "request tracing; append verdicts, lock "
-                            "shares, and 2PC counters")
-    shard.add_argument("--seed", type=int, default=42)
-    add_jobs_argument(shard)
-    shard.set_defaults(func=_cmd_shard)
-
-    perf = sub.add_parser(
-        "perf", help="time one figure's bench grid serial vs parallel "
-                     "and write BENCH_perf.json")
-    perf.add_argument("--figure", default="fig05",
-                      help="throughput figure id (default: fig05)")
-    perf.add_argument("--config", action="append", metavar="NAME",
-                      help="restrict to one configuration (repeatable)")
-    perf.add_argument("--ratchet", action="store_true",
-                      help="CI mode: best-of-3 single-point kernel rate "
-                           "vs the committed BENCH_perf.json; exit 1 "
-                           "below 0.9x")
-    perf.add_argument("--out", default="BENCH_perf.json",
-                      help="output path (default: BENCH_perf.json; "
-                           "'' to skip writing)")
-    add_jobs_argument(perf)
-    perf.set_defaults(func=_cmd_perf)
-
-    sub.add_parser("version", help="print version") \
-        .set_defaults(func=_cmd_version)
+    for name, row in COMMANDS.items():
+        defaults = dict(row)
+        text = defaults.pop("help")
+        cmd = sub.add_parser(name, help=text, description=text)
+        for flag in defaults.pop("flags", ()):
+            cmd.add_argument(flag, **FLAGS[flag])
+        for arg, spec in defaults.pop("args", {}).items():
+            cmd.add_argument(arg, **spec)
+        cmd.set_defaults(**defaults)
     return parser
+
+
+def _problem(args):
+    """Validate ``--config`` / ``--mix`` / ``REPRO_JOBS`` and fill the
+    per-command defaults, before any application is built.  Returns the
+    error text (the caller exits 2) or None."""
+    for flag, one in (("config", "one_config"), ("mix", "one_mix")):
+        if getattr(args, one, False) and len(getattr(args, flag) or ()) > 1:
+            return f"takes one --{flag}"
+    if getattr(args, "config", None):
+        errors = validate_config_names(
+            args.config, paper_only=not getattr(args, "any_topology", False))
+        if errors:
+            return "\n".join(errors)
+        args.config = (args.config[0] if getattr(args, "one_config", False)
+                       else tuple(args.config))
+    if hasattr(args, "module"):
+        known = mix_names(args.app)
+        for mix in args.mix or ():
+            if mix not in known:
+                return (f"unknown {args.app} mix {mix!r}; "
+                        f"have {', '.join(known)}")
+        module = import_module(f"repro.experiments.{args.module}")
+        args.mix = tuple(args.mix or module.DEFAULT_MIXES[args.app])
+    if getattr(args, "jobs", 0) is None:
+        from repro.harness.parallel import default_jobs
+        try:
+            args.jobs = default_jobs()
+        except ValueError as exc:
+            return str(exc)
+    return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _problem(args)
+    if problem is not None:
+        print(f"repro {args.command}: error: {problem}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 from repro.apps.base import ARCHITECTURES, BenchmarkApp
 
 __all__ = ["ARCHITECTURES", "APP_NAMES", "BenchmarkApp", "build_app",
-           "clear_app_cache"]
+           "clear_app_cache", "mix_names"]
 
 APP_NAMES = ("bookstore", "auction", "bboard")
 
@@ -38,6 +38,12 @@ def _resolve(app_name: str) -> Tuple[type, object]:
                    f"have {list(APP_NAMES)}")
 
 
+def mix_names(app_name: str) -> Tuple[str, ...]:
+    """The application's mix names, read off its class -- no database
+    is built (the CLI validates ``--mix`` with this before any work)."""
+    return tuple(sorted(_resolve(app_name)[0].MIXES))
+
+
 def build_app(app_name: str, arch: Optional[str] = None, *,
               cluster=None, database=None, **db_kwargs):
     """Build (or fetch the cached) application, optionally deployed.
@@ -50,7 +56,7 @@ def build_app(app_name: str, arch: Optional[str] = None, *,
     end, or ``(presentation, container)`` for ejb.
 
     ``cluster`` deploys a pool instead: pass a
-    :class:`repro.cluster.ClusterSpec` (the ``gen`` count is used) or a
+    :class:`repro.topology.spec.TopologySpec` (the ``gen`` count is used) or a
     plain int, and the second element of the pair becomes the *list* of
     independent deployments over the shared database
     (:meth:`~repro.apps.base.BenchmarkApp.deploy_pool`).

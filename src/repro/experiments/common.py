@@ -1,9 +1,10 @@
-"""Shared machinery for figure experiments: profile caches, grids, runs.
+"""Shared machinery for figure experiments: grids, phases, cached runs.
 
 The declarative figure entries themselves (BOOKSTORE_SHOPPING, ...) live
 in :mod:`repro.experiments.registry`; this module holds the engine that
-interprets them.  The old spec-constant names are still importable from
-here for back compatibility (module ``__getattr__`` forwards them).
+interprets them.  The spec builder (:func:`point_spec`) and the profile
+cache (:func:`get_profiles`) live in :mod:`repro.harness` and are
+re-exported here for the experiment drivers.
 """
 
 from __future__ import annotations
@@ -12,38 +13,16 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.apps import build_app
-from repro.harness.experiment import ExperimentSpec, run_figure
-from repro.harness.profiles import AppProfile, profile_all_flavors
+from repro.harness.experiment import Phases, point_spec, run_figure
+from repro.harness.profiles import get_profiles
 from repro.metrics.report import ExperimentReport
-from repro.topology.configs import ALL_CONFIGURATIONS, Configuration
+from repro.topology.configs import ALL_CONFIGURATIONS
 
-# Profiles are expensive to capture (the EJB best-sellers walk in
-# particular), so they are cached per process.  Apps themselves are
-# cached inside repro.apps.build_app.
-_PROFILE_CACHE: Dict[str, Dict[str, AppProfile]] = {}
 _REPORT_CACHE: Dict[tuple, ExperimentReport] = {}
 
 
 def get_app(app_name: str):
     return build_app(app_name)
-
-
-def get_profiles(app_name: str, repetitions: int = 3) -> Dict[str, AppProfile]:
-    profiles = _PROFILE_CACHE.get(app_name)
-    if profiles is None:
-        profiles = profile_all_flavors(get_app(app_name),
-                                       repetitions=repetitions)
-        _PROFILE_CACHE[app_name] = profiles
-    return profiles
-
-
-@dataclass(frozen=True)
-class Phases:
-    """Experiment phase durations (virtual seconds)."""
-
-    ramp_up: float
-    measure: float
-    ramp_down: float
 
 
 # The paper's phases are 1/20/1 min (bookstore) and 5/30/5 min (auction).
@@ -106,25 +85,15 @@ def build_figure_specs(spec: FigureSpec, full: bool = False,
     Shared by :func:`run_figure_spec` and the tracing CLI, which needs
     the per-configuration ExperimentSpec to re-run individual points.
     """
-    app = get_app(spec.app_name)
-    profiles = get_profiles(spec.app_name)
-    mix = app.mix(spec.mix_name)
     if phases is None:
         phases = (PAPER_PHASES if full else QUICK_PHASES)[spec.app_name]
     todo = configurations or tuple(c.name for c in ALL_CONFIGURATIONS)
-    specs_by_config = {}
-    counts_by_config = {}
-    for config in ALL_CONFIGURATIONS:
-        if config.name not in todo:
-            continue
-        specs_by_config[config.name] = ExperimentSpec(
-            config=config, profile=profiles[config.profile_flavor],
-            mix=mix, clients=1,
-            ramp_up=phases.ramp_up, measure=phases.measure,
-            ramp_down=phases.ramp_down, seed=seed,
-            ssl_interactions=app.SSL_INTERACTIONS,
-            app_name=spec.app_name)
-        counts_by_config[config.name] = spec.grid_for(config.name, full)
+    specs_by_config = {
+        config.name: point_spec(spec.app_name, spec.mix_name, config, 1,
+                                phases, seed)
+        for config in ALL_CONFIGURATIONS if config.name in todo}
+    counts_by_config = {name: spec.grid_for(name, full)
+                        for name in specs_by_config}
     return specs_by_config, counts_by_config
 
 
@@ -135,10 +104,8 @@ def run_figure_spec(spec: FigureSpec, full: bool = False,
                     jobs: Optional[int] = None) -> ExperimentReport:
     """Run (or reuse) the sweep behind one figure pair.
 
-    ``jobs`` selects the sweep runner: None/1 is the serial legacy
-    path, > 1 fans the whole figure grid out over a process pool
-    (repro.harness.parallel).  Both produce bit-identical reports
-    under pinned seeds, so the cache key ignores ``jobs``.
+    Reports are bit-identical for every ``jobs`` under pinned seeds,
+    so the cache key ignores it.
     """
     configurations = normalize_configurations(configurations)
     cache_key = (spec.throughput_figure, full, configurations, phases, seed)
@@ -157,60 +124,21 @@ def run_figure_spec(spec: FigureSpec, full: bool = False,
     return report
 
 
-# Each application's headline mix: what an extension experiment sweeps
-# when the caller does not pick one.
-DEFAULT_MIX = {"bookstore": "shopping", "auction": "bidding",
-               "bboard": "submission"}
+# Each application's headline mix: the ``DEFAULT_MIXES`` of the
+# extension experiments that have no workload-specific choice of their
+# own (``slo``, ``faults``).
+HEADLINE_MIXES = {"bookstore": ("shopping",), "auction": ("bidding",),
+                  "bboard": ("submission",)}
 
 
-def default_mix(app_name: str) -> str:
-    """The headline mix for ``app_name`` (KeyError on unknown apps)."""
-    return DEFAULT_MIX[app_name]
-
-
-def run_keyed_tasks(task_fn, tasks, keys, jobs=None, app_names=()):
-    """Fan ``tasks`` out over the process pool and group the results.
-
-    ``keys[i]`` labels ``tasks[i]``; the return value maps each key to
-    the list of results for its tasks, preserving first-appearance
-    order of keys and serial task order within each key -- so the
-    grouped output is bit-identical whether the pool ran with 1 or N
-    workers.  This is the shared sweep scaffold of the extension
-    experiments (scale-out, SLO, cache): build a flat task list with
-    parallel labels, hand both here, and render from the groups.
-    """
-    if len(tasks) != len(keys):
-        raise ValueError(f"{len(tasks)} tasks but {len(keys)} keys")
-    from repro.harness.parallel import parallel_map
-    results = parallel_map(task_fn, tasks, jobs=jobs, app_names=app_names)
+def group_by_key(keys, values) -> dict:
+    """``keys[i]`` labels ``values[i]``: map each key to the list of its
+    values, keys in first-appearance order, values in input order --
+    how a flat ``run_points`` result becomes a report's rows."""
+    if len(values) != len(keys):
+        raise ValueError(f"{len(values)} values but {len(keys)} keys")
     grouped = {}
-    for key, result in zip(keys, results):
-        grouped.setdefault(key, []).append(result)
+    for key, value in zip(keys, values):
+        grouped.setdefault(key, []).append(value)
     return grouped
 
-
-def clear_caches() -> None:
-    """Forget cached apps/profiles/reports (tests use this)."""
-    from repro.apps import clear_app_cache
-    _PROFILE_CACHE.clear()
-    _REPORT_CACHE.clear()
-    clear_app_cache()
-
-
-# -- back compatibility --------------------------------------------------------
-#
-# The declarative spec constants moved to repro.experiments.registry;
-# importing them from here keeps working (lazily, so the two modules
-# can import each other without a cycle).
-
-_MOVED_TO_REGISTRY = ("BOOKSTORE_SHOPPING", "BOOKSTORE_BROWSING",
-                      "BOOKSTORE_ORDERING", "AUCTION_BIDDING",
-                      "AUCTION_BROWSING", "BBOARD_SUBMISSION",
-                      "ALL_FIGURE_SPECS")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_REGISTRY:
-        from repro.experiments import registry
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

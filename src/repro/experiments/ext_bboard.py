@@ -7,16 +7,13 @@ to the auction site."  This module runs the bulletin board through the
 same six configurations and prints the comparison, so the prediction is
 checked rather than assumed.
 
-Run:  python -m repro.experiments.ext_bboard [--full]
+Run:  python -m repro bboard [--full]
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    AUCTION_BIDDING,
-    BBOARD_SUBMISSION,
-    run_figure_spec,
-)
+from repro.experiments.common import run_figure_spec
+from repro.experiments.registry import AUCTION_BIDDING, BBOARD_SUBMISSION
 
 
 def run(full: bool = False, jobs=None):
@@ -43,15 +40,3 @@ def render(full: bool = False, jobs=None) -> str:
                  "the front end (not the database) saturates.")
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Bulletin-board extension experiment")
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default: "
-                             "serial; 0 = one per CPU)")
-    args = parser.parse_args()
-    print(render(full=args.full, jobs=args.jobs))

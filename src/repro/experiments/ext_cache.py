@@ -29,26 +29,25 @@ side by side: the bottleneck-migration statement, derived from spans
 rather than asserted.
 
 Run:  python -m repro cache [--scale tiny|quick|full] [--trace]
-      (or python -m repro.experiments.ext_cache)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import get_app, get_profiles, run_keyed_tasks
-from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.topology.spec import CACHE_GRANULARITIES, CACHE_MODES, \
-    TopologySpec, parse_topology, topology
+from repro.experiments.common import group_by_key
+from repro.harness.experiment import point_spec, run_experiment
+from repro.harness.parallel import run_points
+from repro.topology.spec import TopologySpec, parse_topology, topology
 
 #: Default base configuration per bookstore mix: browsing is the
 #: read-dominated showcase, shopping the write-limited contrast (on the
 #: sync flavor, whose explicit locking the cache must coexist with).
 DEFAULT_BASES = {"browsing": "Ws-Servlet-DB",
                  "shopping": "Ws-Servlet-DB(sync)"}
-DEFAULT_MIXES = ("browsing", "shopping")
+DEFAULT_MIXES = {"bookstore": ("browsing", "shopping"),
+                 "auction": ("browsing",), "bboard": ("reading",)}
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,10 @@ def config_for(base_name: str, nodes: int, size_mb: float,
     spec = topo if topo is not None else TopologySpec()
     root = base.base_configuration if topo is not None else base
     if nodes <= 0 or size_mb <= 0:
-        spec = dc_replace(spec, cache_nodes=0)
+        spec = replace(spec, cache_nodes=0)
     else:
-        spec = dc_replace(spec, cache_nodes=nodes, cache_mode=mode,
-                          cache_mb=size_mb, cache_granularity=granularity)
+        spec = replace(spec, cache_nodes=nodes, cache_mode=mode,
+                       cache_mb=size_mb, cache_granularity=granularity)
     return topology(root, spec)
 
 
@@ -146,25 +145,12 @@ class CacheRow:
         return self.nodes > 0 and self.size_mb > 0
 
 
-def _cache_task(task) -> CacheRow:
-    """Worker entry: ships only names and scalars; profiles rehydrate
-    from the worker's warm cache."""
-    (app_name, mix_name, base_name, nodes, size_mb, mode, granularity,
-     clients, ramp_up, measure, ramp_down, seed, trace) = task
-    app = get_app(app_name)
-    config = config_for(base_name, nodes, size_mb, mode, granularity)
-    profile = get_profiles(app_name)[config.profile_flavor]
-    point = run_experiment(ExperimentSpec(
-        config=config, profile=profile, mix=app.mix(mix_name),
-        clients=clients, ramp_up=ramp_up, measure=measure,
-        ramp_down=ramp_down, seed=seed,
-        ssl_interactions=app.SSL_INTERACTIONS, app_name=app_name,
-        trace=trace))
+def _cache_row(spec, nodes: int, size_mb: float, point) -> CacheRow:
+    """Fold one point (and its ``point.cache`` snapshot) into a row."""
     row = CacheRow(
-        configuration=config.name, nodes=nodes, size_mb=size_mb,
-        clients=clients, throughput_ipm=point.throughput_ipm,
-        db_busy=point.cpu.database,
-        bottleneck=getattr(point, "bottleneck", None))
+        configuration=spec.config.name, nodes=nodes, size_mb=size_mb,
+        clients=spec.clients, throughput_ipm=point.throughput_ipm,
+        db_busy=point.cpu.database)
     stats = getattr(point, "cache", None)
     if stats is not None:
         row.query_hit_rate = stats.query_hit_rate
@@ -236,8 +222,8 @@ class CacheReport:
 
 
 def run_cache(app_name: str = "bookstore",
-              mix_names: Tuple[str, ...] = DEFAULT_MIXES,
-              base_configs: Optional[Dict[str, str]] = None,
+              mix_names: Tuple[str, ...] = DEFAULT_MIXES["bookstore"],
+              base_name: Optional[str] = None,
               scale: str = "tiny",
               mode: str = "sharded",
               granularity: str = "key",
@@ -246,114 +232,48 @@ def run_cache(app_name: str = "bookstore",
               trace: bool = False) -> CacheReport:
     """The full experiment: every mix through the capacity x node grid.
 
-    ``base_configs`` maps mix name to the paper configuration to put
-    the tier in front of (defaults: :data:`DEFAULT_BASES`, falling
-    back to ``Ws-Servlet-DB``).  ``jobs`` > 1 fans the independent
-    simulations over a process pool; results are merged in serial
-    order, bit-identical to the serial path.  ``trace`` additionally
-    re-runs each mix's baseline and best cached point with request-
-    level tracing (serial) and records both verdicts -- the
-    bottleneck-migration statement.
+    ``base_name`` is the configuration to put the tier in front of for
+    every mix (default: per mix from :data:`DEFAULT_BASES`, falling
+    back to ``Ws-Servlet-DB``).  The independent points run through
+    ``run_points``; ``trace`` additionally re-runs each mix's baseline
+    and best cached point with request-level tracing and records both
+    verdicts -- the bottleneck-migration statement.
     """
     if scale not in SCALES:
         raise KeyError(f"unknown scale {scale!r}; have {sorted(SCALES)}")
     timeline = SCALES[scale]
-    bases = dict(DEFAULT_BASES)
-    if base_configs:
-        bases.update(base_configs)
+    grid = [(0, 0.0)] + [(n, mb) for mb in timeline.sizes_mb if mb > 0
+                         for n in timeline.node_counts]
 
-    tasks = []
-    keys = []
+    specs = []
+    cells = []      # (mix_name, nodes, size_mb) per spec, same order
     for mix_name in mix_names:
-        base_name = bases.get(mix_name, "Ws-Servlet-DB")
+        base = base_name or DEFAULT_BASES.get(mix_name, "Ws-Servlet-DB")
         clients = timeline.clients_for(mix_name, app_name)
-        grid = [(0, 0.0)] + [(n, mb) for mb in timeline.sizes_mb if mb > 0
-                             for n in timeline.node_counts]
         for nodes, size_mb in grid:
-            tasks.append((app_name, mix_name, base_name, nodes, size_mb,
-                          mode, granularity, clients, timeline.ramp_up,
-                          timeline.measure, timeline.ramp_down, seed,
-                          False))
-            keys.append(mix_name)
-
-    grouped = run_keyed_tasks(_cache_task, tasks, keys, jobs=jobs,
-                              app_names=(app_name,))
+            specs.append(point_spec(
+                app_name, mix_name,
+                config_for(base, nodes, size_mb, mode, granularity),
+                clients, timeline, seed))
+            cells.append((mix_name, nodes, size_mb))
+    rows = [_cache_row(spec, nodes, size_mb, point)
+            for spec, (__, nodes, size_mb), point
+            in zip(specs, cells, run_points(specs, jobs))]
     report = CacheReport(
         title=f"Cache tier: throughput and hit rate vs capacity x nodes "
               f"({app_name}, scale={scale}, mode={mode}, "
               f"granularity={granularity})",
-        app_name=app_name, scale=scale, mixes=grouped)
+        app_name=app_name, scale=scale,
+        mixes=group_by_key([mix_name for mix_name, __, __ in cells], rows))
 
     if trace:
-        # Serial traced re-runs (span aggregation lives in-process):
-        # the uncached baseline and the best cached point, per mix.
         for mix_name in mix_names:
-            base_name = bases.get(mix_name, "Ws-Servlet-DB")
-            clients = timeline.clients_for(mix_name, app_name)
             for row in (report.baseline(mix_name), report.best(mix_name)):
-                traced = _cache_task((
-                    app_name, mix_name, base_name, row.nodes, row.size_mb,
-                    mode, granularity, clients, timeline.ramp_up,
-                    timeline.measure, timeline.ramp_down, seed, True))
-                row.bottleneck = traced.bottleneck
+                spec = next(s for r, s in zip(rows, specs) if r is row)
+                row.bottleneck = run_experiment(
+                    replace(spec, trace=True)).bottleneck
     return report
 
 
 def render(scale: str = "tiny", **kwargs) -> str:
     return run_cache(scale=scale, **kwargs).render()
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Cache-tier experiment: hit rate and throughput vs "
-                    "cache capacity x node count, with traced "
-                    "bottleneck-migration verdicts")
-    parser.add_argument("--app", default="bookstore",
-                        choices=("bookstore", "auction", "bboard"))
-    parser.add_argument("--mix", action="append", default=None,
-                        metavar="NAME",
-                        help="workload mix (repeatable; default: "
-                             "browsing and shopping for the bookstore)")
-    parser.add_argument("--config", default=None, metavar="NAME",
-                        help="base paper configuration to cache for "
-                             "every mix (default: per-mix choices)")
-    parser.add_argument("--mode", default="sharded", choices=CACHE_MODES,
-                        help="key placement across cache nodes")
-    parser.add_argument("--granularity", default="key",
-                        choices=CACHE_GRANULARITIES,
-                        help="invalidation granularity on writes")
-    parser.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    parser.add_argument("--trace", action="store_true",
-                        help="re-run each mix's baseline and best "
-                             "cached point with request tracing; "
-                             "append both bottleneck verdicts")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default: "
-                             "serial; 0 = one per CPU)")
-    args = parser.parse_args(argv)
-
-    from repro.topology.spec import validate_config_names
-    if args.config is not None:
-        errors = validate_config_names([args.config])
-        if errors:
-            import sys
-            print("\n".join(errors), file=sys.stderr)
-            return 2
-    mixes = tuple(args.mix) if args.mix else (
-        DEFAULT_MIXES if args.app == "bookstore"
-        else ({"auction": ("browsing",),
-               "bboard": ("reading",)}[args.app]))
-    bases = ({mix: args.config for mix in mixes}
-             if args.config is not None else None)
-    print(render(scale=args.scale, app_name=args.app, mix_names=mixes,
-                 base_configs=bases, mode=args.mode,
-                 granularity=args.granularity, seed=args.seed,
-                 jobs=args.jobs, trace=args.trace))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

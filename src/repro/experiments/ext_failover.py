@@ -18,8 +18,8 @@ reports per configuration:
   configurations, because no such machine exists there -- tier
   separation trades peak throughput for a larger failure blast radius.
 
-Run:  python -m repro.experiments.ext_failover [--tier db|servlet|web|ejb]
-                                               [--scale tiny|quick|full]
+Run:  python -m repro faults [--tier db|servlet|web|ejb]
+                             [--scale tiny|quick|full]
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.experiments.common import get_app, get_profiles
+from repro.experiments.common import HEADLINE_MIXES
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import TIERS, FaultPlan
 from repro.metrics.availability import (
@@ -36,13 +36,21 @@ from repro.metrics.availability import (
     FailoverSummary,
     summarize_failover,
 )
+from repro.harness.experiment import (
+    ExperimentSpec,
+    Phases,
+    build_site,
+    point_spec,
+)
+from repro.harness.parallel import parallel_map, rehydrate_spec, strip_spec
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.topology.configs import ALL_CONFIGURATIONS
-from repro.topology.simulation import SimulatedSite
 from repro.web.server import WebServerConfig
 from repro.workload.client import ClientPopulation, RetryPolicy
 from repro.workload.markov import choose_interaction
+
+DEFAULT_MIXES = HEADLINE_MIXES
 
 
 @dataclass(frozen=True)
@@ -77,19 +85,21 @@ RETRY_POLICY = RetryPolicy(deadline=20.0, max_retries=3, backoff_base=0.5,
 WEB_CONFIG = WebServerConfig(accept_queue_limit=256)
 
 
-def run_failover_point(config, profile, mix, ssl_interactions,
-                       tier: str, scale: FailoverScale,
-                       seed: int = 42) -> FailoverSummary:
-    """One configuration through one crash/restart cycle."""
+def run_failover_point(task) -> FailoverSummary:
+    """One configuration through one crash/restart cycle.
+
+    ``task`` is ``(spec, tier, scale)``; this is the worker entry of the
+    sweep (the availability sampler rides the live population, so the
+    cycle is summarized where it ran) and ``spec`` may arrive stripped
+    of its profile."""
+    spec, tier, scale = task
+    spec = rehydrate_spec(spec)
     sim = Simulator()
-    site = SimulatedSite(sim, config, profile,
-                         ssl_interactions=ssl_interactions,
-                         web_config=WEB_CONFIG)
+    site = build_site(sim, spec)
     contained = tier not in site.machines
-    clients = scale.ejb_clients if config.flavor == "ejb" else scale.clients
     population = ClientPopulation(
-        sim, clients, mix, site, RngStreams(seed), choose_interaction,
-        retry=RETRY_POLICY)
+        sim, spec.clients, spec.mix, site, RngStreams(spec.seed),
+        choose_interaction, retry=spec.retry)
     fault_start = scale.ramp_up + scale.pre
     fault_end = fault_start + scale.outage
     plan = FaultPlan.single_crash(tier, at=fault_start,
@@ -105,19 +115,18 @@ def run_failover_point(config, profile, mix, ssl_interactions,
     stats = population.end_measurement()
     sampler.flush()
 
-    return summarize_failover(config.name, tier, sampler.windows,
+    return summarize_failover(spec.config.name, tier, sampler.windows,
                               fault_start, fault_end, stats,
                               contained=contained)
 
 
-def _failover_task(task) -> FailoverSummary:
-    """Worker entry for the parallel path: profiles come from the
-    worker's warm cache, so tasks ship only names and scalars."""
-    config, app_name, mix_name, tier, scale, seed = task
-    app = get_app(app_name)
-    profile = get_profiles(app_name)[config.profile_flavor]
-    return run_failover_point(config, profile, app.mix(mix_name),
-                              app.SSL_INTERACTIONS, tier, scale, seed=seed)
+def _cycle_spec(app_name: str, mix_name: str, config,
+                scale: FailoverScale, seed: int) -> ExperimentSpec:
+    clients = scale.ejb_clients if config.flavor == "ejb" else scale.clients
+    return point_spec(
+        app_name, mix_name, config, clients,
+        Phases(scale.ramp_up, scale.pre + scale.outage + scale.post, 0.0),
+        seed, retry=RETRY_POLICY, web_config=WEB_CONFIG)
 
 
 def run_failover(tier: str = "db", scale: str = "tiny",
@@ -139,44 +148,14 @@ def run_failover(tier: str = "db", scale: str = "tiny",
               f"({app_name}/{mix_name}, scale={scale})",
         tier=tier)
     todo = configurations or tuple(c.name for c in ALL_CONFIGURATIONS)
-    tasks = [(config, app_name, mix_name, tier, timeline, seed)
+    tasks = [(strip_spec(_cycle_spec(app_name, mix_name, config, timeline,
+                                     seed)), tier, timeline)
              for config in ALL_CONFIGURATIONS if config.name in todo]
-    from repro.harness.parallel import parallel_map
     report.summaries.extend(
-        parallel_map(_failover_task, tasks, jobs=jobs,
+        parallel_map(run_failover_point, tasks, jobs=jobs,
                      app_names=(app_name,)))
     return report
 
 
 def render(tier: str = "db", scale: str = "tiny", **kwargs) -> str:
     return run_failover(tier=tier, scale=scale, **kwargs).render()
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Failover experiment: crash and restart one tier "
-                    "mid-run for all six configurations")
-    parser.add_argument("--tier", default="db", choices=TIERS,
-                        help="which tier to crash (default: db)")
-    parser.add_argument("--scale", default="quick", choices=sorted(SCALES),
-                        help="load level and timeline (default: quick)")
-    parser.add_argument("--app", default="bookstore",
-                        choices=("bookstore", "auction", "bboard"))
-    parser.add_argument("--mix", default=None,
-                        help="workload mix (default: app's headline mix)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the per-configuration "
-                             "runs (default: serial; 0 = one per CPU)")
-    args = parser.parse_args(argv)
-    mix_name = args.mix or {"bookstore": "shopping", "auction": "bidding",
-                            "bboard": "submission"}[args.app]
-    print(render(tier=args.tier, scale=args.scale, app_name=args.app,
-                 mix_name=mix_name, seed=args.seed, jobs=args.jobs))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -24,7 +24,6 @@ bottleneck-attribution verdict, showing where the residual bottleneck
 went (db CPU -> primary writes / lock wait).
 
 Run:  python -m repro scale [--scale tiny|quick|full] [--trace]
-      (or python -m repro.experiments.ext_scaleout)
 
 Heads-up: ``--scale quick`` simulates client populations up to
 ``(1 + max replicas) x`` the base grid and takes tens of minutes
@@ -36,18 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster import ClusterSpec, clustered
-from repro.experiments.common import get_app, get_profiles, run_keyed_tasks
-from repro.harness.experiment import ExperimentSpec, run_experiment
+from repro.experiments.common import group_by_key
+from repro.harness.experiment import point_spec, run_experiment
+from repro.harness.parallel import run_points
 from repro.metrics.report import ThroughputPoint
-from repro.topology.configs import configuration_by_name
+from repro.topology.spec import topology
 
 #: Default base configuration per bookstore mix: the shopping mix is
 #: database-CPU-bound on the dedicated-servlet configurations, the
 #: ordering mix is write-lock-bound on the explicit-locking flavor.
 DEFAULT_BASES = {"shopping": "Ws-Servlet-DB(sync)",
                  "ordering": "Ws-Servlet-DB"}
-DEFAULT_MIXES = ("shopping", "ordering")
+DEFAULT_MIXES = {"bookstore": ("shopping", "ordering"),
+                 "auction": ("bidding",), "bboard": ("submission",)}
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,10 @@ def cluster_for(base_name: str, replicas: int) -> object:
 
     Front pools are sized to ``1 + replicas`` so the web/servlet tiers
     never cap the curve -- the experiment isolates the database axis.
-    Zero replicas is the trivial cluster, which reproduces the paper
-    configuration field for field.
+    Zero replicas is the paper configuration itself.
     """
-    base = configuration_by_name(base_name)
     front = 1 + replicas
-    spec = ClusterSpec(web=front, gen=front, db_replicas=replicas)
-    return clustered(base, spec)
+    return topology(base_name, web=front, gen=front, db_replicas=replicas)
 
 
 @dataclass
@@ -165,26 +162,9 @@ class ScaleoutReport:
         return "\n".join(lines)
 
 
-def _scale_task(task) -> ThroughputPoint:
-    """Worker entry for the parallel path (profiles come from the
-    worker's warm cache; tasks ship only names and scalars)."""
-    (app_name, mix_name, base_name, replicas, clients,
-     ramp_up, measure, ramp_down, seed, trace) = task
-    app = get_app(app_name)
-    config = cluster_for(base_name, replicas)
-    profile = get_profiles(app_name)[config.profile_flavor]
-    spec = ExperimentSpec(
-        config=config, profile=profile, mix=app.mix(mix_name),
-        clients=clients, ramp_up=ramp_up, measure=measure,
-        ramp_down=ramp_down, seed=seed,
-        ssl_interactions=app.SSL_INTERACTIONS, app_name=app_name,
-        trace=trace)
-    return run_experiment(spec)
-
-
 def run_scaleout(app_name: str = "bookstore",
-                 mix_names: Tuple[str, ...] = DEFAULT_MIXES,
-                 base_configs: Optional[Dict[str, str]] = None,
+                 mix_names: Tuple[str, ...] = DEFAULT_MIXES["bookstore"],
+                 base_name: Optional[str] = None,
                  scale: str = "quick",
                  replica_counts: Optional[Tuple[int, ...]] = None,
                  seed: int = 42,
@@ -192,13 +172,12 @@ def run_scaleout(app_name: str = "bookstore",
                  trace: bool = False) -> ScaleoutReport:
     """The full experiment: every mix through the replica grid.
 
-    ``base_configs`` maps mix name to the paper configuration to
-    cluster (defaults: :data:`DEFAULT_BASES`, falling back to
-    ``Ws-Servlet-DB(sync)``).  ``jobs`` > 1 fans the independent
-    (mix, replicas, clients) simulations over a process pool; results
-    are merged in serial order, bit-identical to the serial path.
-    ``trace`` additionally re-runs each replica count's peak point
-    with request-level tracing (serial) and records the verdict.
+    ``base_name`` is the paper configuration to cluster for every mix
+    (default: per mix from :data:`DEFAULT_BASES`, falling back to
+    ``Ws-Servlet-DB(sync)``).  The independent (mix, replicas, clients)
+    points run through ``run_points``; ``trace`` additionally re-runs
+    each replica count's peak point with request-level tracing and
+    records the verdict.
     """
     if scale not in SCALES:
         raise KeyError(f"unknown scale {scale!r}; have {sorted(SCALES)}")
@@ -206,105 +185,36 @@ def run_scaleout(app_name: str = "bookstore",
     if replica_counts is not None:
         timeline = replace(timeline,
                            replica_counts=tuple(replica_counts))
-    bases = dict(DEFAULT_BASES)
-    if base_configs:
-        bases.update(base_configs)
 
-    tasks = []
-    keys = []       # (mix_name, replicas) per task, same order
+    specs = []
+    keys = []       # (mix_name, replicas) per spec, same order
     for mix_name in mix_names:
-        base_name = bases.get(mix_name, "Ws-Servlet-DB(sync)")
+        base = base_name or DEFAULT_BASES.get(mix_name,
+                                              "Ws-Servlet-DB(sync)")
         for replicas in timeline.replica_counts:
+            config = cluster_for(base, replicas)
             for clients in timeline.clients_for(mix_name, replicas):
-                tasks.append((app_name, mix_name, base_name, replicas,
-                              clients, timeline.ramp_up,
-                              timeline.measure, timeline.ramp_down,
-                              seed, False))
+                specs.append(point_spec(app_name, mix_name, config,
+                                        clients, timeline, seed))
                 keys.append((mix_name, replicas))
-
-    grouped = run_keyed_tasks(_scale_task, tasks, keys, jobs=jobs,
-                              app_names=(app_name,))
+    runs = list(zip(specs, run_points(specs, jobs)))
 
     report = ScaleoutReport(
         title=f"Scale-out: peak throughput vs database read replicas "
               f"({app_name}, scale={scale})",
         app_name=app_name, scale=scale)
-    for (mix_name, replicas), points in grouped.items():
-        base_name = bases.get(mix_name, "Ws-Servlet-DB(sync)")
-        report.mixes.setdefault(mix_name, []).append(ScalePoint(
-            replicas=replicas,
-            configuration=cluster_for(base_name, replicas).name,
-            points=list(points)))
-
-    if trace:
-        # Serial traced re-runs of each row's peak point (span
-        # aggregation lives in the simulator process).
-        for mix_name, rows in report.mixes.items():
-            base_name = bases.get(mix_name, "Ws-Servlet-DB(sync)")
-            for row in rows:
-                traced = _scale_task((
-                    app_name, mix_name, base_name, row.replicas,
-                    row.peak.clients, timeline.ramp_up,
-                    timeline.measure, timeline.ramp_down, seed, True))
-                row.bottleneck = traced.bottleneck
+    for (mix_name, replicas), row_runs in group_by_key(keys, runs).items():
+        row = ScalePoint(replicas=replicas,
+                         configuration=row_runs[0][0].config.name,
+                         points=[point for __, point in row_runs])
+        if trace:
+            peak_spec = next(spec for spec, point in row_runs
+                             if point is row.peak)
+            row.bottleneck = run_experiment(
+                replace(peak_spec, trace=True)).bottleneck
+        report.mixes.setdefault(mix_name, []).append(row)
     return report
 
 
 def render(scale: str = "quick", **kwargs) -> str:
     return run_scaleout(scale=scale, **kwargs).render()
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Scale-out experiment: peak throughput vs database "
-                    "read replicas for CPU-bound and lock-bound mixes")
-    parser.add_argument("--app", default="bookstore",
-                        choices=("bookstore", "auction", "bboard"))
-    parser.add_argument("--mix", action="append", default=None,
-                        metavar="NAME",
-                        help="workload mix (repeatable; default: "
-                             "shopping and ordering for the bookstore)")
-    parser.add_argument("--config", default=None, metavar="NAME",
-                        help="base paper configuration to cluster for "
-                             "every mix (default: per-mix choices)")
-    parser.add_argument("--replicas", action="append", type=int,
-                        default=None, metavar="N",
-                        help="replica count to sweep (repeatable; "
-                             "default: the scale level's grid)")
-    parser.add_argument("--scale", default="quick",
-                        choices=sorted(SCALES))
-    parser.add_argument("--trace", action="store_true",
-                        help="re-run each replica count's peak with "
-                             "request tracing; append the bottleneck "
-                             "verdict")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default: "
-                             "serial; 0 = one per CPU)")
-    args = parser.parse_args(argv)
-
-    if args.config is not None:
-        from repro.topology.spec import validate_config_names
-        errors = validate_config_names([args.config], paper_only=True)
-        if errors:
-            import sys
-            print("\n".join(errors), file=sys.stderr)
-            return 2
-    mixes = tuple(args.mix) if args.mix else (
-        DEFAULT_MIXES if args.app == "bookstore"
-        else ({"auction": ("bidding",),
-               "bboard": ("submission",)}[args.app]))
-    bases = ({mix: args.config for mix in mixes}
-             if args.config is not None else None)
-    print(render(scale=args.scale, app_name=args.app, mix_names=mixes,
-                 base_configs=bases,
-                 replica_counts=(tuple(args.replicas)
-                                 if args.replicas else None),
-                 seed=args.seed, jobs=args.jobs, trace=args.trace))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -38,23 +38,24 @@ traced db lock-wait share, the per-registry wait split, and the 2PC
 counters.
 
 Run:  python -m repro shard [--scale tiny|quick|full] [--trace]
-      (or python -m repro.experiments.ext_shard)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import get_app, get_profiles, run_keyed_tasks
-from repro.harness.experiment import ExperimentSpec, run_experiment
+from repro.experiments.common import group_by_key
+from repro.harness.experiment import point_spec, run_experiment
+from repro.harness.parallel import run_points
 from repro.metrics.report import ThroughputPoint
 from repro.topology.spec import topology
 
 #: The ordering mix on the explicit-locking servlet flavor: the paper's
 #: write-lock-bound corner, where replication stalls and sharding pays.
 DEFAULT_BASE = "Ws-Servlet-DB"
-DEFAULT_MIX = "ordering"
+DEFAULT_MIXES = {"bookstore": ("ordering",), "auction": ("bidding",),
+                 "bboard": ("submission",)}
 
 
 @dataclass(frozen=True)
@@ -216,73 +217,46 @@ class ShardReport:
         return "\n".join(lines)
 
 
-def _shard_task(task) -> ThroughputPoint:
-    """Worker entry for the parallel path (profiles come from the
-    worker's warm cache; tasks ship only names and scalars)."""
-    (app_name, mix_name, base_name, shards, replicas, front, clients,
-     ramp_up, measure, ramp_down, seed, trace) = task
-    app = get_app(app_name)
-    config = config_for(base_name, ShardArm(shards, replicas), front)
-    profile = get_profiles(app_name)[config.profile_flavor]
-    spec = ExperimentSpec(
-        config=config, profile=profile, mix=app.mix(mix_name),
-        clients=clients, ramp_up=ramp_up, measure=measure,
-        ramp_down=ramp_down, seed=seed,
-        ssl_interactions=app.SSL_INTERACTIONS, app_name=app_name,
-        trace=trace)
-    return run_experiment(spec)
-
-
 def run_shard(app_name: str = "bookstore",
-              mix_name: str = DEFAULT_MIX,
-              base_name: str = DEFAULT_BASE,
+              mix_name: str = "ordering",
+              base_name: Optional[str] = None,
               scale: str = "quick",
               seed: int = 42,
               jobs: Optional[int] = None,
               trace: bool = False) -> ShardReport:
     """The full head-to-head: every arm through the client grid.
 
-    ``jobs`` > 1 fans the independent (arm, clients) simulations over a
-    process pool; results merge in serial order, bit-identical to the
-    serial path.  ``trace`` additionally re-runs each arm at the scale's
-    probe client counts with request-level tracing (serial -- span
-    aggregation lives in the simulator process) and records the
-    verdict, lock shares, and 2PC counters.
+    The independent (arm, clients) points run through ``run_points``.
+    ``trace`` additionally re-runs each arm at the scale's probe client
+    counts with request-level tracing and records the verdict, lock
+    shares, and 2PC counters.
     """
     if scale not in SCALES:
         raise KeyError(f"unknown scale {scale!r}; have {sorted(SCALES)}")
     level = SCALES[scale]
-    front = level.boxes
-
-    tasks = []
-    keys = []
-    for arm in level.arms:
-        for clients in level.grid:
-            tasks.append((app_name, mix_name, base_name, arm.shards,
-                          arm.replicas, front, clients, level.ramp_up,
-                          level.measure, level.ramp_down, seed, False))
-            keys.append(arm)
-    grouped = run_keyed_tasks(_shard_task, tasks, keys, jobs=jobs,
-                              app_names=(app_name,))
+    base_name = base_name or DEFAULT_BASE
+    bases = {arm: point_spec(app_name, mix_name,
+                             config_for(base_name, arm, level.boxes),
+                             1, level, seed)
+             for arm in level.arms}
+    specs = [replace(bases[arm], clients=clients)
+             for arm in level.arms for clients in level.grid]
+    keys = [arm for arm in level.arms for __ in level.grid]
 
     report = ShardReport(
         title=f"Sharding vs replication at equal database box count "
               f"({app_name}/{mix_name}, scale={scale})",
         app_name=app_name, mix_name=mix_name, scale=scale,
         boxes=level.boxes)
-    for arm, points in grouped.items():
+    for arm, points in group_by_key(keys, run_points(specs, jobs)).items():
         report.rows.append(ArmResult(
-            arm=arm,
-            configuration=config_for(base_name, arm, front).name,
-            points=list(points)))
+            arm=arm, configuration=bases[arm].config.name, points=points))
 
     if trace:
         for row in report.rows:
             for clients in level.probe_clients:
-                point = _shard_task((
-                    app_name, mix_name, base_name, row.arm.shards,
-                    row.arm.replicas, front, clients, level.ramp_up,
-                    level.measure, level.ramp_down, seed, True))
+                point = run_experiment(replace(
+                    bases[row.arm], clients=clients, trace=True))
                 bn = point.bottleneck_report
                 shard = getattr(point, "shard", None)
                 row.probes.append(TracedProbe(
@@ -300,50 +274,3 @@ def run_shard(app_name: str = "bookstore",
 
 def render(scale: str = "quick", **kwargs) -> str:
     return run_shard(scale=scale, **kwargs).render()
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Sharding vs replication head-to-head: spend the "
-                    "same database box budget as read replicas, shard "
-                    "primaries, or both, on the write-lock-bound "
-                    "ordering mix")
-    parser.add_argument("--app", default="bookstore",
-                        choices=("bookstore", "auction", "bboard"))
-    parser.add_argument("--mix", default=None, metavar="NAME",
-                        help=f"workload mix (default: {DEFAULT_MIX} "
-                             f"for the bookstore)")
-    parser.add_argument("--config", default=None, metavar="NAME",
-                        help=f"base paper configuration to partition "
-                             f"(default: {DEFAULT_BASE})")
-    parser.add_argument("--scale", default="quick",
-                        choices=sorted(SCALES))
-    parser.add_argument("--trace", action="store_true",
-                        help="re-run each arm at the probe points with "
-                             "request tracing; append verdicts, lock "
-                             "shares, and 2PC counters")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default: "
-                             "serial; 0 = one per CPU)")
-    args = parser.parse_args(argv)
-
-    if args.config is not None:
-        from repro.topology.spec import validate_config_names
-        errors = validate_config_names([args.config], paper_only=True)
-        if errors:
-            import sys
-            print("\n".join(errors), file=sys.stderr)
-            return 2
-    mix = args.mix or {"bookstore": DEFAULT_MIX, "auction": "bidding",
-                       "bboard": "submission"}[args.app]
-    print(render(scale=args.scale, app_name=args.app, mix_name=mix,
-                 base_name=args.config or DEFAULT_BASE,
-                 seed=args.seed, jobs=args.jobs, trace=args.trace))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -26,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import (
-    default_mix,
-    get_app,
-    get_profiles,
-    run_keyed_tasks,
+from repro.experiments.common import HEADLINE_MIXES, group_by_key
+from repro.harness.experiment import (
+    ExperimentSpec,
+    Phases,
+    point_spec,
+    run_experiment,
 )
-from repro.harness.experiment import ExperimentSpec, run_experiment
+from repro.harness.parallel import parallel_map, rehydrate_spec, strip_spec
 from repro.metrics.slo import SloSpec, SloSummary, time_to_recover
 from repro.overload.arrivals import (
     AbandonmentSpec,
@@ -42,9 +43,12 @@ from repro.overload.arrivals import (
 )
 from repro.overload.degradation import DegradationPolicy
 from repro.overload.openloop import OverloadSpec
-from repro.topology.configs import ALL_CONFIGURATIONS, configuration_by_name
+from repro.topology.configs import ALL_CONFIGURATIONS
+from repro.topology.spec import topology
 from repro.web.server import WebServerConfig
 from repro.workload.client import RetryPolicy
+
+DEFAULT_MIXES = HEADLINE_MIXES
 
 
 @dataclass(frozen=True)
@@ -103,20 +107,19 @@ def _overload_spec(arrivals, scale: SloScale,
         max_concurrent_sessions=4096)
 
 
-def _point_spec(config, profile, mix, ssl_interactions, overload,
+def _point_spec(app_name: str, mix_name: str, config, overload,
                 scale: SloScale, seed: int, measure: Optional[float] = None,
-                ramp_down: Optional[float] = None) -> ExperimentSpec:
-    return ExperimentSpec(
-        config=config, profile=profile, mix=mix, clients=0,
-        ramp_up=scale.ramp_up,
-        measure=scale.measure if measure is None else measure,
-        ramp_down=scale.ramp_down if ramp_down is None else ramp_down,
-        seed=seed, ssl_interactions=ssl_interactions,
-        retry=RETRY_POLICY, web_config=WEB_CONFIG,
-        overload=overload,
-        degradation=DegradationPolicy(),
+                **overrides) -> ExperimentSpec:
+    return point_spec(
+        app_name, mix_name, config, 0,
+        Phases(scale.ramp_up,
+               scale.measure if measure is None else measure,
+               scale.ramp_down),
+        seed, retry=RETRY_POLICY, web_config=WEB_CONFIG,
+        overload=overload, degradation=DegradationPolicy(),
         slo=SloSpec(latency_bound=SLO.latency_bound,
-                    percentile=SLO.percentile, window=scale.window))
+                    percentile=SLO.percentile, window=scale.window),
+        **overrides)
 
 
 @dataclass
@@ -132,31 +135,22 @@ class SloPoint:
     turned_away: int = 0           # arrivals over the connection cap
 
 
-def run_slo_point(config, profile, mix, ssl_interactions, rate: float,
-                  scale: SloScale, seed: int = 42) -> SloPoint:
-    """One configuration at one offered session-arrival rate."""
-    overload = _overload_spec(PoissonProfile(rate=rate), scale)
-    spec = _point_spec(config, profile, mix, ssl_interactions, overload,
-                       scale, seed)
-    point = run_experiment(spec)
+def run_slo_point(spec: ExperimentSpec) -> SloPoint:
+    """One configuration at one offered session-arrival rate.
+
+    This is the worker entry of the sweep: the point carries the live
+    (unpicklable) degradation state, so it is folded to scalars here,
+    where it ran, and ``spec`` may arrive stripped of its profile."""
+    point = run_experiment(rehydrate_spec(spec))
     stats = point.overload_stats
     degradation = getattr(point, "degradation", None)
     return SloPoint(
-        configuration=config.name, rate=rate, summary=point.slo,
-        rejections=stats.rejections,
+        configuration=spec.config.name, rate=spec.overload.arrivals.rate,
+        summary=point.slo, rejections=stats.rejections,
         degraded_served=degradation.degraded_served if degradation else 0,
         breaker_trips=(degradation.breaker.trips
                        if degradation and degradation.breaker else 0),
         turned_away=stats.turned_away)
-
-
-def _slo_task(task) -> SloPoint:
-    """Worker entry: profiles rehydrate from the worker's warm cache."""
-    config, app_name, mix_name, rate, scale, seed = task
-    app = get_app(app_name)
-    profile = get_profiles(app_name)[config.profile_flavor]
-    return run_slo_point(config, profile, app.mix(mix_name),
-                         app.SSL_INTERACTIONS, rate, scale, seed=seed)
 
 
 @dataclass
@@ -180,13 +174,9 @@ def run_chaos(scale: SloScale, seed: int = 42,
               app_name: str = "bookstore",
               mix_name: str = "shopping") -> ChaosSummary:
     """Flash crowd + read-replica crash on a clustered Ws-Servlet-DB."""
-    from repro.cluster import ClusterSpec, clustered
     from repro.faults.plan import FaultPlan
 
-    app = get_app(app_name)
-    profiles = get_profiles(app_name)
-    base = configuration_by_name("Ws-Servlet-DB")
-    config = clustered(base, ClusterSpec(web=2, gen=2, db_replicas=1))
+    config = topology("Ws-Servlet-DB", web=2, gen=2, db_replicas=1)
 
     burst_start = scale.ramp_up + scale.chaos_pre
     burst_end = burst_start + scale.chaos_burst
@@ -205,12 +195,10 @@ def run_chaos(scale: SloScale, seed: int = 42,
         # Heavy-tailed dwell: the crowd lingers after the burst.
         think=ThinkTimeModel(distribution="lognormal", mean=7.0,
                              sigma=1.5))
-    spec = _point_spec(config, profiles[base.profile_flavor],
-                       app.mix(mix_name), app.SSL_INTERACTIONS, overload,
-                       scale, seed, measure=measure,
-                       ramp_down=scale.ramp_down)
-    spec.fault_plan = FaultPlan.single_crash("db.r1", at=crash_start,
-                                             duration=scale.chaos_outage)
+    spec = _point_spec(
+        app_name, mix_name, config, overload, scale, seed, measure=measure,
+        fault_plan=FaultPlan.single_crash("db.r1", at=crash_start,
+                                          duration=scale.chaos_outage))
     point = run_experiment(spec)
     stats = point.overload_stats
     degradation = getattr(point, "degradation", None)
@@ -309,19 +297,17 @@ def run_slo(scale: str = "tiny", app_name: str = "bookstore",
         scale=scale)
     if sweep:
         todo = configurations or tuple(c.name for c in ALL_CONFIGURATIONS)
-        tasks = []
-        keys = []
-        for config in ALL_CONFIGURATIONS:
-            if config.name not in todo:
-                continue
-            rates = timeline.ejb_rates if config.flavor == "ejb" \
-                else timeline.rates
-            for rate in rates:
-                tasks.append((config, app_name, mix_name, rate, timeline,
-                              seed))
-                keys.append(config.name)
-        report.points = run_keyed_tasks(_slo_task, tasks, keys, jobs=jobs,
-                                        app_names=(app_name,))
+        specs = [
+            _point_spec(app_name, mix_name, config,
+                        _overload_spec(PoissonProfile(rate=rate), timeline),
+                        timeline, seed)
+            for config in ALL_CONFIGURATIONS if config.name in todo
+            for rate in (timeline.ejb_rates if config.flavor == "ejb"
+                         else timeline.rates)]
+        report.points = group_by_key(
+            [spec.config.name for spec in specs],
+            parallel_map(run_slo_point, [strip_spec(s) for s in specs],
+                         jobs=jobs, app_names=(app_name,)))
     if chaos:
         report.chaos = run_chaos(timeline, seed=seed, app_name=app_name,
                                  mix_name=mix_name)
@@ -330,33 +316,3 @@ def run_slo(scale: str = "tiny", app_name: str = "bookstore",
 
 def render(**kwargs) -> str:
     return run_slo(**kwargs).render()
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Open-loop overload experiment: offered-load sweep "
-                    "through saturation plus a flash-crowd + replica-"
-                    "crash chaos run")
-    parser.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    parser.add_argument("--app", default="bookstore",
-                        choices=("bookstore", "auction", "bboard"))
-    parser.add_argument("--mix", default=None,
-                        help="workload mix (default: app's headline mix)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--no-chaos", action="store_true",
-                        help="skip the flash-crowd + crash scenario")
-    parser.add_argument("--chaos-only", action="store_true",
-                        help="run only the chaos scenario")
-    parser.add_argument("--jobs", type=int, default=None)
-    args = parser.parse_args(argv)
-    mix_name = args.mix or default_mix(args.app)
-    print(render(scale=args.scale, app_name=args.app, mix_name=mix_name,
-                 seed=args.seed, jobs=args.jobs,
-                 chaos=not args.no_chaos, sweep=not args.chaos_only))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,7 +6,7 @@ service demands put each configuration's saturation point near the
 paper's measured peaks.  This module records those paper targets and
 prints a side-by-side report -- run it after changing any constant:
 
-    python -m repro.harness.calibrate
+    python -m repro calibrate
 """
 
 from __future__ import annotations
@@ -56,13 +56,14 @@ PAPER_TARGETS = (
 def calibration_report() -> str:
     """Analytic saturation peaks vs the paper targets, as text."""
     from repro.analytic.demand import expected_demands
-    from repro.experiments.common import get_app, get_profiles
+    from repro.apps import build_app
+    from repro.harness.profiles import get_profiles
     from repro.topology.configs import ALL_CONFIGURATIONS
 
     lines = ["Calibration: analytic saturation vs paper peaks", ""]
     demands: Dict[tuple, float] = {}
     for app_name in ("bookstore", "auction"):
-        app = get_app(app_name)
+        app = build_app(app_name)
         profiles = get_profiles(app_name)
         mixes = ("browsing", "shopping", "ordering") \
             if app_name == "bookstore" else ("bidding", "browsing")
@@ -90,6 +91,3 @@ def calibration_report() -> str:
                  "(bookstore non-sync) peak below it in the simulator.")
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(calibration_report())

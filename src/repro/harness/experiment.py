@@ -85,6 +85,36 @@ class ExperimentSpec:
                        ramp_down=self.ramp_down * factor)
 
 
+@dataclass(frozen=True)
+class Phases:
+    """Experiment phase durations (virtual seconds)."""
+
+    ramp_up: float
+    measure: float
+    ramp_down: float
+
+
+def point_spec(app_name: str, mix_name: str, config: Configuration,
+               clients: int, phases: Phases, seed: int = 42,
+               **overrides) -> ExperimentSpec:
+    """The one way (app, mix, configuration, clients, phases, seed)
+    becomes a runnable point: the app and its profiles come from the
+    per-process caches, and the spec carries ``app_name`` so
+    ``run_points`` can ship it to a worker without the profile.
+    ``overrides`` are further :class:`ExperimentSpec` fields."""
+    from repro.apps import build_app
+    from repro.harness.profiles import get_profiles
+    app = build_app(app_name)
+    return ExperimentSpec(
+        config=config,
+        profile=get_profiles(app_name)[config.profile_flavor],
+        mix=app.mix(mix_name), clients=clients,
+        ramp_up=phases.ramp_up, measure=phases.measure,
+        ramp_down=phases.ramp_down, seed=seed,
+        ssl_interactions=app.SSL_INTERACTIONS, app_name=app_name,
+        **overrides)
+
+
 def build_site(sim: Simulator, spec: ExperimentSpec) -> SimulatedSite:
     """The site for a spec, composed in a fixed order (DESIGN.md "How a
     site is composed"): the database tier the configuration's topology
@@ -230,20 +260,12 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
 
 def run_sweep(base: ExperimentSpec, client_counts: Iterable[int],
               jobs: Optional[int] = None) -> ConfigurationSeries:
-    """One configuration across a grid of client counts.
-
-    ``jobs`` of None/1 runs the exact legacy serial path; ``jobs`` > 1
-    fans the independent points out over a process pool
-    (:mod:`repro.harness.parallel`) and merges the results in client-
-    count order, bit-identical to the serial output under pinned seeds.
-    """
-    counts = list(client_counts)
-    if jobs is not None and jobs != 1:
-        from repro.harness.parallel import run_sweep_parallel
-        return run_sweep_parallel(base, counts, jobs=jobs)
+    """One configuration across a grid of client counts (``jobs`` as in
+    :func:`repro.harness.parallel.run_points`)."""
+    from repro.harness.parallel import run_points
     series = ConfigurationSeries(base.config.name)
-    for clients in counts:
-        point = run_experiment(replace(base, clients=clients))
+    for point in run_points([replace(base, clients=clients)
+                             for clients in client_counts], jobs):
         series.add(point)
     return series
 
@@ -254,24 +276,19 @@ def run_figure(title: str, workload: str,
                jobs: Optional[int] = None) -> ExperimentReport:
     """Run every configuration's sweep and assemble a figure report.
 
-    With ``jobs`` > 1 the *whole figure* (every configuration x client
-    count) is one task pool, so stragglers in one configuration overlap
-    with work from another; results are merged in the serial
+    The *whole figure* (every configuration x client count) is one
+    ``run_points`` list, so under ``jobs`` > 1 stragglers in one
+    configuration overlap with work from another; points come back in
     (configuration, client-count) order.
     """
+    from repro.harness.parallel import run_points
     report = ExperimentReport(title=title, workload=workload)
-    if jobs is not None and jobs != 1:
-        from repro.harness.parallel import run_points
-        labeled = [(name, replace(spec, clients=clients))
-                   for name, spec in specs_by_config.items()
-                   for clients in client_counts_by_config[name]]
-        points = run_points([spec for __, spec in labeled], jobs=jobs)
-        for (name, spec), point in zip(labeled, points):
-            if name not in report.series:
-                report.series[name] = ConfigurationSeries(spec.config.name)
-            report.series[name].add(point)
-        return report
+    labeled = [(name, replace(spec, clients=clients))
+               for name, spec in specs_by_config.items()
+               for clients in client_counts_by_config[name]]
     for name, spec in specs_by_config.items():
-        series = run_sweep(spec, client_counts_by_config[name])
-        report.series[name] = series
+        report.series[name] = ConfigurationSeries(spec.config.name)
+    points = run_points([spec for __, spec in labeled], jobs)
+    for (name, __), point in zip(labeled, points):
+        report.series[name].add(point)
     return report

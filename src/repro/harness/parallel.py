@@ -12,11 +12,11 @@ Design
 * **Worker warm start.**  Workers are primed by an initializer that
   loads the application, its populated database, and the calibrated
   interaction profiles through the same per-process caches the serial
-  path uses (:mod:`repro.experiments.common`).  On fork-based platforms
-  the parent warms the caches *before* the pool is created, so children
-  inherit them for free; on spawn-based platforms the initializer
-  recomputes them once per worker (profiling is seeded, so every worker
-  derives byte-identical profiles).
+  path uses (:func:`repro.harness.profiles.get_profiles`).  On
+  fork-based platforms the parent warms the caches *before* the pool is
+  created, so children inherit them for free; on spawn-based platforms
+  the initializer recomputes them once per worker (profiling is seeded,
+  so every worker derives byte-identical profiles).
 
 * **Lean tasks.**  An :class:`~repro.harness.experiment.ExperimentSpec`
   embeds the full ``AppProfile`` (megabytes of step tuples).  When the
@@ -32,10 +32,10 @@ Design
   the serial path.
 
 ``jobs`` semantics everywhere in the harness: ``None`` or ``1`` means
-the exact legacy serial code path (no pool, no pickling); ``N > 1``
-fans out over ``min(N, len(tasks))`` workers; ``0`` / negative values
-mean "one worker per CPU".  The ``REPRO_JOBS`` environment variable
-supplies the default for CLI entry points.
+in-process, in order (no pool, no pickling); ``N > 1`` fans out over
+``min(N, len(tasks))`` workers; ``0`` / negative values mean "one
+worker per CPU".  The ``REPRO_JOBS`` environment variable supplies the
+default for ``python -m repro``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ __all__ = [
     "effective_jobs",
     "parallel_map",
     "run_points",
-    "run_sweep_parallel",
+    "strip_spec",
+    "rehydrate_spec",
 ]
 
 
@@ -80,7 +81,7 @@ def _warm_worker(app_names: Tuple[str, ...]) -> None:
     """Pool initializer: pre-load apps, databases and profiles once per
     worker so every task after the first touches only warm caches."""
     from repro.apps import build_app
-    from repro.experiments.common import get_profiles
+    from repro.harness.profiles import get_profiles
     for name in app_names:
         build_app(name)
         get_profiles(name)
@@ -114,19 +115,21 @@ def parallel_map(func: Callable, tasks: Sequence, jobs: Optional[int] = None,
 
 # -- experiment-point fan-out --------------------------------------------------
 
-def _strip_spec(spec):
+def strip_spec(spec):
     """Drop the embedded profile when it can be rehydrated by app name."""
     if spec.app_name is not None and spec.profile is not None:
         return replace(spec, profile=None)
     return spec
 
 
-def _rehydrate_spec(spec):
+def rehydrate_spec(spec):
+    """Worker side of :func:`strip_spec`: the profile comes back from
+    the worker's warm cache."""
     if spec.profile is None:
         if spec.app_name is None:
             raise ValueError(
                 "spec has neither a profile nor an app_name to load one")
-        from repro.experiments.common import get_profiles
+        from repro.harness.profiles import get_profiles
         spec = replace(
             spec,
             profile=get_profiles(spec.app_name)[spec.config.profile_flavor])
@@ -136,14 +139,15 @@ def _rehydrate_spec(spec):
 def _point_task(spec):
     """Worker entry: rehydrate the spec's profile and run one point."""
     from repro.harness.experiment import run_experiment
-    return run_experiment(_rehydrate_spec(spec))
+    return run_experiment(rehydrate_spec(spec))
 
 
 def run_points(specs: Sequence, jobs: Optional[int] = None) -> List:
     """Run every spec (one grid point each), returning points in order.
 
-    With ``jobs`` > 1 the specs fan out over a process pool; the result
-    list order always matches the input order.
+    The only way a list of points runs.  With ``jobs`` > 1 the specs are
+    stripped of their profiles and fan out over a process pool; the
+    result list order always matches the input order.
     """
     specs = list(specs)
     njobs = effective_jobs(jobs, len(specs))
@@ -151,16 +155,5 @@ def run_points(specs: Sequence, jobs: Optional[int] = None) -> List:
         from repro.harness.experiment import run_experiment
         return [run_experiment(spec) for spec in specs]
     app_names = {spec.app_name for spec in specs if spec.app_name}
-    return parallel_map(_point_task, [_strip_spec(s) for s in specs],
+    return parallel_map(_point_task, [strip_spec(s) for s in specs],
                         njobs, app_names)
-
-
-def run_sweep_parallel(base, client_counts: Iterable[int],
-                       jobs: Optional[int] = None):
-    """Parallel equivalent of :func:`repro.harness.experiment.run_sweep`."""
-    from repro.metrics.report import ConfigurationSeries
-    series = ConfigurationSeries(base.config.name)
-    specs = [replace(base, clients=clients) for clients in client_counts]
-    for point in run_points(specs, jobs=jobs):
-        series.add(point)
-    return series

@@ -1,33 +1,23 @@
-"""Perf-tracking harness: timed bench grids and ``BENCH_perf.json``.
+"""The reduced bench grids: each figure's sweep cut down to seconds.
 
-``python -m repro perf`` times one figure's reduced bench grid twice --
-serially (``jobs=1``, the exact legacy code path) and through the
-parallel sweep runner -- verifies the two reports are field-for-field
-identical, measures the single-process kernel rate (events/sec) on a
-canonical point, and writes everything to ``BENCH_perf.json``.  The
-file is tracked from this PR onward so the perf trajectory of the
-simulator is visible in-repo, and CI regenerates it as an artifact on
-every push.
-
-The reduced bench grids and phases live here (not in
-``benchmarks/benchlib.py``) so both the CLI and the pytest benches
-drive the identical workload.
+``tests/test_golden_fig05.py`` and the pytest benches under
+``benchmarks/`` drive these, so both run the identical workload.  Wall
+clock and kernel-rate tracking live in ``benchmarks/suite/`` (the
+benchmark of record).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-from dataclasses import asdict, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from repro.harness.experiment import ExperimentSpec, Phases, point_spec
+from repro.topology.configs import ALL_CONFIGURATIONS
 
 # Shorter-than-quick phases tuned so each figure bench finishes in
 # seconds while still reaching steady state at the reduced client counts.
-BENCH_PHASES: Dict[str, Tuple[float, float, float]] = {
-    "bookstore": (300.0, 300.0, 5.0),
-    "auction": (90.0, 120.0, 5.0),
+BENCH_PHASES: Dict[str, Phases] = {
+    "bookstore": Phases(300.0, 300.0, 5.0),
+    "auction": Phases(90.0, 120.0, 5.0),
 }
 
 # Reduced client grids per figure id (throughput figure ids only).
@@ -39,269 +29,25 @@ BENCH_GRIDS: Dict[str, Dict[str, tuple]] = {
     "fig13": {"default": (1500, 5000), "ejb": (150, 400)},
 }
 
-# Pre-PR single-process baseline for the canonical fig05 point
-# (WsServlet-DB, 300 clients, bench phases), measured at the tip of
-# PR 1 (commit 860b8ac) on the container this PR was developed in:
-# 2.405 s wall for 1,433,245 kernel events.  The events/sec figure in
-# BENCH_perf.json is compared against this; it is machine-dependent,
-# so treat cross-machine comparisons as indicative only (the committed
-# BENCH_perf.json was produced on the same container).
-PRE_PR_BASELINE = {
-    "commit": "860b8ac",
-    "wall_s": 2.405,
-    "kernel_events": 1433245,
-    "events_per_sec": 595942,
-}
 
-
-def bench_grids(figure_id: str) -> Dict[str, tuple]:
-    """Per-configuration reduced client grids for one figure id."""
-    from repro.experiments.registry import FIGURES
-    from repro.topology.configs import ALL_CONFIGURATIONS
-    spec, __ = FIGURES[figure_id]
-    grids = BENCH_GRIDS[spec.throughput_figure]
-    return {config.name: grids["ejb" if config.flavor == "ejb"
-                               else "default"]
-            for config in ALL_CONFIGURATIONS}
-
-
-def build_bench_specs(figure_id: str,
+def build_bench_specs(figure,
                       configurations: Optional[Tuple[str, ...]] = None) \
-        -> List[Tuple[str, object]]:
-    """The bench grid as an ordered [(config_name, ExperimentSpec)] list."""
-    from repro.experiments.common import get_app, get_profiles
-    from repro.experiments.registry import FIGURES
-    from repro.harness.experiment import ExperimentSpec
-    from repro.topology.configs import ALL_CONFIGURATIONS
+        -> Tuple[Dict[str, ExperimentSpec], Dict[str, tuple]]:
+    """One figure's bench grid as ``(specs, client grids)`` per
+    configuration name -- the two arguments ``run_figure`` takes.
 
-    fig_spec, __ = FIGURES[figure_id]
-    app = get_app(fig_spec.app_name)
-    profiles = get_profiles(fig_spec.app_name)
-    mix = app.mix(fig_spec.mix_name)
-    ramp_up, measure, ramp_down = BENCH_PHASES[fig_spec.app_name]
-    grids = bench_grids(figure_id)
-    todo = tuple(sorted(set(configurations))) if configurations \
-        else tuple(c.name for c in ALL_CONFIGURATIONS)
-    out: List[Tuple[str, object]] = []
-    for config in ALL_CONFIGURATIONS:
-        if config.name not in todo:
-            continue
-        base = ExperimentSpec(
-            config=config, profile=profiles[config.profile_flavor],
-            mix=mix, clients=1, ramp_up=ramp_up, measure=measure,
-            ramp_down=ramp_down,
-            ssl_interactions=app.SSL_INTERACTIONS,
-            app_name=fig_spec.app_name)
-        for clients in grids[config.name]:
-            out.append((config.name, replace(base, clients=clients)))
-    return out
-
-
-def resolve_baseline(figure_id: str, config_name: str, clients: int,
-                     out_path: Optional[str] = "BENCH_perf.json") \
-        -> Optional[dict]:
-    """The baseline entry the canonical point is compared against.
-
-    Resolution order: the committed ``BENCH_perf.json`` (when it holds a
-    matching single point -- same figure, configuration and client
-    count), then the hard-coded pre-PR measurement (which only covers
-    the canonical fig05 point), else None -- ``run_perf`` then warns
-    and writes absolute numbers without a comparison instead of
-    failing.
+    ``figure`` is the registry's ``FigureSpec`` (read here:
+    ``throughput_figure``, ``app_name``, ``mix_name``).
     """
-    if out_path and os.path.exists(out_path):
-        try:
-            with open(out_path) as fh:
-                prior = json.load(fh)
-            single = prior.get("single_point") or {}
-            if (prior.get("figure") == figure_id
-                    and single.get("config") == config_name
-                    and single.get("clients") == clients
-                    and single.get("events_per_sec")):
-                return {"source": out_path,
-                        "wall_s": single.get("wall_s"),
-                        "kernel_events": single.get("kernel_events"),
-                        "events_per_sec": single["events_per_sec"]}
-        except (OSError, ValueError):
-            pass  # unreadable/corrupt file: fall through, don't fail perf
-    if (figure_id == "fig05" and config_name == "WsServlet-DB"
-            and clients == 300):
-        return {"source": f"pre-PR commit {PRE_PR_BASELINE['commit']}",
-                "wall_s": PRE_PR_BASELINE["wall_s"],
-                "kernel_events": PRE_PR_BASELINE["kernel_events"],
-                "events_per_sec": PRE_PR_BASELINE["events_per_sec"]}
-    return None
-
-
-def _canonical_spec(figure_id: str):
-    """The fixed single point used for the events/sec measurement."""
-    from repro.topology.configs import ALL_CONFIGURATIONS
-    labeled = build_bench_specs(figure_id)
-    # Prefer the plain-servlet flavor (the paper's middle-of-the-road
-    # stack); fall back to the first grid point.
-    for name, spec in labeled:
-        for config in ALL_CONFIGURATIONS:
-            if config.name == name and config.flavor == "servlet":
-                return spec
-    return labeled[0][1]
-
-
-def run_perf(figure_id: str = "fig05", jobs: Optional[int] = None,
-             out_path: Optional[str] = "BENCH_perf.json",
-             configurations: Optional[Tuple[str, ...]] = None) -> dict:
-    """Time the bench grid serially and in parallel; write the JSON."""
-    from repro.harness.experiment import run_experiment
-    from repro.harness.parallel import default_jobs, run_points
-
-    if jobs is None:
-        jobs = default_jobs()
-    labeled = build_bench_specs(figure_id, configurations)
-    specs = [spec for __, spec in labeled]
-
-    # Serial: the exact legacy path, one process, no pool.
-    t0 = time.perf_counter()
-    serial_points = [run_experiment(spec) for spec in specs]
-    serial_wall = time.perf_counter() - t0
-
-    if jobs == 1:
-        # One worker (usually cpu_count == 1): the pool would re-run the
-        # serial path behind process-spawn overhead, and the "speedup"
-        # it reports is pure noise.  Skip the phase and say so instead
-        # of recording a meaningless ~1.0x.
-        parallel_wall = None
-        identical = None
-        speedup = None
-    else:
-        # Parallel: same specs through the pool, merged in submission
-        # order.
-        t0 = time.perf_counter()
-        parallel_points = run_points(specs, jobs=jobs)
-        parallel_wall = time.perf_counter() - t0
-        identical = [asdict(p) for p in serial_points] == \
-            [asdict(p) for p in parallel_points]
-        speedup = round(serial_wall / parallel_wall, 3) \
-            if parallel_wall else None
-
-    # Single-process kernel rate on the canonical point: best of three,
-    # so one noisy co-tenant moment doesn't skew the committed baseline.
-    single = _canonical_spec(figure_id)
-    single_wall = None
-    for __ in range(3):
-        t0 = time.perf_counter()
-        point = run_experiment(single)
-        wall = time.perf_counter() - t0
-        if single_wall is None or wall < single_wall:
-            single_wall = wall
-    events_per_sec = point.kernel_events / single_wall if single_wall else 0.0
-
-    baseline = resolve_baseline(figure_id, single.config.name,
-                                single.clients, out_path)
-    if baseline is None:
-        import sys
-        print(f"warning: no baseline entry for {figure_id} "
-              f"{single.config.name}@{single.clients}; writing absolute "
-              f"numbers without a comparison", file=sys.stderr)
-
-    result = {
-        "generated_by": "python -m repro perf",
-        "figure": figure_id,
-        "configurations": list(dict.fromkeys(name for name, __ in labeled)),
-        "grid_points": len(specs),
-        "cpu_count": os.cpu_count(),
-        "jobs": jobs,
-        "python_version": platform.python_version(),
-        "platform": platform.platform(),
-        "serial_wall_s": round(serial_wall, 3),
-        "parallel_wall_s": round(parallel_wall, 3)
-        if parallel_wall is not None else None,
-        "speedup": speedup,
-        "parallel_identical_to_serial": identical,
-        "parallel_note": "skipped: jobs == 1, pool speedup is "
-                         "meaningless on one worker"
-        if jobs == 1 else None,
-        "single_point": {
-            "config": single.config.name,
-            "clients": single.clients,
-            "wall_s": round(single_wall, 3),
-            "kernel_events": point.kernel_events,
-            "events_per_sec": round(events_per_sec),
-        },
-        "baseline": baseline,
-        "events_per_sec_vs_baseline": round(
-            events_per_sec / baseline["events_per_sec"], 3)
-        if baseline else None,
-    }
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-    return result
-
-
-def run_ratchet(figure_id: str = "fig05", reps: int = 3,
-                floor: float = 0.9,
-                out_path: str = "BENCH_perf.json") -> dict:
-    """CI perf ratchet: best-of-``reps`` single-point kernel rate vs the
-    committed ``BENCH_perf.json`` baseline.  Returns a dict with
-    ``ok: False`` when the rate drops below ``floor`` x baseline."""
-    from repro.harness.experiment import run_experiment
-
-    single = _canonical_spec(figure_id)
-    run_experiment(single)                      # warm app/profile caches
-    best = None
-    events = 0
-    for __ in range(reps):
-        t0 = time.perf_counter()
-        point = run_experiment(single)
-        wall = time.perf_counter() - t0
-        events = point.kernel_events
-        if best is None or wall < best:
-            best = wall
-    rate = events / best if best else 0.0
-    baseline = resolve_baseline(figure_id, single.config.name,
-                                single.clients, out_path)
-    ratio = rate / baseline["events_per_sec"] if baseline else None
-    return {
-        "figure": figure_id,
-        "config": single.config.name,
-        "clients": single.clients,
-        "reps": reps,
-        "best_wall_s": round(best, 3) if best else None,
-        "kernel_events": events,
-        "events_per_sec": round(rate),
-        "baseline": baseline,
-        "ratio_vs_baseline": round(ratio, 3) if ratio is not None else None,
-        "floor": floor,
-        "ok": ratio is None or ratio >= floor,
-    }
-
-
-def render_perf(result: dict) -> str:
-    """One-screen summary of a :func:`run_perf` result."""
-    if result["parallel_wall_s"] is not None:
-        parallel_line = (f"  parallel {result['parallel_wall_s']:8.3f} s   "
-                         f"speedup {result['speedup']}x")
-        identical_line = (f"  parallel output identical to serial: "
-                          f"{result['parallel_identical_to_serial']}")
-    else:
-        parallel_line = f"  parallel      n/a ({result['parallel_note']})"
-        identical_line = "  parallel output identical to serial: n/a"
-    lines = [
-        f"perf: {result['figure']} bench grid "
-        f"({result['grid_points']} points)",
-        f"  cpu_count={result['cpu_count']}  jobs={result['jobs']}  "
-        f"python {result['python_version']}",
-        f"  serial   {result['serial_wall_s']:8.3f} s",
-        parallel_line,
-        identical_line,
-        f"  single point {result['single_point']['config']} "
-        f"@{result['single_point']['clients']}: "
-        f"{result['single_point']['events_per_sec']:,} events/s",
-    ]
-    ratio = result.get("events_per_sec_vs_baseline")
-    baseline = result.get("baseline")
-    if ratio is not None and baseline:
-        lines[-1] += f" ({ratio}x of baseline, {baseline['source']})"
-    else:
-        lines[-1] += " (no baseline for this point)"
-    return "\n".join(lines)
+    grids = BENCH_GRIDS[figure.throughput_figure]
+    phases = BENCH_PHASES[figure.app_name]
+    todo = configurations or tuple(c.name for c in ALL_CONFIGURATIONS)
+    specs = {}
+    counts = {}
+    for config in ALL_CONFIGURATIONS:
+        if config.name in todo:
+            specs[config.name] = point_spec(
+                figure.app_name, figure.mix_name, config, 1, phases)
+            counts[config.name] = grids[
+                "ejb" if config.flavor == "ejb" else "default"]
+    return specs, counts

@@ -278,3 +278,20 @@ def profile_all_flavors(app, repetitions: int = 5, seed: int = 101,
         out[flavor] = profile_application(
             app, deployment, flavor, repetitions, seed, store)
     return out
+
+
+# Profiles are expensive to capture (the EJB best-sellers walk in
+# particular), so they are cached per process.  Apps themselves are
+# cached inside repro.apps.build_app.
+_PROFILE_CACHE: Dict[str, Dict[str, AppProfile]] = {}
+
+
+def get_profiles(app_name: str) -> Dict[str, AppProfile]:
+    """Every flavor's profile of the default-built ``app_name``,
+    captured once per process."""
+    profiles = _PROFILE_CACHE.get(app_name)
+    if profiles is None:
+        from repro.apps import build_app
+        profiles = profile_all_flavors(build_app(app_name), repetitions=3)
+        _PROFILE_CACHE[app_name] = profiles
+    return profiles

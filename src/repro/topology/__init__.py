@@ -17,7 +17,6 @@ from repro.topology.spec import (
     TopologyConfiguration,
     TopologySpec,
     parse_topology,
-    resolve_configuration,
     topology,
     validate_config_names,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "TopologyConfiguration",
     "TopologySpec",
     "parse_topology",
-    "resolve_configuration",
     "topology",
     "validate_config_names",
     "ALL_CONFIGURATIONS",

@@ -31,11 +31,10 @@ machines; extra pool members are "web#2", "servlet#3", ...; database
 read replicas are "db.r1", "db.r2", ...; cache nodes are "cache",
 "cache#2", ....
 
-``ClusterSpec`` / ``ClusterConfiguration`` / :func:`clustered` /
-:func:`parse_cluster_name` remain as thin deprecated aliases (re-exported
-from :mod:`repro.cluster.spec`) with their historical behavior --
-``clustered`` always returns a ``ClusterConfiguration`` and always spells
-the ``(1+N)`` suffix, even for a trivial spec.
+:func:`clustered` is :func:`topology` without the trivial-spec shortcut:
+it always returns a :class:`TopologyConfiguration` and always spells the
+``(1+N)`` suffix, so a trivial spec still builds a ``ClusteredSite`` --
+the reference the tests compare a paper site against.
 """
 
 from __future__ import annotations
@@ -169,9 +168,8 @@ class TopologyConfiguration(Configuration):
 
     ``placement`` still maps roles to the *first* pool member, so every
     role accessor of the base class keeps working; :meth:`pool` lists a
-    role's full pool.  The field is named ``cluster`` for continuity with
-    the old ``ClusterConfiguration`` API; :attr:`topology` is the
-    preferred alias.
+    role's full pool.  The spec field is named ``cluster`` (what
+    ``build_site`` dispatches on); :attr:`topology` is an alias.
     """
 
     cluster: TopologySpec = field(default_factory=TopologySpec)
@@ -246,8 +244,7 @@ def _topology_name(base: Configuration, spec: TopologySpec,
     """``Ws{2}-Servlet{4}-Cache{2}-DB(1+2)`` style names from base + spec.
 
     Canonical names omit the ``(1+0)`` replica suffix; ``legacy=True``
-    reproduces the historical :func:`clustered` naming, which always
-    spells it out.
+    is the :func:`clustered` naming, which always spells it out.
     """
     parts = base.name.split("-")
     out = []
@@ -299,7 +296,7 @@ def _spec_from_args(spec, kwargs) -> TopologySpec:
     if spec is None:
         return TopologySpec(**kwargs)
     if kwargs:
-        raise ValueError("pass either a ClusterSpec or keyword arguments, "
+        raise ValueError("pass either a TopologySpec or keyword arguments, "
                          "not both")
     return spec
 
@@ -327,9 +324,9 @@ def topology(base, spec: TopologySpec = None, **kwargs):
 
 def clustered(base, spec: TopologySpec = None,
               **kwargs) -> TopologyConfiguration:
-    """Deprecated alias of :func:`topology` with the historical contract:
-    always returns a :class:`TopologyConfiguration` (even for a trivial
-    spec) named with an explicit ``(1+N)`` suffix."""
+    """:func:`topology` without the trivial-spec shortcut: always returns
+    a :class:`TopologyConfiguration` (even for a trivial spec) named
+    with an explicit ``(1+N)`` suffix."""
     base = _resolve_base(base)
     return _combine(base, _spec_from_args(spec, kwargs), legacy=True)
 
@@ -421,24 +418,6 @@ def parse_topology(name: str):
     if spec.trivial:
         return base
     return _combine(base, spec, name=name)
-
-
-def parse_cluster_name(name: str) -> TopologyConfiguration:
-    """Deprecated alias of :func:`parse_topology` with the historical
-    contract: requires an explicit ``(1+N)`` suffix and always returns a
-    :class:`TopologyConfiguration`, even for a trivial ``(1+0)`` name."""
-    m = _DB_PART_RE.match(name.split("-")[-1])
-    if m is None or m.group("primary") is None:
-        raise KeyError(f"{name!r} is not a cluster configuration name "
-                       f"(expected a ...-DB(1+N) suffix)")
-    base, spec = _parse_name(name)
-    return _combine(base, spec, name=name)
-
-
-def resolve_configuration(name: str):
-    """A configuration from either namespace: one of the six paper
-    names, or a topology name like ``Ws{2}-Servlet-Cache{2}-DB(1+1)``."""
-    return parse_topology(name)
 
 
 def validate_config_names(names: Sequence[str],

@@ -63,7 +63,7 @@ point(topology("Ws-Servlet-DB", web=2, db_replicas=1))
 report["cluster_run_imported"] = {
     axis: loaded(package) for axis, (__, package) in AXES.items()}
 
-from repro.cluster.spec import clustered
+from repro.topology.spec import clustered
 report["legacy_trivial_cluster_identical"] = point(clustered(base)) == paper
 print(json.dumps(report))
 """

@@ -317,15 +317,14 @@ def test_config_for_composes_with_any_topology():
         is configuration_by_name("Ws-Servlet-DB")
 
 
-def test_run_keyed_tasks_groups_in_order():
-    from repro.experiments.common import run_keyed_tasks
+def test_group_by_key_groups_in_order():
+    from repro.experiments.common import group_by_key
 
-    grouped = run_keyed_tasks(str.upper, ["a", "b", "c", "d"],
-                              ["x", "y", "x", "y"])
+    grouped = group_by_key(["x", "y", "x", "y"], ["A", "B", "C", "D"])
     assert list(grouped) == ["x", "y"]
     assert grouped == {"x": ["A", "C"], "y": ["B", "D"]}
-    with pytest.raises(ValueError, match="3 tasks but 2 keys"):
-        run_keyed_tasks(str.upper, ["a", "b", "c"], ["x", "y"])
+    with pytest.raises(ValueError, match="3 values but 2 keys"):
+        group_by_key(["x", "y"], ["A", "B", "C"])
 
 
 @pytest.mark.slow

@@ -7,20 +7,22 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.cluster import (
-    ClusterSpec,
     DbInstance,
     LoadBalancer,
     ReplicatedDb,
     SessionState,
-    clustered,
-    parse_cluster_name,
-    resolve_configuration,
 )
 from repro.faults.errors import TierDown
 from repro.machine.machine import Machine
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.topology.configs import ALL_CONFIGURATIONS, Configuration
+from repro.topology.spec import (
+    TopologySpec,
+    clustered,
+    parse_topology,
+    topology,
+)
 
 # -- spec and naming -----------------------------------------------------------
 
@@ -65,40 +67,43 @@ def test_ejb_machine_is_never_pooled():
     assert config.machine_names().count("ejb") == 1
     assert "ejb#2" not in config.machine_names()
     with pytest.raises(KeyError, match="cannot be pooled"):
-        parse_cluster_name("Ws-Servlet-EJB{2}-DB(1+0)")
+        parse_topology("Ws-Servlet-EJB{2}-DB(1+0)")
 
 
 def test_cluster_name_round_trip():
     for base in ALL_CONFIGURATIONS:
-        for kwargs in ({}, {"web": 2, "db_replicas": 1},
+        for kwargs in ({"web": 2, "db_replicas": 1},
                        {"web": 2, "gen": 4, "db_replicas": 3}):
             if base.colocated("web", "gen") and "gen" in kwargs:
                 continue
-            config = clustered(base, **kwargs)
-            parsed = parse_cluster_name(config.name)
+            config = topology(base, **kwargs)
+            parsed = parse_topology(config.name)
             assert parsed.name == config.name
             assert parsed.cluster == config.cluster
             assert parsed.base_name == base.name
+        # The always-clustered spelling of the trivial shape parses back
+        # to the paper configuration itself.
+        assert parse_topology(clustered(base).name) is base
 
 
-def test_resolve_configuration_spans_both_namespaces():
-    paper = resolve_configuration("WsPhp-DB")
+def test_parse_topology_spans_both_namespaces():
+    paper = parse_topology("WsPhp-DB")
     assert isinstance(paper, Configuration)
     assert not hasattr(paper, "cluster")
-    cluster = resolve_configuration("Ws-Servlet-DB(1+2)")
+    cluster = parse_topology("Ws-Servlet-DB(1+2)")
     assert cluster.cluster.db_replicas == 2
     with pytest.raises(KeyError):
-        resolve_configuration("NoSuchThing")
+        parse_topology("NoSuchThing")
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ClusterSpec(web=0).validate()
+        TopologySpec(web=0).validate()
     with pytest.raises(ValueError):
-        ClusterSpec(db_replicas=-1).validate()
+        TopologySpec(db_replicas=-1).validate()
     with pytest.raises(ValueError):
-        ClusterSpec(web_policy="random").validate()
-    ClusterSpec(web=2, gen=2, db_replicas=4).validate()
+        TopologySpec(web_policy="random").validate()
+    TopologySpec(web=2, gen=2, db_replicas=4).validate()
 
 
 # -- load balancer units -------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from repro.apps import build_app
 from repro.apps.bookstore import BookstoreApp, build_bookstore_database
-from repro.cluster import ClusterSpec, clustered
 from repro.cluster.site import ClusteredSite
 from repro.db.driver import JdbcLikeDriver, ReadWriteSplitConnection
 from repro.faults.plan import FaultPlan
@@ -18,6 +17,7 @@ from repro.sim import Simulator
 from repro.sim.rng import RngStreams
 from repro.topology.configs import ALL_CONFIGURATIONS, configuration_by_name
 from repro.topology.simulation import SimulatedSite
+from repro.topology.spec import TopologySpec, clustered
 from repro.workload.client import (
     ClientPopulation,
     RetryPolicy,
@@ -182,7 +182,7 @@ def test_split_connection_lock_span_stays_on_primary(split_conn):
 
 def test_build_app_deploys_a_pool():
     app, pool = build_app("bookstore", "servlet",
-                          cluster=ClusterSpec(web=2, gen=2),
+                          cluster=TopologySpec(web=2, gen=2),
                           scale=0.002, tiny=True)
     assert len(pool) == 2
     assert pool[0] is not pool[1]
@@ -213,18 +213,6 @@ def test_build_site_dispatches_on_cluster_axis(app, profiles):
 
 
 # -- CLI validation ------------------------------------------------------------
-
-
-def test_cli_rejects_unknown_config_everywhere(capsys):
-    from repro.__main__ import main
-    for argv in (["figure", "5", "--config", "NoSuchConfig"],
-                 ["faults", "--config", "NoSuchConfig"],
-                 ["scale", "--config", "NoSuchConfig"],
-                 ["perf", "--config", "NoSuchConfig"]):
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert "unknown configuration 'NoSuchConfig'" in err
-        assert "WsPhp-DB" in err                # the known names follow
 
 
 def test_trace_cli_rejects_unknown_config(capsys):

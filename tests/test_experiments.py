@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.experiments.common import (
+from repro.experiments.common import FigureSpec, Phases, run_figure_spec
+from repro.experiments.registry import (
     ALL_FIGURE_SPECS,
-    FigureSpec,
-    Phases,
-    run_figure_spec,
+    FIGURES,
+    figure_spec,
 )
-from repro.experiments.registry import FIGURES, figure_spec
 from repro.topology.configs import ALL_CONFIGURATIONS
 
 
@@ -73,7 +72,7 @@ def test_cli_figures_and_version(capsys):
     out = capsys.readouterr().out
     assert "fig05" in out and "fig14" in out
     assert main(["version"]) == 0
-    assert main(["run", "fig99"]) == 2
+    assert main(["figure", "fig99"]) == 2
 
 
 def test_cli_parser_rejects_no_command():

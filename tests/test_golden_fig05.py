@@ -15,7 +15,7 @@ Regenerate (only when an intentional behavior change lands)::
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "fig05_reduced.json")
@@ -26,17 +26,18 @@ POINTS = [("WsPhp-DB", 300), ("WsServlet-DB", 300),
 
 
 def _run_points():
+    from repro.experiments.registry import figure_spec
     from repro.harness.experiment import run_experiment
     from repro.harness.perf import build_bench_specs
 
-    labeled = build_bench_specs("fig05")
+    specs, grids = build_bench_specs(figure_spec("fig05"))
     out = []
-    for want, clients in POINTS:
-        for name, spec in labeled:
-            if name == want and spec.clients == clients:
-                point = run_experiment(spec.scaled(0.1))
-                out.append({"config": name, "clients": clients,
-                            "point": asdict(point)})
+    for name, clients in POINTS:
+        assert clients in grids[name]
+        point = run_experiment(
+            replace(specs[name], clients=clients).scaled(0.1))
+        out.append({"config": name, "clients": clients,
+                    "point": asdict(point)})
     return out
 
 

@@ -413,7 +413,7 @@ def test_all_levers_disabled_changes_nothing(php_profile):
 
 def test_degradation_on_clustered_site(php_profile):
     from repro.cluster.site import ClusteredSite
-    from repro.cluster.spec import clustered
+    from repro.topology.spec import clustered
     sim = Simulator()
     config = clustered(WS_PHP_DB, web=2, db_replicas=1)
     site = ClusteredSite(sim, config, php_profile, rng=RngStreams(4))

@@ -15,12 +15,12 @@ import pytest
 from repro.experiments.common import get_app, get_profiles
 from repro.harness.experiment import ExperimentSpec, run_figure, run_sweep
 from repro.harness.parallel import (
-    _rehydrate_spec,
-    _strip_spec,
     default_jobs,
     effective_jobs,
     parallel_map,
+    rehydrate_spec,
     run_points,
+    strip_spec,
 )
 from repro.metrics.wirt import BOOKSTORE_WIRT_LIMITS
 from repro.topology.configs import WS_PHP_DB, WS_SERVLET_DB
@@ -95,20 +95,20 @@ def _auction_spec(**overrides):
 
 def test_strip_and_rehydrate_roundtrip():
     spec = _bookstore_spec()
-    stripped = _strip_spec(spec)
+    stripped = strip_spec(spec)
     assert stripped.profile is None
     assert stripped.app_name == "bookstore"
-    restored = _rehydrate_spec(stripped)
+    restored = rehydrate_spec(stripped)
     assert restored.profile is spec.profile  # same cached object
     # A spec with no app name is shipped whole -- nothing to strip.
     anonymous = replace(spec, app_name=None)
-    assert _strip_spec(anonymous) is anonymous
+    assert strip_spec(anonymous) is anonymous
 
 
 def test_rehydrate_without_app_name_raises():
     spec = replace(_bookstore_spec(), profile=None, app_name=None)
     with pytest.raises(ValueError):
-        _rehydrate_spec(spec)
+        rehydrate_spec(spec)
 
 
 # ------------------------------------------------- serial/parallel equality

@@ -185,28 +185,16 @@ def test_validate_config_names_paper_only_rejects_topologies():
     assert errors and "unknown configuration" in errors[0]
 
 
-# -- legacy aliases (repro.cluster) --------------------------------------------
+# -- clustered(): topology() without the trivial-spec shortcut -----------------
 
 
-def test_cluster_aliases_are_the_same_objects():
-    from repro.cluster import ClusterSpec, clustered, parse_cluster_name
-    from repro.cluster.spec import ClusterConfiguration
+def test_clustered_always_spells_the_replica_suffix():
+    from repro.topology.spec import clustered
 
-    assert ClusterSpec is TopologySpec
-    assert ClusterConfiguration is TopologyConfiguration
     config = clustered("Ws-Servlet-DB", web=2)
     assert isinstance(config, TopologyConfiguration)
-    assert config.name == "Ws{2}-Servlet-DB(1+0)"    # legacy spelling
-    parsed = parse_cluster_name(config.name)
-    assert parsed.cluster == config.cluster
-
-
-def test_parse_cluster_name_still_requires_the_replica_suffix():
-    from repro.cluster import parse_cluster_name
-    with pytest.raises(KeyError, match="not a cluster configuration"):
-        parse_cluster_name("Ws-Servlet-DB")
-    # ... while parse_topology happily takes suffix-less names.
-    assert parse_topology("Ws-Servlet-DB").name == "Ws-Servlet-DB"
+    assert config.name == "Ws{2}-Servlet-DB(1+0)"
+    assert parse_topology(config.name).cluster == config.cluster
 
 
 def test_topology_kwargs_and_spec_are_exclusive():
