@@ -14,10 +14,17 @@ the per-quantum wakeups are pure overhead -- every slice ends with the
 same process re-acquiring the same idle core.  The batched path parks a
 single wakeup at the job's completion time and advances the whole
 remaining demand in one event.  The moment a competitor queues on the
-core (the Resource's ``_on_wait`` hook), the wakeup is pulled forward to
-the *current quantum boundary* and the job falls back to per-quantum
-alternation -- so preemption latency is exactly what the per-quantum
-scheduler delivers.
+core (``_on_contention``), the wakeup is pulled forward to the *current
+quantum boundary* and the job falls back to per-quantum alternation --
+so preemption latency is exactly what the per-quantum scheduler
+delivers.
+
+Kernel-resident run queue: a process whose demand is contended or longer
+than a quantum parks *once*, on a pooled ``CpuGrant`` job, and the job
+-- not the process -- owns the slice-end / batch-end calendar entry.
+When it pops, the kernel calls ``_slice_end(job)``, which rotates the
+run queue exactly as the per-quantum loop's woken process would, and the
+generator is resumed only when its whole demand has run.
 
 Bit-for-bit equivalence with the per-quantum loop is maintained by
 replaying its exact float arithmetic: completion times are the same
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.sim.kernel import At, CpuGrant, Event, Simulator
+from repro.sim.kernel import CpuGrant, Simulator
 from repro.sim.resources import Resource
 
 DEFAULT_QUANTUM = 0.001
@@ -44,8 +51,8 @@ class Cpu:
     __slots__ = ("sim", "speed", "quantum", "_res", "_busy_accum",
                  "_busy_since", "name",
                  "_batch_t", "_batch_rem", "_batch_end", "_batch_folded",
-                 "_batch_flushed", "_batch_preempt", "_batch_proc", "_at",
-                 "_grant_pool")
+                 "_batch_flushed", "_batch_preempt", "_batch_job",
+                 "_batch_requeued", "_grant_pool")
 
     def __init__(self, sim: Simulator, speed: float = 1.0, name: str = "cpu",
                  quantum: float = DEFAULT_QUANTUM):
@@ -66,17 +73,18 @@ class Cpu:
         # replays completed slices up to a given time; ``_batch_folded``
         # counts slices folded so far (each one is an elided kernel
         # event) and ``_batch_flushed`` how many of those have already
-        # been credited to ``sim.events_processed``.
+        # been credited to ``sim.events_processed``;
+        # ``_batch_requeued`` counts wakes re-pushed behind a tied
+        # cascade (credited when they ran, so subtracted at the end).
         self._batch_t: float | None = None
         self._batch_rem = 0.0
         self._batch_end = 0.0
         self._batch_folded = 0
         self._batch_flushed = 0
         self._batch_preempt = False
-        self._batch_proc = None
-        self._at = At(0.0)
+        self._batch_job = None
+        self._batch_requeued = 0
         self._grant_pool: list = []
-        self._res._on_wait = self._on_contention
         sim._batch_cpus.append(self)
 
     @property
@@ -129,80 +137,164 @@ class Cpu:
         remaining = demand_seconds / self.speed
         sim = self.sim
         res = self._res
-        q = self.quantum
-        while True:
-            # try_acquire() first: an idle core is the common case on
-            # every grid point below saturation, and it grants the slot
-            # without allocating an Event.
-            if not res.try_acquire():
-                # Contended: queue a fused grant instead of an Event.
-                # The resource hands the slot over through a ready-queue
-                # marker and the CPU arms this process's slice timeout
-                # directly (see _deliver_grant), eliding the resume
-                # whose only job was to compute a slice and yield it.
-                pool = self._grant_pool
-                if pool:
-                    g = pool.pop()
-                    g.proc = sim._current
-                    g.remaining = remaining
-                    g.granted = False
-                else:
-                    g = CpuGrant(self, sim._current, remaining)
-                res._queue.append(g)
-                hook = res._on_wait
-                if hook is not None:
-                    hook()
-                try:
-                    yield g
-                except BaseException:
-                    # Interrupted while queued: withdraw the request (or
-                    # release if the slot was handed over meanwhile).
-                    if not g.granted:
-                        res.cancel(g)
-                    elif self._batch_t is not None:
-                        self._batch_abort()
-                    else:
-                        self._release()
-                    raise
-                # Woken at the end of the first granted slice (or batch
-                # wakeup).  Busy-span start and slice arithmetic already
-                # happened in _deliver_grant.
-                if self._batch_t is not None:
-                    pool.append(g)
-                    remaining = yield from self._batch_continue()
-                    if remaining <= 0.0:
-                        return
-                    continue
-                remaining -= g.slice
-                pool.append(g)
-                self._release()
-                if remaining <= 0:
-                    return
-                continue
+        # try_acquire() first: an idle core is the common case on every
+        # grid point below saturation.
+        idle = res.try_acquire()
+        if idle:
             if self._busy_since is None:
                 self._busy_since = sim.now
-            if remaining > q and not res._queue:
-                # Alone on the core with multi-quantum demand: park one
-                # wakeup at the completion time instead of one per slice.
-                remaining = yield from self._run_batch(remaining)
-                if remaining <= 0.0:
-                    return
-                # Preempted at a quantum boundary: alternate per-quantum
-                # with the competitor (re-acquire at the loop top).
-                continue
-            this_slice = remaining if remaining <= q else q
-            try:
-                yield this_slice
-            except BaseException:
-                # Interrupted mid-slice: the slot must not stay busy.
+            if remaining <= self.quantum:
+                # Fits one quantum on an idle core: a plain timeout.
+                try:
+                    yield remaining
+                except BaseException:
+                    # Interrupted mid-slice: the slot must not stay busy.
+                    self._release()
+                    raise
                 self._release()
-                raise
-            remaining -= this_slice
-            self._release()
-            if remaining <= 0:
                 return
+        # Contended, or longer than a quantum: park once, for the whole
+        # demand, on a job the kernel runs (see _slice_end).
+        pool = self._grant_pool
+        if pool:
+            job = pool.pop()
+            job.proc = sim._current
+            job.remaining = remaining
+        else:
+            job = CpuGrant(self, sim._current, remaining)
+        job.granted = idle
+        if idle:
+            # Alone on the core with multi-quantum demand: one wakeup at
+            # the completion time instead of one per slice.
+            self._start_batch(remaining, job)
+            self._arm(job, self._batch_end)
+        else:
+            res._queue.append(job)
+            self._on_contention()
+        try:
+            yield job
+        except BaseException:
+            # Interrupted (Process.interrupt already withdrew a queued
+            # job or cancelled a running one's calendar entry): a job
+            # that holds the core gives it back exactly as the
+            # per-quantum loop would.
+            if not job.granted:
+                res.cancel(job)
+            elif self._batch_t is not None:
+                self._batch_abort()
+            else:
+                self._release()
+            raise
+        pool.append(job)
 
-    def _start_batch(self, remaining: float, proc) -> None:
+    def _arm(self, job: "CpuGrant", time: float) -> None:
+        """Push ``job``'s slice-end / batch-end calendar entry."""
+        sim = self.sim
+        key = sim._seq = sim._seq + 1
+        job._timeout_key = key
+        sim._live += 1
+        sim._push(time, key, None, job)
+
+    def _slice_end(self, job: "CpuGrant") -> None:
+        """Kernel callback: ``job``'s calendar entry popped.  Does,
+        without resuming a generator, exactly what the per-quantum loop's
+        process woken at this slice end (or batch wakeup) would do, with
+        identical seq draws; the process itself is resumed only when its
+        demand is finished.  Ordering rule 3: each time the callback
+        stands in for such a resume it credits ``events_processed`` +1,
+        so the batch arithmetic (``folded - flushed - 1 - requeued``,
+        the per-quantum count) holds as if the wake were a resume;
+        ``_batch_requeued`` is CPU state that ``_start_batch`` resets."""
+        sim = self.sim
+        queue = self._res._queue
+        q = self.quantum
+        if self._batch_t is None:
+            rem = job.remaining - job.slice
+        elif queue:
+            # Batch woken at the pulled-forward quantum boundary with a
+            # competitor waiting: the current slice ends here and --
+            # matching the per-quantum release -- this busy span is NOT
+            # folded (the busy period continues under the new holder).
+            rem = self._batch_rem
+            credit = (self._batch_folded - self._batch_flushed
+                      - self._batch_requeued)
+            if rem > 0.0:
+                rem -= rem if rem <= q else q
+            else:
+                credit -= 1
+            sim.events_processed += credit
+            self._batch_t = None
+        else:
+            # Batch wake on an empty run queue.  The per-quantum
+            # kernel's slice-end entry was pushed at the *slice's* start;
+            # the batch wake was pushed at the *batch's* start and so
+            # carries an older seq.  A same-time cascade scheduled in
+            # between would pop before the slice end under the heap
+            # kernel but after this wake -- requeue the wake with a
+            # fresh seq to let that cascade (which may queue a
+            # competitor) run first.
+            now = sim.now
+            self._fold_to(now, strict=True)
+            tied = self._tied_cascade_before(self._batch_t)
+            if tied:
+                self._batch_requeued += 1
+                self._batch_end = now
+            else:
+                self._fold_to(now)
+                sim.events_processed += (self._batch_folded
+                                         - self._batch_flushed - 1
+                                         - self._batch_requeued)
+                rem = self._batch_rem
+                if rem > 0.0:
+                    # Spurious boundary wake: the queued competitor was
+                    # cancelled before its turn.  Resume batching from
+                    # the fold point, which is ``now``.
+                    self._start_batch(rem, job)
+            if tied or rem > 0.0:
+                sim.events_processed += 1
+                self._arm(job, self._batch_end)
+                return
+            self._batch_t = None
+        if rem <= 0:
+            # Demand finished.  Ordering rule 1: the process goes on the
+            # ready queue *before* _release() posts the next grant's
+            # marker, so it still runs ahead of that grant's seq draw.
+            job.proc._waiting_on = None
+            sim._ready.append(job.proc)
+            self._release()
+            return
+        job.remaining = rem
+        now = sim.now
+        if queue:
+            # Ordering rule 2: hand-off with demand left.  The head is
+            # popped before the job re-joins the tail, and its grant is
+            # delivered in this callback (the ready queue is empty on a
+            # timed pop, so the marker would be next anyway).  The queue
+            # is then non-empty, so the head can never start a batch:
+            # this is _deliver_grant's slice arm, inlined -- the hottest
+            # path of a saturated core.
+            head = queue.popleft()
+            job.granted = False
+            queue.append(job)
+            s = head.remaining
+            if s > q:
+                s = q
+            head.slice = s
+            head.granted = True
+            key = sim._seq = sim._seq + 1
+            head._timeout_key = key
+            sim._live += 1
+            sim._push(now + s, key, None, head)
+            # Two resumes elided: the slice-end wake and the head's grant.
+            sim.events_processed += 2
+            return
+        # Alone: the per-quantum loop releases to idle and regrants the
+        # core to the same process at the same instant.
+        self._busy_accum += now - self._busy_since
+        self._busy_since = now
+        self._deliver_grant(job)
+
+    def _start_batch(self, remaining: float, job: "CpuGrant") -> None:
         """Arm batched-slice state at the current time (slot held, empty
         run queue): the batch cursor, and the completion time as the
         exact left-fold the per-quantum loop would compute, one slice at
@@ -214,7 +306,8 @@ class Cpu:
         self._batch_folded = 0
         self._batch_flushed = 0
         self._batch_preempt = False
-        self._batch_proc = proc
+        self._batch_job = job
+        self._batch_requeued = 0
         t = sim.now
         rem = remaining
         while rem > q:
@@ -222,129 +315,33 @@ class Cpu:
             rem = rem - q
         self._batch_end = t + rem
 
-    def _batch_abort(self, requeued: int = 0) -> None:
+    def _batch_abort(self) -> None:
         """Exception cleanup for an interrupted batch: fold the slices
         that completed before now (crediting their elided wakeups), then
         release exactly as the per-quantum loop would."""
         self._fold_to(self.sim.now, strict=self._batch_preempt)
-        self.sim.events_processed += (self._batch_folded
-                                      - self._batch_flushed - requeued)
+        self.sim.events_processed += (self._batch_folded - self._batch_flushed
+                                      - self._batch_requeued)
         self._batch_t = None
         self._release()
 
-    def _run_batch(self, remaining: float):
-        """Advance ``remaining`` demand (held slot, empty run queue) in
-        batched mode; returns the demand still owed after a preemption
-        hand-off (0.0 on completion)."""
-        self._start_batch(remaining, self.sim._current)
-        at = self._at
-        at.time = self._batch_end
-        try:
-            yield at
-        except BaseException:
-            self._batch_abort()
-            raise
-        return (yield from self._batch_continue())
-
-    def _batch_continue(self):
-        """Handle a batch wakeup (and any further ones) until the batch
-        completes or hands the slot to a competitor; returns the demand
-        still owed (0.0 on completion).  Entered with the batch armed
-        and the process just woken at ``_batch_end``."""
-        sim = self.sim
-        res = self._res
-        q = self.quantum
-        at = self._at
-        requeued = 0
-        while True:
-            if res._queue:
-                # Woken at the pulled-forward quantum boundary with a
-                # competitor waiting: the current slice ends here, the
-                # slot is handed over, and -- matching the per-quantum
-                # release -- this busy span is NOT folded (the busy
-                # period continues under the new holder).
-                rem = self._batch_rem
-                if rem > 0.0:
-                    s = rem if rem <= q else q
-                    left = rem - s
-                    sim.events_processed += (self._batch_folded
-                                             - self._batch_flushed
-                                             - requeued)
-                else:
-                    left = 0.0
-                    sim.events_processed += (self._batch_folded
-                                             - self._batch_flushed - 1
-                                             - requeued)
-                self._batch_t = None
-                self._release()
-                return left
-            # Empty run queue at a slice-end wake.  The per-quantum
-            # kernel's slice-end entry was pushed at the *slice's* start;
-            # the batch wake was pushed at the *batch's* start and so
-            # carries an older seq.  A same-time cascade scheduled in
-            # between would pop before the slice end under the heap
-            # kernel but after this wake -- requeue the wake with a
-            # fresh seq to let that cascade (which may queue a
-            # competitor) run first.
-            self._fold_to(sim.now, strict=True)
-            if self._tied_cascade_before(self._batch_t):
-                requeued += 1
-                self._batch_end = sim.now
-            else:
-                self._fold_to(sim.now)
-                sim.events_processed += (self._batch_folded
-                                         - self._batch_flushed - 1
-                                         - requeued)
-                self._batch_flushed = self._batch_folded
-                requeued = 0
-                if self._batch_rem <= 0.0:
-                    self._batch_t = None
-                    self._release()
-                    return 0.0
-                # Spurious boundary wake: the queued competitor was
-                # cancelled before its turn.  Resume batching from the
-                # fold point (the remaining left-fold is unchanged,
-                # recompute its end).
-                self._batch_preempt = False
-                t = self._batch_t
-                rem = self._batch_rem
-                while rem > q:
-                    t = t + q
-                    rem = rem - q
-                self._batch_end = t + rem
-            at.time = self._batch_end
-            try:
-                yield at
-            except BaseException:
-                self._batch_abort(requeued)
-                raise
-
     def _deliver_grant(self, g: "CpuGrant") -> None:
-        """Ready-queue marker handler: the slot was handed to ``g.proc``
-        at the current time.  Runs at the exact cascade position the
+        """Ready-queue marker handler: the slot was handed to ``g`` at
+        the current time.  Runs at the exact cascade position the
         granted process's resume would have occupied and does what its
-        code up to the next yield would have done -- start the busy
-        span, size the slice (or arm a batch) and push the timeout, with
-        identical seq assignment -- then credits the elided resume."""
+        code up to the next yield would have done -- size the slice (or
+        arm a batch) and push the timeout, with identical seq assignment
+        -- then credits the elided resume.  The busy span is already
+        open: a hand-off never closes it."""
         sim = self.sim
-        proc = g.proc
-        if self._busy_since is None:
-            self._busy_since = sim.now
         rem = g.remaining
         q = self.quantum
         if rem > q and not self._res._queue:
-            self._start_batch(rem, proc)
-            sim._schedule_timeout_at(self._batch_end, proc)
+            self._start_batch(rem, g)
+            self._arm(g, self._batch_end)
         else:
-            s = rem if rem <= q else q
-            g.slice = s
-            # Inlined _schedule_timeout: this runs once per contended
-            # slice grant, the hottest delivery path.
-            key = sim._seq = sim._seq + 1
-            proc._waiting_on = "timeout"
-            proc._timeout_key = key
-            sim._live += 1
-            sim._push(sim.now + s, key, None, proc)
+            g.slice = s = rem if rem <= q else q
+            self._arm(g, sim.now + s)
         sim.events_processed += 1
 
     def _fold_to(self, upto: float, strict: bool = False) -> None:
@@ -400,15 +397,15 @@ class Cpu:
         return False
 
     def _on_contention(self) -> None:
-        """Resource ``_on_wait`` hook: a competitor just queued.  Pull the
-        parked wakeup forward to the current quantum boundary so the
-        batch preempts exactly where the per-quantum scheduler would."""
+        """A competitor just queued.  Pull the parked wakeup forward to
+        the current quantum boundary so the batch preempts exactly where
+        the per-quantum scheduler would."""
         if self._batch_t is None or self._batch_preempt:
             return
-        proc = self._batch_proc
-        if proc is None or proc._waiting_on != "timeout":
+        job = self._batch_job
+        if job._timeout_key is None:
             # A pending interrupt already cancelled the wakeup; the
-            # batch's exception handler will clean up and release.
+            # process's exception handler will clean up and release.
             return
         sim = self.sim
         self._fold_to(sim.now, strict=True)
@@ -429,7 +426,11 @@ class Cpu:
             self._fold_to(sim.now)
             rem = self._batch_rem
             boundary = self._batch_t + (rem if rem <= q else q)
-        sim.reschedule_timeout_at(proc, boundary)
+        # Re-key the job's entry: the old one goes stale (lazy
+        # cancellation) and its ``_live`` count transfers to the new.
+        key = sim._seq = sim._seq + 1
+        job._timeout_key = key
+        sim._push(boundary, key, None, job)
         self._batch_end = boundary
         self._batch_preempt = True
 
@@ -453,12 +454,8 @@ class Cpu:
             # Hand-off: in_use is unchanged and the busy period
             # continues under the new holder.
             w = queue.popleft()
-            if w.__class__ is Event:
-                w.trigger(None)
-                res._pool.append(w)
-            else:
-                w.granted = True
-                self.sim._ready.append((None, w, None))
+            w.granted = True
+            self.sim._ready.append((None, w, None))
             return
         res.in_use -= 1
         if res.in_use == 0 and self._busy_since is not None:

@@ -9,7 +9,7 @@ auction site's initial working-set load) can be exercised.
 from __future__ import annotations
 
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, safe_acquire
 
 
 class Disk:
@@ -37,7 +37,6 @@ class Disk:
         # Event or a safe_acquire generator frame; the queued path keeps
         # full interrupt safety.
         if not self._res.try_acquire():
-            from repro.sim.resources import safe_acquire
             yield from safe_acquire(self._res)
         try:
             yield self.access_time + nbytes / self.transfer_rate

@@ -189,13 +189,19 @@ class Process:
         if isinstance(waiting, Event):
             waiting._remove_waiter(self)
         elif waiting.__class__ is CpuGrant:
-            if waiting.granted:
+            if waiting._timeout_key is not None:
+                # Running: the job's slice/batch entry goes stale; the
+                # core is given back by Cpu._execute's handler when the
+                # Interrupt reaches the process.
+                self.sim._cancel_timeout(waiting)
+            elif waiting.granted:
                 # The slot was already handed over: the process is
                 # logically on the ready queue (its grant marker), which
                 # matches an Event-granted waiter sitting in the ready
                 # queue -- not interruptible at this instant.
                 return False
-            waiting.cpu._res._queue.remove(waiting)
+            else:
+                waiting.cpu._res._queue.remove(waiting)
         elif waiting == "timeout":
             self.sim._cancel_timeout(self)
         self._waiting_on = None
@@ -226,8 +232,7 @@ class At:
     """Absolute-time waitable: ``yield At(t)`` sleeps until time ``t``.
 
     The kernel reads ``time`` synchronously when the yield is processed,
-    so a single mutable instance may be reused across yields (the batched
-    CPU parks its one wakeup this way without allocating per batch).
+    so a single mutable instance may be reused across yields.
     """
 
     __slots__ = ("time",)
@@ -237,22 +242,23 @@ class At:
 
 
 class CpuGrant:
-    """A queued CPU-slot request that elides the grant resume.
+    """One ``Cpu.execute`` demand, parked in the kernel until it is done.
 
-    The contended CPU path used to cost two kernel events per slice:
-    the grant resume (hand-off wakes the waiter, which only computes a
-    slice length and yields it) and the slice-end resume.  ``yield
-    CpuGrant`` parks the process carrying its remaining demand; when the
-    slot is handed over, the resource posts the grant to the ready queue
-    as a ``(None, grant, None)`` marker and the kernel lets the owning
-    CPU arm the waiter's slice timeout directly -- at the exact cascade
-    position where the granted process would have resumed, so seq
-    assignment (and therefore every same-time tie-break) is unchanged --
-    instead of resuming the generator.  The elided resume is credited to
-    ``events_processed``.
+    A process whose demand is contended or longer than a quantum yields
+    a ``CpuGrant`` once and is not resumed until the whole demand has
+    run.  The job is *queued* on the core's run queue (``granted``
+    False), *marker-pending* (``granted`` True: the slot was handed over
+    through a ``(None, job, None)`` ready-queue entry that lets the CPU
+    arm the first slice at the exact cascade position the granted
+    process's resume would occupy) or *running* (``_timeout_key`` set:
+    the job owns the slice-end / batch-end calendar entry, cancelled
+    lazily like a process timeout).  When that entry pops the kernel
+    calls ``cpu._slice_end(job)`` instead of resuming a generator; every
+    resume elided this way is credited to ``events_processed``.
     """
 
-    __slots__ = ("cpu", "proc", "remaining", "slice", "granted")
+    __slots__ = ("cpu", "proc", "remaining", "slice", "granted",
+                 "_timeout_key")
 
     def __init__(self, cpu, proc, remaining: float):
         self.cpu = cpu
@@ -260,6 +266,7 @@ class CpuGrant:
         self.remaining = remaining
         self.slice = 0.0
         self.granted = False
+        self._timeout_key: Optional[int] = None
 
 
 class _TimeoutTrigger:
@@ -280,10 +287,11 @@ class Simulator:
     """The event loop: owns virtual time, the calendar queue, and the
     ready queue.
 
-    Timed entries are 4-tuples ``(time, seq, fn, proc)``: scheduled
-    callbacks carry ``fn`` (never cancelled), process timeouts carry
-    ``proc``.  Timeout cancellation is *lazy*: cancelling only clears
-    ``proc._timeout_key``, and the stale entry is skipped when it
+    Timed entries are 5-tuples ``(time, seq, fn, proc, sched_time)``:
+    scheduled callbacks carry ``fn`` (never cancelled), process timeouts
+    carry ``proc`` (a :class:`Process`, or the :class:`CpuGrant` job a
+    CPU is running).  Timeout cancellation is *lazy*: cancelling only
+    clears ``proc._timeout_key``, and the stale entry is skipped when it
     eventually surfaces -- no set bookkeeping and no heap scans on the
     hot path.  ``_live`` counts non-stale pending entries so
     :meth:`quiescent` is O(1): it goes up on push, down on cancel and on
@@ -434,25 +442,6 @@ class Simulator:
         self._live += 1
         self._push(time, key, None, proc)
 
-    def reschedule_timeout_at(self, proc: Process, time: float) -> None:
-        """Move ``proc``'s pending timeout wakeup to absolute ``time``.
-
-        The old calendar entry goes stale (lazy cancellation) and a new
-        entry with a fresh seq is pushed; ``_live`` is unchanged because
-        the old entry's count transfers to the new one.  Used by the
-        batched CPU to pull a parked end-of-demand wakeup forward to the
-        next quantum boundary when a competitor arrives.
-        """
-        if proc._waiting_on != "timeout":
-            raise SimulationError(
-                "reschedule_timeout_at: process is not in a timeout wait")
-        if time < self.now:
-            raise SimulationError(
-                f"reschedule to {time!r} is in the past (now={self.now!r})")
-        key = self._seq = self._seq + 1
-        proc._timeout_key = key
-        self._push(time, key, None, proc)
-
     def _cancel_timeout(self, proc: Process) -> None:
         # Lazy deletion: the calendar entry stays put; clearing the key
         # makes it stale, and the pop path skips it.
@@ -491,6 +480,10 @@ class Simulator:
                 value = target.value
                 self._ready.append(proc if value is None
                                    else (proc, value, None))
+        elif tcls is CpuGrant:
+            # Parked for a whole CPU demand; Cpu._slice_end puts the
+            # process on the ready queue when the demand is finished.
+            proc._waiting_on = target
         elif tcls is Process:
             ev = target.done_event
             if not ev._subscribe(proc):
@@ -501,10 +494,6 @@ class Simulator:
             self._schedule_timeout(target.seconds, proc)
         elif tcls is At:
             self._schedule_timeout_at(target.time, proc)
-        elif tcls is CpuGrant:
-            # Parked on a contended CPU slot; the resource delivers the
-            # grant through the ready queue when the slot frees up.
-            proc._waiting_on = target
         elif isinstance(target, (int, float)):
             self._schedule_timeout(target, proc)
         elif isinstance(target, Event):
@@ -565,9 +554,12 @@ class Simulator:
                 self._live -= 1
                 self.now = time
                 self._root_sched = sched
-                proc._waiting_on = None
                 proc._timeout_key = None
-                self._resume(proc, None, None)
+                if proc.__class__ is CpuGrant:
+                    proc.cpu._slice_end(proc)
+                else:
+                    proc._waiting_on = None
+                    self._resume(proc, None, None)
             else:
                 self._live -= 1
                 self.now = time
@@ -585,6 +577,9 @@ class Simulator:
         float-timeout reschedule -- the dominant yield -- goes straight
         into the calendar without a method call.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until!r}) is in the past (now={self.now!r})")
         ready = self._ready
         popleft = ready.popleft
         heappush = heapq.heappush
@@ -635,8 +630,14 @@ class Simulator:
                         self._live -= 1
                         self.now = time
                         self._root_sched = sched
-                        tproc._waiting_on = None
                         tproc._timeout_key = None
+                        if tproc.__class__ is CpuGrant:
+                            # A running CPU job's slice or batch is
+                            # due: the run queue advances here, with no
+                            # generator resumed.
+                            tproc.cpu._slice_end(tproc)
+                            continue
+                        tproc._waiting_on = None
                         proc = tproc
                         value = exc = None
                     else:

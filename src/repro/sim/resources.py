@@ -24,14 +24,10 @@ class Resource:
     reused for later queued acquires -- once a wait event triggers, its
     waiter is already on the ready queue and nothing reads the event
     again, so the recycle is unobservable.
-
-    ``_on_wait`` is an optional zero-argument hook fired whenever an
-    acquire actually queues; the batched CPU uses it to fall back to
-    per-quantum preemption the moment a competitor arrives.
     """
 
     __slots__ = ("sim", "capacity", "in_use", "_queue", "name",
-                 "_on_wait", "_granted", "_pool")
+                 "_granted", "_pool")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -41,7 +37,6 @@ class Resource:
         self.in_use = 0
         self._queue: deque[Event] = deque()
         self.name = name
-        self._on_wait = None
         self._granted = Event(sim)
         self._granted.triggered = True
         self._pool: list[Event] = []
@@ -63,9 +58,6 @@ class Resource:
         else:
             ev = Event(self.sim)
         self._queue.append(ev)
-        hook = self._on_wait
-        if hook is not None:
-            hook()
         return ev
 
     def try_acquire(self) -> bool:
@@ -82,18 +74,10 @@ class Resource:
         if self._queue:
             # Hand the slot directly to the next waiter: in_use is unchanged.
             ev = self._queue.popleft()
-            if ev.__class__ is Event:
-                ev.trigger(None)
-                # The waiter is on the ready queue now and nothing inspects
-                # a granted wait event afterwards; recycle it.
-                self._pool.append(ev)
-            else:
-                # A CPU slice grant (kernel.CpuGrant): hand the slot over
-                # without resuming the waiter -- the ready-queue marker
-                # lets the CPU arm the slice timeout at the waiter's
-                # exact resume position.
-                ev.granted = True
-                self.sim._ready.append((None, ev, None))
+            ev.trigger(None)
+            # The waiter is on the ready queue now and nothing inspects
+            # a granted wait event afterwards; recycle it.
+            self._pool.append(ev)
         else:
             self.in_use -= 1
 

@@ -13,11 +13,18 @@ Two families:
   UPDATE holding a table lock must preempt a one-second best-sellers
   aggregation at the next quantum boundary and release the lock in
   milliseconds, batched time slicing notwithstanding.
+
+* A reference per-quantum CPU (`PerQuantumCpu`, the seed's generator
+  loop: one kernel event per grant and per slice end) driven side by
+  side with the real `Cpu` -- batched slices, kernel-resident run queue
+  -- through random arrival / demand / interrupt scripts.  Completion
+  times, busy time and the event count must be equal, not close.
 """
 
 import heapq
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -267,3 +274,253 @@ def test_batched_slicing_event_count_matches_per_quantum():
     sim.finalize_events()
     # Per-quantum: 1 spawn resume + 51 slice-end wakeups.
     assert sim.events_processed == 52
+
+
+# ---------------------------------------------------------------------------
+# Kernel-resident run queue vs the per-quantum reference CPU.
+
+
+class PerQuantumCpu:
+    """The seed's CPU on today's kernel: a plain generator loop --
+    ``Resource.acquire()`` event, ``yield slice``, ``release()`` -- that
+    is resumed for every grant and every slice end.  ``Cpu`` must be
+    indistinguishable from it in virtual time, busy time and events."""
+
+    def __init__(self, sim, quantum=0.001):
+        self.sim = sim
+        self.quantum = quantum
+        self._res = Resource(sim, capacity=1)
+        self._busy_accum = 0.0
+        self._busy_since = None
+
+    @property
+    def busy(self):
+        return self._res.in_use > 0
+
+    @property
+    def queue_length(self):
+        return self._res.queue_length
+
+    def busy_time(self):
+        accum = self._busy_accum
+        if self._busy_since is not None:
+            accum += self.sim.now - self._busy_since
+        return accum
+
+    def execute(self, demand_seconds):
+        remaining = demand_seconds
+        while True:
+            ev = self._res.acquire()
+            if not ev.triggered:
+                try:
+                    yield ev
+                except BaseException:
+                    if ev.triggered:
+                        self._release()
+                    else:
+                        self._res.cancel(ev)
+                    raise
+            if self._busy_since is None:
+                self._busy_since = self.sim.now
+            this_slice = remaining if remaining <= self.quantum \
+                else self.quantum
+            try:
+                yield this_slice
+            except BaseException:
+                self._release()
+                raise
+            remaining -= this_slice
+            self._release()
+            if remaining <= 0:
+                return
+
+    def _release(self):
+        self._res.release()
+        # The seed's Resource did not recycle wait events, and an
+        # interrupted waiter above still has to read ``triggered``.
+        self._res._pool.clear()
+        if self._res.in_use == 0 and not self._res.queue_length:
+            if self._busy_since is not None:
+                self._busy_accum += self.sim.now - self._busy_since
+                self._busy_since = None
+
+
+def _pause(sim, name, delay, log):
+    try:
+        yield delay
+    except Interrupt:
+        log.append((name, "roused", sim.now))
+
+
+def _cpu_job(sim, cpu, name, arrival, steps, log):
+    yield from _pause(sim, name, arrival, log)
+    for demand, think in steps:
+        if demand is not None:
+            try:
+                yield from cpu.execute(demand)
+                log.append((name, "done", sim.now))
+            except Interrupt:
+                log.append((name, "interrupted", sim.now))
+        if think:
+            yield from _pause(sim, name, think, log)
+
+
+def _cpu_observer(sim, cpu, delays, log):
+    for delay in delays:
+        yield delay
+        log.append(("busy", sim.now, cpu.busy_time()))
+
+
+def _cpu_chaos(sim, cpu, procs, script, log):
+    yield _CHAOS_LEAD_IN
+    for delay, targets in script:
+        yield delay
+        log.append(("ctl", [procs[i].interrupt("chaos") for i in targets],
+                    sim.now, cpu.busy_time()))
+
+
+def run_cpu_script(make_cpu, jobs, script=(), observe=(), checkpoint=None):
+    """Drive one CPU model through ``jobs`` -- (arrival, [(demand or
+    None, pause after it), ...]) each -- the interrupt ``script`` --
+    [(delay, [job indices]), ...] -- and a ``busy_time()`` reader;
+    returns everything the two models must agree on, and the simulator
+    and CPU for end-state checks."""
+    sim = Simulator()
+    cpu = make_cpu(sim)
+    log = []
+    sim.spawn(_cpu_observer(sim, cpu, observe, log))
+    procs = [sim.spawn(_cpu_job(sim, cpu, f"j{i}", arrival, steps, log))
+             for i, (arrival, steps) in enumerate(jobs)]
+    sim.spawn(_cpu_chaos(sim, cpu, procs, script, log))
+    if checkpoint is not None:
+        # A phase boundary: the counter is read while jobs are parked.
+        sim.run(until=checkpoint)
+        sim.finalize_events()
+        log.append(("checkpoint", sim.events_processed, cpu.busy_time()))
+    sim.run()
+    sim.finalize_events()
+    return (log, cpu.busy_time(), sim.events_processed), sim, cpu
+
+
+# Quantum 1 ms, job times on a 0.25 ms grid: whole slices, sub-quantum
+# and ragged demands, and arrivals exactly on a slice boundary of an
+# earlier job (0.001 + 0.002 == 0.003 in floats, so the ties are real).
+# Kept out are the ties on which the batched CPU is *known* to differ
+# from the reference (KNOWN_TIE_DEFECTS below; all predate the
+# kernel-resident run queue): no job arrives at 0, the instant every
+# arrival timer is pushed, and the chaos process starts 4 (mod 25) tens
+# of microseconds off the grid with delays of 1-3 (mod 25), so that no
+# interrupt and no ``busy_time()`` read lands on a slice end.
+_GRID = [0.00025, 0.0005, 0.001, 0.0015, 0.002, 0.00225, 0.003, 0.0035,
+         0.004, 0.0105]
+_ARRIVALS = st.sampled_from(_GRID)
+_DEMANDS = st.sampled_from([0.0] + _GRID)
+_CHAOS_LEAD_IN = 0.00004
+_OFF_GRID = st.sampled_from([0.00026, 0.00052, 0.00103, 0.00228, 0.00451])
+
+
+@st.composite
+def _cpu_cases(draw):
+    njobs = draw(st.integers(min_value=1, max_value=6))
+    jobs = [(draw(_ARRIVALS),
+             [(demand, 0.0) for demand in
+              draw(st.lists(_DEMANDS, min_size=1, max_size=2))])
+            for __ in range(njobs)]
+    # One interrupt per instant: with the core's holder and a queued job
+    # interrupted together, holder first, the seed hands the slot to the
+    # dead waiter (whose handler releases it again) where
+    # Process.interrupt withdraws a queued job at once -- same times,
+    # one grant event fewer for a job that queues in between.
+    target = st.lists(st.integers(min_value=0, max_value=njobs - 1),
+                      min_size=1, max_size=1)
+    script = draw(st.lists(st.tuples(_OFF_GRID, target),
+                           min_size=0, max_size=5))
+    checkpoint = draw(st.one_of(st.none(), _ARRIVALS, _OFF_GRID))
+    return jobs, script, (), checkpoint
+
+
+def assert_cpu_matches_reference(jobs, script=(), observe=(),
+                                 checkpoint=None):
+    """Equal, not close: every logged time, ``busy_time()`` and
+    ``events_processed``; and the core ends idle with nothing pending.
+    Returns the agreed log."""
+    case = (jobs, script, observe, checkpoint)
+    expected, __, ___ = run_cpu_script(PerQuantumCpu, *case)
+    observed, sim, cpu = run_cpu_script(Cpu, *case)
+    assert observed == expected
+    assert not cpu.busy and cpu.queue_length == 0
+    assert sim.quiescent()
+    return observed[0]
+
+
+@given(_cpu_cases())
+@settings(deadline=None, max_examples=150)
+def test_cpu_matches_per_quantum_reference(case):
+    assert_cpu_matches_reference(*case)
+
+
+# The tie rules of batched slicing, one script each, where the CPU and
+# the reference agree (found with the float-exact ties checked: the
+# left-fold 0.00025 + 3 x 0.001 is 0.0032500000000000003).
+BATCH_TIES = {
+    # ``busy_time()`` read at the batch's natural end, a competitor
+    # arriving in the same instant: the wake finds rem == 0 and a queue.
+    "busy-read-then-arrival-at-the-batch-end": dict(
+        jobs=[(0.0005, [(0.0015, 0.0)]), (0.002, [(0.0005, 0.0)])],
+        observe=[0.002]),
+    # Arrival on a slice boundary from a cascade rooted *after* that
+    # slice's start: the slice end runs first, one more slice follows.
+    "arrival-on-a-boundary-rooted-inside-the-slice": dict(
+        jobs=[(0.001, [(0.0035, 0.0)]),
+              (0.00225, [(None, 0.00075), (0.001, 0.0)])]),
+    # A timer tied with the batch end, pushed after the batch's start but
+    # before its last slice's: the wake is requeued behind it.
+    "batch-wake-requeued-behind-a-tied-timer": dict(
+        jobs=[(0.00025, [(0.003, 0.0)]),
+              (0.00125, [(None, 0.002), (0.0005, 0.0)])]),
+    # The competitor that pulled the wake forward is interrupted before
+    # the boundary: a spurious wake, and batching resumes.
+    "spurious-boundary-wake": dict(
+        jobs=[(0.00025, [(0.005, 0.0)]), (0.0015, [(0.001, 0.0)])],
+        script=[(0.00186, [1])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_TIES))
+def test_batched_slicing_tie_rules_match_reference(name):
+    assert_cpu_matches_reference(**BATCH_TIES[name])
+
+
+# Same-time ties the batched CPU resolves differently from the
+# per-quantum reference.  None is caused by the kernel-resident run
+# queue -- each fails identically on the generator-loop CPU before it --
+# and none is reachable from the differential test above.
+KNOWN_TIE_DEFECTS = {
+    # An interrupt tied with a slice end inside a batch: _batch_abort
+    # folds the slice ending now although its wakeup never ran -- one
+    # event too many, times equal.
+    "interrupt-on-batch-slice-end": dict(
+        jobs=[(0.00021, [(0.0015, 0.0)])], script=[(0.00117, [0])]),
+    # busy_time() at a slice end inside a batch folds that slice, and a
+    # competitor arriving later in the same instant waits a slice more.
+    "busy-time-read-on-batch-slice-end": dict(
+        jobs=[(0.0015, [(0.0, 0.0)]), (0.0005, [(0.0015, 0.0)])],
+        observe=[0.0015]),
+    # A tied slice end and arrival are ordered by *push time*
+    # (Cpu._on_contention), which cannot separate two pushes of one
+    # instant: here the arrival timer was pushed first, at 0.
+    "arrival-pushed-at-the-slice-start": dict(
+        jobs=[(0.001, [(0.0, 0.0)]), (0.0, [(0.0015, 0.0)])]),
+    # The pulled-forward wake carries the seq of the moment the
+    # competitor queued, not of its slice's start: a timer pushed in
+    # between and tied with that boundary runs ahead of the hand-off.
+    "timer-pushed-before-the-pulled-forward-wake": dict(
+        jobs=[(0.00225, [(0.00225, 0.0)]), (0.004, [(0.0, 0.0)]),
+              (0.0035, [(None, 0.00075), (0.0, 0.0)])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_TIE_DEFECTS))
+@pytest.mark.xfail(strict=True, reason="PR 8 tie-break approximations")
+def test_known_tie_defects_of_batched_slicing(name):
+    assert_cpu_matches_reference(**KNOWN_TIE_DEFECTS[name])

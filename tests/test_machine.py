@@ -5,6 +5,8 @@ import pytest
 from repro.machine import Machine, MachineSpec, paper_machine_spec
 from repro.machine.cpu import Cpu
 from repro.sim import Simulator
+from tests.test_kernel_speed2 import (PerQuantumCpu,
+                                      assert_cpu_matches_reference)
 
 
 def test_cpu_executes_demand_in_virtual_time():
@@ -107,6 +109,89 @@ def test_cpu_rejects_bad_args():
     cpu = Cpu(sim)
     with pytest.raises(ValueError):
         list(cpu.execute(-1))
+
+
+# Interrupting a process parked on a core, one test per state of its job
+# (see kernel.CpuGrant).  Every script is run on ``Cpu`` and on the
+# per-quantum reference: the next job must get the core at the same
+# instant, nothing may leak (core idle, run queue empty, kernel
+# quiescent -- no stranded ``_live`` count), and the interrupted
+# process's next ``execute`` on that core must complete.  Jobs are
+# (arrival, [(demand, pause after it), ...]); the interrupter starts
+# 0.04 ms off the 0.25 ms grid, so no interrupt ties with a slice end.
+
+def test_interrupt_job_queued_behind_two_others():
+    log = assert_cpu_matches_reference(
+        jobs=[(0.00025, [(0.003, 0.0)]), (0.0005, [(0.002, 0.0)]),
+              (0.00075, [(0.002, 0.0), (0.001, 0.0)])],
+        script=[(0.00086, [2])])
+    assert [entry[:2] for entry in log] == [
+        ("ctl", [True]), ("j2", "interrupted"), ("j2", "done"),
+        ("j1", "done"), ("j0", "done")]
+
+
+def test_interrupt_job_mid_slice_with_a_waiting_competitor():
+    # j0's batch is preempted at 1.25 ms; j1 is cut down 0.45 ms into
+    # its first slice, with j0 back on the run queue.
+    log = assert_cpu_matches_reference(
+        jobs=[(0.00025, [(0.003, 0.0)]),
+              (0.0005, [(0.003, 0.0), (0.0005, 0.0)])],
+        script=[(0.00166, [1])])
+    assert [entry[:2] for entry in log] == [
+        ("ctl", [True]), ("j1", "interrupted"), ("j1", "done"),
+        ("j0", "done")]
+
+
+def test_interrupt_job_mid_batch_after_its_wake_was_pulled_forward():
+    # j1 queues at 1.5 ms and pulls j0's batch wake to 2.25 ms; j0 is
+    # interrupted at 1.9 ms and j1 runs from there.
+    log = assert_cpu_matches_reference(
+        jobs=[(0.00025, [(0.005, 0.0), (0.0005, 0.0)]),
+              (0.0015, [(0.001, 0.0)])],
+        script=[(0.00186, [0])])
+    assert log[2] == ("j1", "done", 0.0019000000000000002 + 0.001)
+
+
+def test_competitor_queues_while_the_batch_holder_has_an_interrupt_pending():
+    # One instant: j1 is roused from its pause, j0 (mid-batch) is
+    # interrupted, j1 runs first and queues on the still-held core.
+    log = assert_cpu_matches_reference(
+        jobs=[(0.00025, [(0.005, 0.0), (0.0005, 0.0)]),
+              (0.003, [(0.001, 0.0)])],
+        script=[(0.00086, [1, 0])])
+    assert [entry[:2] for entry in log] == [
+        ("ctl", [True, True]), ("j1", "roused"), ("j0", "interrupted"),
+        ("j1", "done"), ("j0", "done")]
+
+
+@pytest.mark.parametrize("make_cpu", [PerQuantumCpu, Cpu])
+def test_job_in_the_hand_off_marker_window_is_not_interruptible(make_cpu):
+    """A process that finishes its demand runs ahead of the next job's
+    grant (ordering rule 1): what it sees is a job that already owns the
+    slot -- ``interrupt()`` returns False, as for any process on the
+    ready queue."""
+    sim = Simulator()
+    cpu = make_cpu(sim)
+    log = []
+
+    def first():
+        yield from cpu.execute(0.002)
+        log.append(("interrupt", procs[1].interrupt("late"), sim.now))
+
+    def second():
+        yield 0.0005
+        yield from cpu.execute(0.002)
+        log.append(("second done", sim.now))
+        yield from cpu.execute(0.0015)
+        log.append(("second again", sim.now))
+
+    procs = [sim.spawn(first()), sim.spawn(second())]
+    sim.run()
+    # first [0,1] second [1,2] first [2,3] second [3,4], then 1.5 ms.
+    assert log == [("interrupt", False, 0.003), ("second done", 0.004),
+                   ("second again", 0.0055)]
+    assert not cpu.busy and cpu.queue_length == 0
+    assert sim.quiescent()
 
 
 def test_disk_io_takes_access_plus_transfer_time():

@@ -227,6 +227,16 @@ def test_run_until_advances_time_even_with_empty_heap():
     assert sim.now == 30.0
 
 
+def test_run_until_in_the_past_is_rejected_and_the_clock_stays():
+    sim = Simulator()
+    sim.schedule(10.0, lambda: None)
+    sim.run(until=7.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run(until=3.0)
+    assert sim.now == 7.0
+    assert sim.run(until=7.0) == 7.0       # "until now" is a no-op
+
+
 def test_spawn_rejects_non_generator():
     sim = Simulator()
     with pytest.raises(SimulationError):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim import Resource, RWLock, Simulator, Store
+from repro.sim import Interrupt, Resource, RWLock, Simulator, Store
 from repro.sim.kernel import SimulationError
+from repro.sim.resources import safe_acquire
 
 
 # ---------------------------------------------------------------- Resource
@@ -204,3 +205,48 @@ def test_rwlock_write_then_write_queues():
     assert not w2.triggered
     lock.release_write()
     assert w2.triggered
+
+
+@pytest.mark.xfail(strict=True, reason="wait-event recycling is unsafe when "
+                   "a holder and a queued waiter are interrupted together")
+def test_interrupted_waiter_does_not_read_a_recycled_wait_event():
+    """The holder, interrupted first, releases: the slot goes to the
+    interrupted waiter's dead wait event, which is recycled at once and
+    reused by the holder's next acquire.  The waiter's handler then
+    reads ``triggered`` on an event that is no longer its own, cancels
+    the holder's request instead of giving the slot back, and the slot
+    leaks.  Found by the CPU differential test of
+    ``tests/test_kernel_speed2.py`` (whose reference therefore empties
+    the pool); ``Cpu`` itself no longer queues Events."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def holder():
+        yield from safe_acquire(res)
+        try:
+            yield 1.0
+        except Interrupt:
+            pass
+        res.release()
+        yield from safe_acquire(res)
+        log.append("holder again")
+        res.release()
+
+    def waiter():
+        try:
+            yield from safe_acquire(res)
+        except Interrupt:
+            return
+        res.release()
+
+    def chaos():
+        yield 0.5
+        procs[0].interrupt()
+        procs[1].interrupt()
+
+    procs = [sim.spawn(holder()), sim.spawn(waiter())]
+    sim.spawn(chaos())
+    sim.run()
+    assert log == ["holder again"]
+    assert res.in_use == 0 and res.queue_length == 0
