@@ -7,9 +7,11 @@ figure NN [--full] [--jobs N] [--trace] [--csv PATH] [--config NAME]
                      regenerate one figure by number ("6", "06" and
                      "fig06" all work); ``--trace`` appends bottleneck
                      attribution from request-level tracing
-trace FIG [...]      re-run figure points with request-level tracing;
-                     print bottleneck reports, optionally write Chrome
-                     trace JSON (see ``trace FIG --help``)
+trace FIG [--config NAME] [--clients N] [--chrome PATH] [--flame]
+                     re-run figure points with request-level tracing
+                     (default: each configuration's peak); print
+                     bottleneck reports, optionally write Chrome trace
+                     JSON and a flame summary
 calibrate            print analytic saturation points vs paper targets
 bboard [--full]      run the bulletin-board extension experiment
 faults [--tier T]    crash/restart one tier mid-run, report availability
@@ -31,8 +33,9 @@ The experiment commands share one set of flags, declared once in
 ``--jobs N`` fans the independent simulation runs out over N worker
 processes (default: ``REPRO_JOBS``, else one per CPU; ``--jobs 1`` runs
 in-process); output is bit-identical for every N under pinned seeds.
-``--config`` and ``--mix`` are validated before any work, so a typo
-exits (code 2) with the list of known names instead of costing a run.
+``--config``, ``--mix`` and the figure id are validated before any
+work, so a typo exits (code 2) with the list of known names instead of
+costing a run.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from repro.topology.spec import (
     validate_config_names,
 )
 
-SCALES = ("tiny", "quick", "full")
-
 #: The flags experiment commands share: one declaration each.  A command
 #: row lists the ones it takes; ``--scale``'s default is per command.
 FLAGS = {
@@ -61,7 +62,8 @@ FLAGS = {
                      help="configuration to run, or to build the "
                           "experiment's deployments on (default: the "
                           "experiment's choice)"),
-    "--scale": dict(choices=SCALES, help="grid size and phase lengths"),
+    "--scale": dict(choices=("tiny", "quick", "full"),
+                    help="grid size and phase lengths"),
     "--seed": dict(type=int, default=42),
     "--jobs": dict(type=int, default=None, metavar="N",
                    help="worker processes for the sweep (default: "
@@ -85,23 +87,39 @@ def _figures(__args) -> int:
 
 def _figure(args) -> int:
     from repro.experiments import registry
-    try:
-        figure_id = registry.normalize_figure_id(args.figure)
-    except KeyError:
-        print(f"unknown figure {args.figure!r}; try 'python -m repro "
-              f"figures'", file=sys.stderr)
-        return 2
     sweep = dict(full=args.full, jobs=args.jobs, configurations=args.config)
-    print(registry.render_figure(figure_id, trace=args.trace, **sweep))
+    print(registry.render_figure(args.figure, trace=args.trace, **sweep))
     if args.csv:
-        registry.run_figure(figure_id, **sweep).save_csv(args.csv)
+        registry.run_figure(args.figure, **sweep).save_csv(args.csv)
         print(f"\n[csv written to {args.csv}]")
     return 0
 
 
 def _trace(args) -> int:
-    from repro.experiments.trace import main as trace_main
-    trace_main(args.trace_args)
+    from repro.experiments import trace
+    from repro.obs import flame_summary, render_report, write_chrome_trace
+    if args.clients is None:
+        points = trace.trace_figure_peaks(
+            args.figure, full=args.full, jobs=args.jobs,
+            configurations=args.config)
+    else:
+        from repro.topology.configs import configuration_names
+        points = {name: trace.trace_figure_point(
+                      args.figure, name, args.clients, full=args.full)
+                  for name in args.config or configuration_names()}
+    for i, point in enumerate(points.values()):
+        if i:
+            print()
+        print(render_report(point.bottleneck_report))
+        if args.flame:
+            print()
+            print(flame_summary(point.tracer.requests))
+    if args.chrome:
+        # One file; when several configurations were traced the last one
+        # wins (a merged export would interleave unrelated runs).
+        last = list(points.values())[-1]
+        n = write_chrome_trace(last.tracer, args.chrome)
+        print(f"\n[chrome trace: {n} events -> {args.chrome}]")
     return 0
 
 
@@ -123,52 +141,33 @@ def _bboard(args) -> int:
     return 0
 
 
-def _experiment(args, **kwargs) -> int:
-    """Print an extension experiment: the arguments every ``render``
-    takes, plus the command's own."""
-    module = import_module(f"repro.experiments.{args.module}")
-    print(module.render(scale=args.scale, app_name=args.app, seed=args.seed,
-                        jobs=args.jobs, **kwargs))
+def _experiment(args) -> int:
+    """Print an extension experiment: every driver takes the shared
+    arguments under these names, plus the command's own (``--trace`` if
+    its row has it, and the row's ``args``) under theirs."""
+    row = COMMANDS[args.command]
+    own = [flag.lstrip("-").replace("-", "_")
+           for flag in (*row["flags"], *row.get("args", ()))
+           if flag not in _EXPERIMENT]
+    driver = getattr(import_module(f"repro.experiments.{args.module}"),
+                     args.driver)
+    print(driver(scale=args.scale, app_name=args.app, mixes=args.mix,
+                 configs=args.config, seed=args.seed, jobs=args.jobs,
+                 **{name: getattr(args, name) for name in own}).render())
     return 0
-
-
-def _faults(args) -> int:
-    return _experiment(args, tier=args.tier, mix_name=args.mix[0],
-                       configurations=args.config)
-
-
-def _scale(args) -> int:
-    return _experiment(args, mix_names=args.mix, base_name=args.config,
-                       replica_counts=args.replicas, trace=args.trace)
-
-
-def _slo(args) -> int:
-    return _experiment(args, mix_name=args.mix[0],
-                       configurations=args.config,
-                       chaos=not args.no_chaos, sweep=not args.chaos_only)
-
-
-def _cache(args) -> int:
-    return _experiment(args, mix_names=args.mix, base_name=args.config,
-                       mode=args.mode, granularity=args.granularity,
-                       trace=args.trace)
-
-
-def _shard(args) -> int:
-    return _experiment(args, mix_name=args.mix[0], base_name=args.config,
-                       trace=args.trace)
 
 
 _EXPERIMENT = ("--app", "--mix", "--config", "--scale", "--seed", "--jobs")
 
-#: One row per command: its handler, help text, the shared ``flags`` it
-#: takes, its own ``args``, and -- every other key -- parser defaults.
-#: An experiment row sets ``scale`` (its default ``--scale``), ``module``
-#: (the experiment module, whose ``DEFAULT_MIXES[app]`` is the default
-#: ``--mix``), ``one_mix`` / ``one_config`` (the command takes a single
-#: mix / a single base configuration, not a repeatable list) and
-#: ``any_topology`` (``--config`` accepts the whole topology grammar, not
-#: just the six paper names).
+#: One row per command: its handler (default: ``_experiment``), help
+#: text, the shared ``flags`` it takes, its own ``args``, and -- every
+#: other key -- parser defaults.  An experiment row sets ``scale`` (its
+#: default ``--scale``), ``module`` and ``driver`` (the function
+#: ``_experiment`` calls; the module's ``DEFAULT_MIXES[app]`` is the
+#: default ``--mix``), ``one_mix`` / ``one_config`` (the command takes a
+#: single mix / a single base configuration, not a repeatable list) and
+#: ``any_topology`` (``--config`` accepts the whole topology grammar,
+#: not just the six paper names).
 COMMANDS = {
     "figures": dict(func=_figures, help="list reproducible figures"),
     "figure": dict(
@@ -180,59 +179,68 @@ COMMANDS = {
     "trace": dict(
         func=_trace, help="re-run figure points with request-level "
                           "tracing and print bottleneck attribution",
-        args={"trace_args": dict(
-            nargs=argparse.REMAINDER, metavar="FIG [options]",
-            help="arguments for the tracer; run 'python -m repro trace "
-                 "fig06 --help' for the full list")}),
+        flags=("--config", "--full", "--jobs"),
+        args={"figure": dict(help="figure id: 6, 06 and fig06 all work"),
+              "--clients": dict(type=int, metavar="N",
+                                help="client count to trace (default: each "
+                                     "configuration's peak, found by the "
+                                     "untraced sweep --jobs fans out)"),
+              "--chrome": dict(metavar="PATH",
+                               help="write the retained span trees as "
+                                    "Chrome trace-event JSON"),
+              "--flame": dict(action="store_true",
+                              help="also print a flame summary (where "
+                                   "virtual time went, by span path)")}),
     "calibrate": dict(func=_calibrate,
                       help="analytic demands vs paper targets"),
     "bboard": dict(func=_bboard, help="bulletin-board extension experiment",
                    flags=("--full", "--jobs")),
     "faults": dict(
-        func=_faults, help="failover experiment: crash and restart one "
-                           "tier mid-run for all six configurations",
+        help="failover experiment: crash and restart one tier mid-run "
+             "for all six configurations",
         flags=_EXPERIMENT, scale="quick", module="ext_failover",
-        one_mix=True,
+        driver="run_failover", one_mix=True,
         args={"--tier": dict(default="db",
                              choices=("web", "servlet", "ejb", "db"),
                              help="tier to crash (default: db)")}),
     "scale": dict(
-        func=_scale, help="scale-out experiment: peak throughput vs "
-                          "database read replicas for CPU-bound and "
-                          "lock-bound mixes",
+        help="scale-out experiment: peak throughput vs database read "
+             "replicas for CPU-bound and lock-bound mixes",
         flags=_EXPERIMENT + ("--trace",), scale="quick",
-        module="ext_scaleout", one_config=True,
+        module="ext_scaleout", driver="run_scaleout", one_config=True,
         args={"--replicas": dict(
             action="append", type=int, metavar="N",
             help="replica count to sweep (repeatable; default: the "
                  "scale level's grid)")}),
     "slo": dict(
-        func=_slo, help="open-loop overload experiment: goodput/latency "
-                        "vs offered load through saturation, plus a "
-                        "flash-crowd + replica-crash chaos run",
-        flags=_EXPERIMENT, scale="tiny", module="ext_slo", one_mix=True,
+        help="open-loop overload experiment: goodput/latency vs offered "
+             "load through saturation, plus a flash-crowd + replica-crash "
+             "chaos run",
+        flags=_EXPERIMENT, scale="tiny", module="ext_slo",
+        driver="run_slo", one_mix=True,
         args={"--no-chaos": dict(
                   action="store_true",
                   help="skip the flash-crowd + crash scenario"),
               "--chaos-only": dict(action="store_true",
                                    help="run only the chaos scenario")}),
     "cache": dict(
-        func=_cache, help="cache-tier experiment: hit rate and throughput "
-                          "vs cache capacity x node count, with traced "
-                          "bottleneck-migration verdicts",
+        help="cache-tier experiment: hit rate and throughput vs cache "
+             "capacity x node count, with traced bottleneck-migration "
+             "verdicts",
         flags=_EXPERIMENT + ("--trace",), scale="tiny", module="ext_cache",
-        one_config=True, any_topology=True,
+        driver="run_cache", one_config=True, any_topology=True,
         args={"--mode": dict(default="sharded", choices=CACHE_MODES,
                              help="key placement across cache nodes"),
               "--granularity": dict(
                   default="key", choices=CACHE_GRANULARITIES,
                   help="invalidation granularity on writes")}),
     "shard": dict(
-        func=_shard, help="sharding vs replication head-to-head: spend "
-                          "the same database box budget as read "
-                          "replicas, shard primaries, or both",
+        help="sharding vs replication head-to-head: spend the same "
+             "database box budget as read replicas, shard primaries, or "
+             "both",
         flags=_EXPERIMENT + ("--trace",), scale="quick",
-        module="ext_shard", one_mix=True, one_config=True),
+        module="ext_shard", driver="run_shard", one_mix=True,
+        one_config=True),
     "version": dict(func=_version, help="print version"),
 }
 
@@ -250,14 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(flag, **FLAGS[flag])
         for arg, spec in defaults.pop("args", {}).items():
             cmd.add_argument(arg, **spec)
-        cmd.set_defaults(**defaults)
+        cmd.set_defaults(**{"func": _experiment, **defaults})
     return parser
 
 
 def _problem(args):
-    """Validate ``--config`` / ``--mix`` / ``REPRO_JOBS`` and fill the
-    per-command defaults, before any application is built.  Returns the
-    error text (the caller exits 2) or None."""
+    """Validate the figure id, ``--config`` / ``--mix`` and
+    ``REPRO_JOBS``, and normalize them, before any application is
+    built.  Returns the error text (the caller exits 2) or None."""
+    if hasattr(args, "figure"):
+        from repro.experiments.registry import normalize_figure_id
+        try:
+            args.figure = normalize_figure_id(args.figure)
+        except KeyError:
+            return (f"unknown figure {args.figure!r}; try 'python -m repro "
+                    f"figures'")
     for flag, one in (("config", "one_config"), ("mix", "one_mix")):
         if getattr(args, one, False) and len(getattr(args, flag) or ()) > 1:
             return f"takes one --{flag}"
@@ -274,8 +289,6 @@ def _problem(args):
             if mix not in known:
                 return (f"unknown {args.app} mix {mix!r}; "
                         f"have {', '.join(known)}")
-        module = import_module(f"repro.experiments.{args.module}")
-        args.mix = tuple(args.mix or module.DEFAULT_MIXES[args.app])
     if getattr(args, "jobs", 0) is None:
         from repro.harness.parallel import default_jobs
         try:

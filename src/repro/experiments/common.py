@@ -122,23 +122,3 @@ def run_figure_spec(spec: FigureSpec, full: bool = False,
         client_counts_by_config=counts_by_config, jobs=jobs)
     _REPORT_CACHE[cache_key] = report
     return report
-
-
-# Each application's headline mix: the ``DEFAULT_MIXES`` of the
-# extension experiments that have no workload-specific choice of their
-# own (``slo``, ``faults``).
-HEADLINE_MIXES = {"bookstore": ("shopping",), "auction": ("bidding",),
-                  "bboard": ("submission",)}
-
-
-def group_by_key(keys, values) -> dict:
-    """``keys[i]`` labels ``values[i]``: map each key to the list of its
-    values, keys in first-appearance order, values in input order --
-    how a flat ``run_points`` result becomes a report's rows."""
-    if len(values) != len(keys):
-        raise ValueError(f"{len(values)} values but {len(keys)} keys")
-    grouped = {}
-    for key, value in zip(keys, values):
-        grouped.setdefault(key, []).append(value)
-    return grouped
-

@@ -36,9 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import group_by_key
-from repro.harness.experiment import point_spec, run_experiment
-from repro.harness.parallel import run_points
+from repro.experiments.sweep import (
+    SweepRow,
+    run_rows,
+    scale_level,
+    traced,
+)
+from repro.harness.experiment import point_spec
+from repro.metrics.report import table
 from repro.topology.spec import TopologySpec, parse_topology, topology
 
 #: Default base configuration per bookstore mix: browsing is the
@@ -122,44 +127,15 @@ def config_for(base_name: str, nodes: int, size_mb: float,
     return topology(root, spec)
 
 
-@dataclass
-class CacheRow:
-    """One (mix, nodes, size) observation, scalars only (picklable)."""
-
-    configuration: str
-    nodes: int
-    size_mb: float
-    clients: int
-    throughput_ipm: float
-    db_busy: float
-    query_hit_rate: float = 0.0
-    page_hit_rate: float = 0.0
-    hit_rate: float = 0.0
-    absorbed_db_cpu: float = 0.0
-    evictions: int = 0
-    invalidated: int = 0
-    bottleneck: Optional[str] = None    # trace verdict (None if untraced)
-
-    @property
-    def cached(self) -> bool:
-        return self.nodes > 0 and self.size_mb > 0
+def _cached(row: SweepRow) -> bool:
+    """Rows are keyed ``(nodes, MB per node)``; the baseline has no nodes."""
+    return row.key[0] > 0
 
 
-def _cache_row(spec, nodes: int, size_mb: float, point) -> CacheRow:
-    """Fold one point (and its ``point.cache`` snapshot) into a row."""
-    row = CacheRow(
-        configuration=spec.config.name, nodes=nodes, size_mb=size_mb,
-        clients=spec.clients, throughput_ipm=point.throughput_ipm,
-        db_busy=point.cpu.database)
-    stats = getattr(point, "cache", None)
-    if stats is not None:
-        row.query_hit_rate = stats.query_hit_rate
-        row.page_hit_rate = stats.page_hit_rate
-        row.hit_rate = stats.hit_rate
-        row.absorbed_db_cpu = stats.absorbed_db_cpu
-        row.evictions = stats.evictions
-        row.invalidated = stats.invalidated_entries
-    return row
+def _stat(row: SweepRow, name: str):
+    """A field of the row's ``point.cache`` record (the uncached
+    baseline has none: 0)."""
+    return getattr(getattr(row.peak, "cache", None), name, 0)
 
 
 @dataclass
@@ -169,111 +145,95 @@ class CacheReport:
     title: str
     app_name: str
     scale: str
-    mixes: Dict[str, List[CacheRow]] = field(default_factory=dict)
+    mixes: Dict[str, List[SweepRow]] = field(default_factory=dict)
 
-    def baseline(self, mix_name: str) -> CacheRow:
-        for row in self.mixes[mix_name]:
-            if not row.cached:
-                return row
-        raise KeyError(f"no uncached baseline row for {mix_name!r}")
+    def baseline(self, mix_name: str) -> SweepRow:
+        return next(row for row in self.mixes[mix_name] if not _cached(row))
 
-    def best(self, mix_name: str) -> CacheRow:
-        return max(self.mixes[mix_name], key=lambda r: r.throughput_ipm)
+    def best(self, mix_name: str) -> SweepRow:
+        return max(self.mixes[mix_name],
+                   key=lambda row: row.peak.throughput_ipm)
 
     def render(self) -> str:
         lines = [self.title]
         for mix_name, rows in self.mixes.items():
             base = self.baseline(mix_name)
-            base_ipm = base.throughput_ipm or 1.0
-            lines.append("")
-            lines.append(f"{self.app_name}/{mix_name} @{base.clients} "
-                         f"clients (scale={self.scale})")
-            lines.append(f"{'nodes':>5} {'MB/node':>8} {'ipm':>7} "
-                         f"{'gain':>6} {'page-hit':>8} {'query-hit':>9} "
-                         f"{'absorbed':>9} {'db cpu':>6} {'evict':>6}")
-            for row in rows:
-                label_nodes = row.nodes if row.cached else 0
-                label_mb = f"{row.size_mb:g}" if row.cached else "-"
-                lines.append(
-                    f"{label_nodes:>5} {label_mb:>8} "
-                    f"{row.throughput_ipm:>7.0f} "
-                    f"{row.throughput_ipm / base_ipm:>5.2f}x "
-                    f"{100 * row.page_hit_rate:>7.0f}% "
-                    f"{100 * row.query_hit_rate:>8.0f}% "
-                    f"{row.absorbed_db_cpu:>8.0f}s "
-                    f"{row.db_busy:>6.2f} {row.evictions:>6}")
+            base_ipm = base.peak.throughput_ipm or 1.0
+
+            def gain(row):
+                return row.peak.throughput_ipm / base_ipm
+
+            header, body = table((
+                ("nodes", ">5", lambda r: r.key[0]),
+                ("MB/node", " >8",
+                 lambda r: f"{r.key[1]:g}" if _cached(r) else "-"),
+                ("ipm", " >7.0f", lambda r: r.peak.throughput_ipm),
+                ("gain", " >6", lambda r: f"{gain(r):.2f}x"),
+                ("page-hit", " >8",
+                 lambda r: f"{100 * _stat(r, 'page_hit_rate'):.0f}%"),
+                ("query-hit", " >9",
+                 lambda r: f"{100 * _stat(r, 'query_hit_rate'):.0f}%"),
+                ("absorbed", " >9",
+                 lambda r: f"{_stat(r, 'absorbed_db_cpu'):.0f}s"),
+                ("db cpu", " >6.2f", lambda r: r.peak.cpu.database),
+                ("evict", " >6", lambda r: _stat(r, "evictions")),
+            ), rows)
+            lines += ["", f"{self.app_name}/{mix_name} @{base.spec.clients} "
+                          f"clients (scale={self.scale})", header, *body]
             best = self.best(mix_name)
-            if best.cached:
+            if _cached(best):
                 lines.append(
                     f"  -> best: {best.configuration} at "
-                    f"{best.size_mb:g} MB/node -- "
-                    f"x{best.throughput_ipm / base_ipm:.2f} throughput, "
-                    f"cache hit rate {100 * best.hit_rate:.0f}%")
+                    f"{best.key[1]:g} MB/node -- x{gain(best):.2f} "
+                    f"throughput, cache hit rate "
+                    f"{100 * _stat(best, 'hit_rate'):.0f}%")
             else:
                 lines.append("  -> the cache never beat the baseline "
                              "on this mix")
             for row in rows:
                 if row.bottleneck:
-                    tag = (f"{row.nodes}x{row.size_mb:g}MB"
-                           if row.cached else "no cache")
-                    lines.append(f"  bottleneck [{tag}]: "
-                                 f"{row.bottleneck}")
+                    tag = (f"{row.key[0]}x{row.key[1]:g}MB"
+                           if _cached(row) else "no cache")
+                    lines.append(f"  bottleneck [{tag}]: {row.bottleneck}")
         return "\n".join(lines)
 
 
-def run_cache(app_name: str = "bookstore",
-              mix_names: Tuple[str, ...] = DEFAULT_MIXES["bookstore"],
-              base_name: Optional[str] = None,
-              scale: str = "tiny",
-              mode: str = "sharded",
-              granularity: str = "key",
-              seed: int = 42,
-              jobs: Optional[int] = None,
-              trace: bool = False) -> CacheReport:
+def run_cache(scale: str = "tiny", app_name: str = "bookstore",
+              mixes: Optional[Tuple[str, ...]] = None,
+              configs: Optional[str] = None, seed: int = 42,
+              jobs: Optional[int] = None, trace: bool = False,
+              mode: str = "sharded", granularity: str = "key") \
+        -> CacheReport:
     """The full experiment: every mix through the capacity x node grid.
 
-    ``base_name`` is the configuration to put the tier in front of for
+    ``configs`` is the configuration to put the tier in front of for
     every mix (default: per mix from :data:`DEFAULT_BASES`, falling
-    back to ``Ws-Servlet-DB``).  The independent points run through
-    ``run_points``; ``trace`` additionally re-runs each mix's baseline
-    and best cached point with request-level tracing and records both
-    verdicts -- the bottleneck-migration statement.
+    back to ``Ws-Servlet-DB``).  ``trace`` additionally re-runs each
+    mix's baseline and best cached point with request-level tracing and
+    records both verdicts -- the bottleneck-migration statement.
     """
-    if scale not in SCALES:
-        raise KeyError(f"unknown scale {scale!r}; have {sorted(SCALES)}")
-    timeline = SCALES[scale]
-    grid = [(0, 0.0)] + [(n, mb) for mb in timeline.sizes_mb if mb > 0
-                         for n in timeline.node_counts]
-
-    specs = []
-    cells = []      # (mix_name, nodes, size_mb) per spec, same order
-    for mix_name in mix_names:
-        base = base_name or DEFAULT_BASES.get(mix_name, "Ws-Servlet-DB")
-        clients = timeline.clients_for(mix_name, app_name)
-        for nodes, size_mb in grid:
-            specs.append(point_spec(
-                app_name, mix_name,
-                config_for(base, nodes, size_mb, mode, granularity),
-                clients, timeline, seed))
-            cells.append((mix_name, nodes, size_mb))
-    rows = [_cache_row(spec, nodes, size_mb, point)
-            for spec, (__, nodes, size_mb), point
-            in zip(specs, cells, run_points(specs, jobs))]
+    level = scale_level(SCALES, scale)
+    grid = [(0, 0.0)] + [(n, mb) for mb in level.sizes_mb if mb > 0
+                         for n in level.node_counts]
     report = CacheReport(
         title=f"Cache tier: throughput and hit rate vs capacity x nodes "
               f"({app_name}, scale={scale}, mode={mode}, "
               f"granularity={granularity})",
-        app_name=app_name, scale=scale,
-        mixes=group_by_key([mix_name for mix_name, __, __ in cells], rows))
-
+        app_name=app_name, scale=scale)
+    for mix_name in mixes or DEFAULT_MIXES[app_name]:
+        base = configs or DEFAULT_BASES.get(mix_name, "Ws-Servlet-DB")
+        clients = level.clients_for(mix_name, app_name)
+        report.mixes[mix_name] = [
+            SweepRow((nodes, size_mb),
+                     point_spec(app_name, mix_name,
+                                config_for(base, nodes, size_mb, mode,
+                                           granularity),
+                                clients, level, seed),
+                     (clients,))
+            for nodes, size_mb in grid]
+    run_rows(sum(report.mixes.values(), []), jobs)
     if trace:
-        for mix_name in mix_names:
+        for mix_name in report.mixes:
             for row in (report.baseline(mix_name), report.best(mix_name)):
-                spec = next(s for r, s in zip(rows, specs) if r is row)
-                row.bottleneck = run_experiment(
-                    replace(spec, trace=True)).bottleneck
+                row.bottleneck = traced(row.spec, row.spec.clients).bottleneck
     return report
-
-
-def render(scale: str = "tiny", **kwargs) -> str:
-    return run_cache(scale=scale, **kwargs).render()

@@ -27,30 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.experiments.common import HEADLINE_MIXES
-from repro.faults.injector import FaultInjector
+from repro.experiments.sweep import (
+    HEADLINE_MIXES as DEFAULT_MIXES,
+    SweepRow,
+    run_rows,
+    scale_level,
+)
 from repro.faults.plan import TIERS, FaultPlan
-from repro.metrics.availability import (
-    AvailabilitySampler,
-    FailoverReport,
-    FailoverSummary,
-    summarize_failover,
-)
-from repro.harness.experiment import (
-    ExperimentSpec,
-    Phases,
-    build_site,
-    point_spec,
-)
-from repro.harness.parallel import parallel_map, rehydrate_spec, strip_spec
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
-from repro.topology.configs import ALL_CONFIGURATIONS
+from repro.harness.experiment import Phases, point_spec
+from repro.metrics.availability import FailoverReport, summarize_failover
+from repro.metrics.slo import SloSpec
+from repro.topology.configs import ALL_CONFIGURATIONS, configuration_names
 from repro.web.server import WebServerConfig
-from repro.workload.client import ClientPopulation, RetryPolicy
-from repro.workload.markov import choose_interaction
-
-DEFAULT_MIXES = HEADLINE_MIXES
+from repro.workload.client import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,7 @@ class FailoverScale:
     pre: float            # steady measurement before the crash
     outage: float         # how long the tier stays down
     post: float           # measurement after the restart
-    window: float         # availability sampling window
+    window: float         # availability window width
 
 
 SCALES = {
@@ -85,77 +74,46 @@ RETRY_POLICY = RetryPolicy(deadline=20.0, max_retries=3, backoff_base=0.5,
 WEB_CONFIG = WebServerConfig(accept_queue_limit=256)
 
 
-def run_failover_point(task) -> FailoverSummary:
-    """One configuration through one crash/restart cycle.
+def run_failover(scale: str = "tiny", app_name: str = "bookstore",
+                 mixes: Optional[Tuple[str, ...]] = None,
+                 configs: Optional[Tuple[str, ...]] = None, seed: int = 42,
+                 jobs: Optional[int] = None, tier: str = "db") \
+        -> FailoverReport:
+    """The full experiment: each of the six configurations (or those
+    named in ``configs``) through one crash/restart cycle of ``tier``.
+    ``mixes`` names the one mix to run.
 
-    ``task`` is ``(spec, tier, scale)``; this is the worker entry of the
-    sweep (the availability sampler rides the live population, so the
-    cycle is summarized where it ran) and ``spec`` may arrive stripped
-    of its profile."""
-    spec, tier, scale = task
-    spec = rehydrate_spec(spec)
-    sim = Simulator()
-    site = build_site(sim, spec)
-    contained = tier not in site.machines
-    population = ClientPopulation(
-        sim, spec.clients, spec.mix, site, RngStreams(spec.seed),
-        choose_interaction, retry=spec.retry)
-    fault_start = scale.ramp_up + scale.pre
-    fault_end = fault_start + scale.outage
-    plan = FaultPlan.single_crash(tier, at=fault_start,
-                                  duration=scale.outage)
-    FaultInjector(sim, site, plan).start()
-    population.start()
-
-    sim.run(until=scale.ramp_up)
-    population.begin_measurement()
-    sampler = AvailabilitySampler(sim, population, interval=scale.window)
-    sampler.start()
-    sim.run(until=fault_end + scale.post)
-    stats = population.end_measurement()
-    sampler.flush()
-
-    return summarize_failover(spec.config.name, tier, sampler.windows,
-                              fault_start, fault_end, stats,
-                              contained=contained)
-
-
-def _cycle_spec(app_name: str, mix_name: str, config,
-                scale: FailoverScale, seed: int) -> ExperimentSpec:
-    clients = scale.ejb_clients if config.flavor == "ejb" else scale.clients
-    return point_spec(
-        app_name, mix_name, config, clients,
-        Phases(scale.ramp_up, scale.pre + scale.outage + scale.post, 0.0),
-        seed, retry=RETRY_POLICY, web_config=WEB_CONFIG)
-
-
-def run_failover(tier: str = "db", scale: str = "tiny",
-                 app_name: str = "bookstore", mix_name: str = "shopping",
-                 seed: int = 42,
-                 configurations: Optional[Tuple[str, ...]] = None,
-                 jobs: Optional[int] = None) -> FailoverReport:
-    """The full experiment: all six configurations through one cycle.
-
-    ``jobs`` > 1 runs the per-configuration crash/restart cycles in
-    parallel (they are independent simulations); summaries are merged
-    in configuration order, identical to the serial output.
+    A cycle is an ordinary point: ramp-up, then one measurement window
+    spanning pre-fault, outage and recovery, with the crash as the
+    spec's ``fault_plan`` and ``slo.window`` the availability window
+    width -- ``measure_point`` attaches the window series.
     """
     if tier not in TIERS:
         raise KeyError(f"unknown tier {tier!r}; have {TIERS}")
-    timeline = SCALES[scale]
-    report = FailoverReport(
+    level = scale_level(SCALES, scale)
+    mix_name, = mixes or DEFAULT_MIXES[app_name]
+    fault_start = level.ramp_up + level.pre
+    fault_end = fault_start + level.outage
+    todo = configs or configuration_names()
+    rows = run_rows([
+        SweepRow(config, point_spec(
+            app_name, mix_name, config, 1,
+            Phases(level.ramp_up, level.pre + level.outage + level.post, 0.0),
+            seed, retry=RETRY_POLICY, web_config=WEB_CONFIG,
+            fault_plan=FaultPlan.single_crash(tier, at=fault_start,
+                                              duration=level.outage),
+            slo=SloSpec(window=level.window)),
+            (level.ejb_clients if config.flavor == "ejb"
+             else level.clients,))
+        for config in ALL_CONFIGURATIONS if config.name in todo], jobs)
+    return FailoverReport(
         title=f"Availability under {tier} crash/restart "
               f"({app_name}/{mix_name}, scale={scale})",
-        tier=tier)
-    todo = configurations or tuple(c.name for c in ALL_CONFIGURATIONS)
-    tasks = [(strip_spec(_cycle_spec(app_name, mix_name, config, timeline,
-                                     seed)), tier, timeline)
-             for config in ALL_CONFIGURATIONS if config.name in todo]
-    report.summaries.extend(
-        parallel_map(run_failover_point, tasks, jobs=jobs,
-                     app_names=(app_name,)))
-    return report
-
-
-def render(tier: str = "db", scale: str = "tiny", **kwargs) -> str:
-    return run_failover(tier=tier, scale=scale, **kwargs).render()
+        tier=tier,
+        summaries=[summarize_failover(
+            row.configuration, tier, row.peak.availability.windows,
+            fault_start, fault_end, row.peak.availability,
+            # A tier with no machine of its own here cannot crash: the
+            # containment case.
+            contained=tier not in row.key.machine_names())
+            for row in rows])

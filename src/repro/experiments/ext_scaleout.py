@@ -32,13 +32,17 @@ serially on one CPU; ``--jobs 0`` fans the independent runs out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import group_by_key
-from repro.harness.experiment import point_spec, run_experiment
-from repro.harness.parallel import run_points
-from repro.metrics.report import ThroughputPoint
+from repro.experiments.sweep import (
+    SweepRow,
+    run_rows,
+    scale_level,
+    traced,
+)
+from repro.harness.experiment import point_spec
+from repro.metrics.report import table
 from repro.topology.spec import topology
 
 #: Default base configuration per bookstore mix: the shopping mix is
@@ -111,110 +115,67 @@ def cluster_for(base_name: str, replicas: int) -> object:
 
 
 @dataclass
-class ScalePoint:
-    """Peak observation for one (mix, replica count)."""
-
-    replicas: int
-    configuration: str
-    points: List[ThroughputPoint] = field(default_factory=list)
-    bottleneck: Optional[str] = None    # trace verdict (None if untraced)
-
-    @property
-    def peak(self) -> ThroughputPoint:
-        return max(self.points, key=lambda p: p.throughput_ipm)
-
-
-@dataclass
 class ScaleoutReport:
-    """One table per mix: replica count vs peak throughput."""
+    """One table per mix: replica count (the rows' ``key``) vs peak
+    throughput."""
 
     title: str
     app_name: str
     scale: str
-    mixes: Dict[str, List[ScalePoint]] = field(default_factory=dict)
+    mixes: Dict[str, List[SweepRow]] = field(default_factory=dict)
 
     def render(self) -> str:
         lines = [self.title]
         for mix_name, rows in self.mixes.items():
             base = rows[0].peak.throughput_ipm or 1.0
-            lines.append("")
-            lines.append(f"{self.app_name}/{mix_name} "
-                         f"(scale={self.scale})")
-            header = (f"{'replicas':>8}  {'configuration':<32} "
-                      f"{'peak ipm':>9}  {'at':>6}  {'gain':>6}  "
-                      f"{'primary cpu':>11}")
-            lines.append(header)
-            for row in rows:
-                peak = row.peak
-                lines.append(
-                    f"{row.replicas:>8}  {row.configuration:<32} "
-                    f"{peak.throughput_ipm:>9.0f}  {peak.clients:>6}  "
-                    f"{peak.throughput_ipm / base:>5.2f}x  "
-                    f"{peak.cpu.database:>11.2f}")
+            header, body = table((
+                ("replicas", ">8", lambda r: r.key),
+                ("configuration", "  <32", lambda r: r.configuration),
+                ("peak ipm", " >9.0f", lambda r: r.peak.throughput_ipm),
+                ("at", "  >6", lambda r: r.peak.clients),
+                ("gain", "  >6",
+                 lambda r: f"{r.peak.throughput_ipm / base:.2f}x"),
+                ("primary cpu", "  >11.2f", lambda r: r.peak.cpu.database),
+            ), rows)
+            lines += ["", f"{self.app_name}/{mix_name} (scale={self.scale})",
+                      header, *body]
             last = rows[-1]
-            gain = last.peak.throughput_ipm / base
-            lines.append(f"  -> x{gain:.2f} peak throughput with "
-                         f"{last.replicas} read replicas")
-            for row in rows:
-                if row.bottleneck:
-                    lines.append(f"  bottleneck at {row.replicas} "
-                                 f"replica(s): {row.bottleneck}")
+            lines.append(f"  -> x{last.peak.throughput_ipm / base:.2f} peak "
+                         f"throughput with {last.key} read replicas")
+            lines += [f"  bottleneck at {row.key} replica(s): "
+                      f"{row.bottleneck}" for row in rows if row.bottleneck]
         return "\n".join(lines)
 
 
-def run_scaleout(app_name: str = "bookstore",
-                 mix_names: Tuple[str, ...] = DEFAULT_MIXES["bookstore"],
-                 base_name: Optional[str] = None,
-                 scale: str = "quick",
-                 replica_counts: Optional[Tuple[int, ...]] = None,
-                 seed: int = 42,
-                 jobs: Optional[int] = None,
-                 trace: bool = False) -> ScaleoutReport:
+def run_scaleout(scale: str = "quick", app_name: str = "bookstore",
+                 mixes: Optional[Tuple[str, ...]] = None,
+                 configs: Optional[str] = None, seed: int = 42,
+                 jobs: Optional[int] = None, trace: bool = False,
+                 replicas: Optional[Tuple[int, ...]] = None) \
+        -> ScaleoutReport:
     """The full experiment: every mix through the replica grid.
 
-    ``base_name`` is the paper configuration to cluster for every mix
+    ``configs`` is the paper configuration to cluster for every mix
     (default: per mix from :data:`DEFAULT_BASES`, falling back to
-    ``Ws-Servlet-DB(sync)``).  The independent (mix, replicas, clients)
-    points run through ``run_points``; ``trace`` additionally re-runs
-    each replica count's peak point with request-level tracing and
-    records the verdict.
+    ``Ws-Servlet-DB(sync)``); ``replicas`` overrides the scale level's
+    replica counts.  ``trace`` additionally re-runs each replica
+    count's peak point with request-level tracing and records the
+    verdict.
     """
-    if scale not in SCALES:
-        raise KeyError(f"unknown scale {scale!r}; have {sorted(SCALES)}")
-    timeline = SCALES[scale]
-    if replica_counts is not None:
-        timeline = replace(timeline,
-                           replica_counts=tuple(replica_counts))
-
-    specs = []
-    keys = []       # (mix_name, replicas) per spec, same order
-    for mix_name in mix_names:
-        base = base_name or DEFAULT_BASES.get(mix_name,
-                                              "Ws-Servlet-DB(sync)")
-        for replicas in timeline.replica_counts:
-            config = cluster_for(base, replicas)
-            for clients in timeline.clients_for(mix_name, replicas):
-                specs.append(point_spec(app_name, mix_name, config,
-                                        clients, timeline, seed))
-                keys.append((mix_name, replicas))
-    runs = list(zip(specs, run_points(specs, jobs)))
-
+    level = scale_level(SCALES, scale)
     report = ScaleoutReport(
         title=f"Scale-out: peak throughput vs database read replicas "
               f"({app_name}, scale={scale})",
         app_name=app_name, scale=scale)
-    for (mix_name, replicas), row_runs in group_by_key(keys, runs).items():
-        row = ScalePoint(replicas=replicas,
-                         configuration=row_runs[0][0].config.name,
-                         points=[point for __, point in row_runs])
+    for mix_name in mixes or DEFAULT_MIXES[app_name]:
+        base = configs or DEFAULT_BASES.get(mix_name, "Ws-Servlet-DB(sync)")
+        report.mixes[mix_name] = [
+            SweepRow(count,
+                     point_spec(app_name, mix_name, cluster_for(base, count),
+                                1, level, seed),
+                     level.clients_for(mix_name, count))
+            for count in replicas or level.replica_counts]
+    for row in run_rows(sum(report.mixes.values(), []), jobs):
         if trace:
-            peak_spec = next(spec for spec, point in row_runs
-                             if point is row.peak)
-            row.bottleneck = run_experiment(
-                replace(peak_spec, trace=True)).bottleneck
-        report.mixes.setdefault(mix_name, []).append(row)
+            row.bottleneck = traced(row.spec, row.peak.clients).bottleneck
     return report
-
-
-def render(scale: str = "quick", **kwargs) -> str:
-    return run_scaleout(scale=scale, **kwargs).render()

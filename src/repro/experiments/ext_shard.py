@@ -42,13 +42,17 @@ Run:  python -m repro shard [--scale tiny|quick|full] [--trace]
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import group_by_key
-from repro.harness.experiment import point_spec, run_experiment
-from repro.harness.parallel import run_points
-from repro.metrics.report import ThroughputPoint
+from repro.experiments.sweep import (
+    SweepRow,
+    run_rows,
+    scale_level,
+    traced,
+)
+from repro.harness.experiment import point_spec
+from repro.metrics.report import ThroughputPoint, table
 from repro.topology.spec import topology
 
 #: The ordering mix on the explicit-locking servlet flavor: the paper's
@@ -125,152 +129,109 @@ def config_for(base_name: str, arm: ShardArm, front: int):
 
 
 @dataclass
-class TracedProbe:
-    """One traced re-run of an arm at a probe client count."""
-
-    clients: int
-    verdict: str
-    db_lock_share: float
-    mean_response_ms: float
-    lock_scopes: Dict[str, float] = field(default_factory=dict)
-    twopc_commits: int = 0
-    twopc_aborts: int = 0
-    scatter_queries: int = 0
-    cross_shard_spans: int = 0
-
-
-@dataclass
-class ArmResult:
-    """Sweep + probes for one (arm, front width)."""
-
-    arm: ShardArm
-    configuration: str
-    points: List[ThroughputPoint] = field(default_factory=list)
-    probes: List[TracedProbe] = field(default_factory=list)
-
-    @property
-    def peak(self) -> ThroughputPoint:
-        return max(self.points, key=lambda p: p.throughput_ipm)
-
-
-@dataclass
 class ShardReport:
-    """Throughput table + traced probe table, one row per arm."""
+    """Throughput table + traced probe table, one row per arm (the
+    rows' ``key``); ``probes`` holds each arm's traced points."""
 
     title: str
     app_name: str
     mix_name: str
     scale: str
     boxes: int
-    rows: List[ArmResult] = field(default_factory=list)
+    rows: List[SweepRow] = field(default_factory=list)
+    probes: Dict[ShardArm, List[ThroughputPoint]] = field(
+        default_factory=dict)
 
     def render(self) -> str:
+        base = next((r for r in self.rows if r.key.shards == 1), None)
+        base_ipm = base.peak.throughput_ipm if base else 0.0
+        header, body = table((
+            ("arm", "<12", lambda r: r.key.label),
+            ("configuration", " <34", lambda r: r.configuration),
+            ("peak ipm", " >9.0f", lambda r: r.peak.throughput_ipm),
+            ("at", "  >6", lambda r: r.peak.clients),
+            ("vs repl", "  >8",
+             lambda r: f"{r.peak.throughput_ipm / base_ipm:.2f}x"
+             if base_ipm else "-"),
+        ), self.rows)
         lines = [self.title, "",
                  f"{self.app_name}/{self.mix_name} "
                  f"(scale={self.scale}, {self.boxes} database boxes "
-                 f"per arm)"]
-        base = next((r for r in self.rows if r.arm.shards == 1), None)
-        base_ipm = base.peak.throughput_ipm if base else 0.0
-        lines.append(f"{'arm':<12} {'configuration':<34} "
-                     f"{'peak ipm':>9}  {'at':>6}  {'vs repl':>8}")
-        for row in self.rows:
-            peak = row.peak
-            rel = (f"{peak.throughput_ipm / base_ipm:>7.2f}x"
-                   if base_ipm else f"{'-':>8}")
-            lines.append(f"{row.arm.label:<12} {row.configuration:<34} "
-                         f"{peak.throughput_ipm:>9.0f}  "
-                         f"{peak.clients:>6}  {rel}")
+                 f"per arm)", header, *body]
         for row in self.rows:
             shard = getattr(row.peak, "shard", None)
-            if shard is not None and row.arm.shards > 1:
+            if shard is not None and row.key.shards > 1:
                 lines.append(
-                    f"  {row.arm.label} routing at peak: "
+                    f"  {row.key.label} routing at peak: "
                     f"{shard.single_shard_reads} single-shard reads, "
                     f"{shard.scatter_queries} scatters, "
                     f"{shard.cross_shard_spans} cross-shard spans, "
                     f"{shard.twopc_commits} 2PC commits "
                     f"({shard.twopc_aborts} aborts)")
-        probed = [row for row in self.rows if row.probes]
-        if probed:
-            lines.append("")
-            lines.append("traced probes (bottleneck verdict, db lock-wait "
-                         "share of request time):")
-            for row in probed:
-                for probe in row.probes:
+        if self.probes:
+            lines += ["", "traced probes (bottleneck verdict, db lock-wait "
+                          "share of request time):"]
+        for arm, points in self.probes.items():
+            for point in points:
+                verdict = point.bottleneck_report
+                lines.append(
+                    f"  {arm.label:<12} @{point.clients:<5} "
+                    f"{verdict.bottleneck:<38} "
+                    f"lock={verdict.lock_wait_share('db.'):.2f} "
+                    f"resp={1000 * point.mean_response_time:.0f}ms")
+                shard = getattr(point, "shard", None)
+                if shard and (shard.twopc_commits or shard.twopc_aborts):
                     lines.append(
-                        f"  {row.arm.label:<12} @{probe.clients:<5} "
-                        f"{probe.verdict:<38} lock={probe.db_lock_share:.2f} "
-                        f"resp={probe.mean_response_ms:.0f}ms")
-                    if probe.twopc_commits or probe.twopc_aborts:
-                        lines.append(
-                            f"  {'':12} {'':7}2pc {probe.twopc_commits} "
-                            f"commits / {probe.twopc_aborts} aborts, "
-                            f"{probe.scatter_queries} scatters, "
-                            f"{probe.cross_shard_spans} cross-shard spans")
-                    scopes = {s: w for s, w in probe.lock_scopes.items()
-                              if s == "db" or s.startswith("db.")}
-                    if len(scopes) > 1:
-                        split = ", ".join(f"{scope} {waited:.0f}s"
-                                          for scope, waited in scopes.items())
-                        lines.append(f"  {'':12} {'':7}lock wait by "
-                                     f"registry: {split}")
+                        f"  {'':12} {'':7}2pc {shard.twopc_commits} "
+                        f"commits / {shard.twopc_aborts} aborts, "
+                        f"{shard.scatter_queries} scatters, "
+                        f"{shard.cross_shard_spans} cross-shard spans")
+                scopes = {s: w for s, w
+                          in verdict.lock_wait_by_scope().items()
+                          if s == "db" or s.startswith("db.")}
+                if len(scopes) > 1:
+                    split = ", ".join(f"{scope} {waited:.0f}s"
+                                      for scope, waited in scopes.items())
+                    lines.append(f"  {'':12} {'':7}lock wait by "
+                                 f"registry: {split}")
         return "\n".join(lines)
 
 
-def run_shard(app_name: str = "bookstore",
-              mix_name: str = "ordering",
-              base_name: Optional[str] = None,
-              scale: str = "quick",
-              seed: int = 42,
-              jobs: Optional[int] = None,
-              trace: bool = False) -> ShardReport:
+def run_shard(scale: str = "quick", app_name: str = "bookstore",
+              mixes: Optional[Tuple[str, ...]] = None,
+              configs: Optional[str] = None, seed: int = 42,
+              jobs: Optional[int] = None, trace: bool = False) \
+        -> ShardReport:
     """The full head-to-head: every arm through the client grid.
 
-    The independent (arm, clients) points run through ``run_points``.
-    ``trace`` additionally re-runs each arm at the scale's probe client
-    counts with request-level tracing and records the verdict, lock
-    shares, and 2PC counters.
+    ``mixes`` names the one mix to run, ``configs`` the base
+    configuration (default :data:`DEFAULT_BASE`).  ``trace``
+    additionally re-runs each arm at the scale's probe client counts
+    with request-level tracing; the report prints the verdict, lock
+    shares, and 2PC counters of those points.
     """
-    if scale not in SCALES:
-        raise KeyError(f"unknown scale {scale!r}; have {sorted(SCALES)}")
-    level = SCALES[scale]
-    base_name = base_name or DEFAULT_BASE
-    bases = {arm: point_spec(app_name, mix_name,
-                             config_for(base_name, arm, level.boxes),
-                             1, level, seed)
-             for arm in level.arms}
-    specs = [replace(bases[arm], clients=clients)
-             for arm in level.arms for clients in level.grid]
-    keys = [arm for arm in level.arms for __ in level.grid]
-
+    level = scale_level(SCALES, scale)
+    mix_name, = mixes or DEFAULT_MIXES[app_name]
     report = ShardReport(
         title=f"Sharding vs replication at equal database box count "
               f"({app_name}/{mix_name}, scale={scale})",
         app_name=app_name, mix_name=mix_name, scale=scale,
         boxes=level.boxes)
-    for arm, points in group_by_key(keys, run_points(specs, jobs)).items():
-        report.rows.append(ArmResult(
-            arm=arm, configuration=bases[arm].config.name, points=points))
-
-    if trace:
-        for row in report.rows:
-            for clients in level.probe_clients:
-                point = run_experiment(replace(
-                    bases[row.arm], clients=clients, trace=True))
-                bn = point.bottleneck_report
-                shard = getattr(point, "shard", None)
-                row.probes.append(TracedProbe(
-                    clients=clients, verdict=bn.bottleneck,
-                    db_lock_share=bn.lock_wait_share("db."),
-                    mean_response_ms=1000 * point.mean_response_time,
-                    lock_scopes=bn.lock_wait_by_scope(),
-                    twopc_commits=getattr(shard, "twopc_commits", 0),
-                    twopc_aborts=getattr(shard, "twopc_aborts", 0),
-                    scatter_queries=getattr(shard, "scatter_queries", 0),
-                    cross_shard_spans=getattr(shard, "cross_shard_spans",
-                                              0)))
+    report.rows = run_rows(
+        [SweepRow(arm,
+                  point_spec(app_name, mix_name,
+                             config_for(configs or DEFAULT_BASE, arm,
+                                        level.boxes),
+                             1, level, seed),
+                  level.grid)
+         for arm in level.arms], jobs)
+    if trace and level.probe_clients:
+        report.probes = {row.key: [traced(row.spec, clients)
+                                   for clients in level.probe_clients]
+                         for row in report.rows}
+        for points in report.probes.values():
+            for point in points:
+                # The report prints verdicts; up to 200K retained spans
+                # per probe are not worth holding for that.
+                del point.tracer
     return report
-
-
-def render(scale: str = "quick", **kwargs) -> str:
-    return run_shard(scale=scale, **kwargs).render()

@@ -23,18 +23,19 @@ Run:  python -m repro slo [--scale tiny|quick|full] [--jobs N]
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import HEADLINE_MIXES, group_by_key
-from repro.harness.experiment import (
-    ExperimentSpec,
-    Phases,
-    point_spec,
-    run_experiment,
+from repro.experiments.sweep import (
+    HEADLINE_MIXES as DEFAULT_MIXES,
+    SweepRow,
+    run_rows,
+    scale_level,
 )
-from repro.harness.parallel import parallel_map, rehydrate_spec, strip_spec
-from repro.metrics.slo import SloSpec, SloSummary, time_to_recover
+from repro.faults.plan import FaultPlan
+from repro.harness.experiment import ExperimentSpec, Phases, point_spec
+from repro.metrics.report import table
+from repro.metrics.slo import SloSpec, time_to_recover
 from repro.overload.arrivals import (
     AbandonmentSpec,
     FlashCrowdProfile,
@@ -43,12 +44,10 @@ from repro.overload.arrivals import (
 )
 from repro.overload.degradation import DegradationPolicy
 from repro.overload.openloop import OverloadSpec
-from repro.topology.configs import ALL_CONFIGURATIONS
+from repro.topology.configs import ALL_CONFIGURATIONS, configuration_names
 from repro.topology.spec import topology
 from repro.web.server import WebServerConfig
 from repro.workload.client import RetryPolicy
-
-DEFAULT_MIXES = HEADLINE_MIXES
 
 
 @dataclass(frozen=True)
@@ -117,72 +116,21 @@ def _point_spec(app_name: str, mix_name: str, config, overload,
                scale.ramp_down),
         seed, retry=RETRY_POLICY, web_config=WEB_CONFIG,
         overload=overload, degradation=DegradationPolicy(),
-        slo=SloSpec(latency_bound=SLO.latency_bound,
-                    percentile=SLO.percentile, window=scale.window),
+        slo=replace(SLO, window=scale.window),
         **overrides)
 
 
-@dataclass
-class SloPoint:
-    """One (configuration, offered rate) result."""
-
-    configuration: str
-    rate: float                    # session arrivals/s asked for
-    summary: SloSummary
-    rejections: int = 0            # fast 5xx the client saw
-    degraded_served: int = 0       # browse pages served degraded
-    breaker_trips: int = 0
-    turned_away: int = 0           # arrivals over the connection cap
-
-
-def run_slo_point(spec: ExperimentSpec) -> SloPoint:
-    """One configuration at one offered session-arrival rate.
-
-    This is the worker entry of the sweep: the point carries the live
-    (unpicklable) degradation state, so it is folded to scalars here,
-    where it ran, and ``spec`` may arrive stripped of its profile."""
-    point = run_experiment(rehydrate_spec(spec))
-    stats = point.overload_stats
-    degradation = getattr(point, "degradation", None)
-    return SloPoint(
-        configuration=spec.config.name, rate=spec.overload.arrivals.rate,
-        summary=point.slo, rejections=stats.rejections,
-        degraded_served=degradation.degraded_served if degradation else 0,
-        breaker_trips=(degradation.breaker.trips
-                       if degradation and degradation.breaker else 0),
-        turned_away=stats.turned_away)
-
-
-@dataclass
-class ChaosSummary:
-    """The flash-crowd + replica-crash incident, folded."""
-
-    configuration: str
-    burst_start: float
-    burst_end: float
-    crash_start: float
-    crash_end: float
-    summary: SloSummary                  # over the whole measurement
-    recovery_time_s: Optional[float]     # disturbance end -> compliant
-    degraded_served: int = 0
-    breaker_trips: int = 0
-    rejections: int = 0
-    abandoned_sessions: int = 0
-
-
-def run_chaos(scale: SloScale, seed: int = 42,
-              app_name: str = "bookstore",
-              mix_name: str = "shopping") -> ChaosSummary:
-    """Flash crowd + read-replica crash on a clustered Ws-Servlet-DB."""
-    from repro.faults.plan import FaultPlan
-
+def chaos_row(scale: SloScale, seed: int = 42, app_name: str = "bookstore",
+              mix_name: str = "shopping") -> SweepRow:
+    """Flash crowd + read-replica crash on a clustered Ws-Servlet-DB.
+    The row's spec is the incident's timeline: the burst is its
+    arrival profile, the crash its fault plan."""
     config = topology("Ws-Servlet-DB", web=2, gen=2, db_replicas=1)
 
     burst_start = scale.ramp_up + scale.chaos_pre
     burst_end = burst_start + scale.chaos_burst
     crash_start = burst_start + scale.chaos_crash_delay
     crash_end = crash_start + scale.chaos_outage
-    disturbance_end = max(burst_end, crash_end)
     measure = scale.chaos_pre + scale.chaos_burst + \
         max(0.0, crash_end - burst_end) + scale.chaos_post
 
@@ -195,57 +143,43 @@ def run_chaos(scale: SloScale, seed: int = 42,
         # Heavy-tailed dwell: the crowd lingers after the burst.
         think=ThinkTimeModel(distribution="lognormal", mean=7.0,
                              sigma=1.5))
-    spec = _point_spec(
+    return SweepRow("chaos", _point_spec(
         app_name, mix_name, config, overload, scale, seed, measure=measure,
         fault_plan=FaultPlan.single_crash("db.r1", at=crash_start,
-                                          duration=scale.chaos_outage))
-    point = run_experiment(spec)
-    stats = point.overload_stats
-    degradation = getattr(point, "degradation", None)
-    recovery = time_to_recover(point.slo_windows, spec.slo,
-                               disturbance_end)
-    return ChaosSummary(
-        configuration=config.name,
-        burst_start=burst_start, burst_end=burst_end,
-        crash_start=crash_start, crash_end=crash_end,
-        summary=point.slo, recovery_time_s=recovery,
-        degraded_served=degradation.degraded_served if degradation else 0,
-        breaker_trips=(degradation.breaker.trips
-                       if degradation and degradation.breaker else 0),
-        rejections=stats.rejections,
-        abandoned_sessions=stats.sessions_abandoned)
+                                          duration=scale.chaos_outage)),
+        (0,))
 
 
 @dataclass
 class SloReport:
-    """Everything ``python -m repro slo`` prints."""
+    """Everything ``python -m repro slo`` prints: per configuration one
+    row per offered rate (the rows' ``key``), then the chaos run."""
 
     title: str
-    scale: str
-    points: Dict[str, List[SloPoint]] = field(default_factory=dict)
-    chaos: Optional[ChaosSummary] = None
+    points: Dict[str, List[SweepRow]] = field(default_factory=dict)
+    chaos: Optional[SweepRow] = None
 
     def render(self) -> str:
         lines = [self.title, ""]
-        header = (f"  {'rate/s':>7} {'offered/s':>9} {'goodput/s':>9} "
-                  f"{'p50ms':>7} {'p95ms':>7} {'p99ms':>7} {'viol%':>6} "
-                  f"{'rej':>6} {'degr':>6} {'trips':>5}")
-        for name, points in self.points.items():
-            lines.append(f"{name}")
-            lines.append(header)
-            lines.append("  " + "-" * (len(header) - 2))
-            best = max((p.summary.goodput_per_s for p in points),
-                       default=0.0)
-            for p in points:
-                s = p.summary
-                knee = " *" if s.goodput_per_s == best and best > 0 else ""
-                lines.append(
-                    f"  {p.rate:>7.2f} {s.offered_per_s:>9.2f} "
-                    f"{s.goodput_per_s:>9.2f} "
-                    f"{_ms(s.p50):>7} {_ms(s.p95):>7} {_ms(s.p99):>7} "
-                    f"{100 * s.violation_fraction:>6.1f} "
-                    f"{p.rejections:>6} {p.degraded_served:>6} "
-                    f"{p.breaker_trips:>5}{knee}")
+        for name, rows in self.points.items():
+            header, body = table((
+                ("rate/s", "  >7.2f", lambda r: r.key),
+                ("offered/s", " >9.2f", lambda r: r.peak.slo.offered_per_s),
+                ("goodput/s", " >9.2f", lambda r: r.peak.slo.goodput_per_s),
+                ("p50ms", " >7", lambda r: _ms(r.peak.slo.p50)),
+                ("p95ms", " >7", lambda r: _ms(r.peak.slo.p95)),
+                ("p99ms", " >7", lambda r: _ms(r.peak.slo.p99)),
+                ("viol%", " >6.1f",
+                 lambda r: 100 * r.peak.slo.violation_fraction),
+                ("rej", " >6", lambda r: r.peak.overload_stats.rejections),
+                ("degr", " >6", lambda r: r.peak.degradation.degraded_served),
+                ("trips", " >5", lambda r: r.peak.degradation.breaker.trips),
+            ), rows)
+            best = max(r.peak.slo.goodput_per_s for r in rows)
+            lines += [name, header, "  " + "-" * (len(header) - 2)]
+            lines += [line + (" *" if best > 0
+                              and row.peak.slo.goodput_per_s == best else "")
+                      for row, line in zip(rows, body)]
             lines.append("")
         if self.points:
             lines.append("offered/goodput in interactions/s over stable "
@@ -254,25 +188,31 @@ class SloReport:
                          "objective; * marks the goodput knee.")
             lines.append("")
         if self.chaos is not None:
-            c = self.chaos
+            point = self.chaos.peak
+            burst = self.chaos.spec.overload.arrivals
+            crash, = self.chaos.spec.fault_plan.events
+            recovery = time_to_recover(
+                point.slo_windows, self.chaos.spec.slo,
+                max(burst.burst_end, crash.clears_at))
             lines.append(f"chaos: flash crowd + replica crash on "
-                         f"{c.configuration}")
-            lines.append(f"  burst  {c.burst_start:.0f}s -> "
-                         f"{c.burst_end:.0f}s, replica db.r1 down "
-                         f"{c.crash_start:.0f}s -> {c.crash_end:.0f}s")
-            recover = ("never (within the run)"
-                       if c.recovery_time_s is None
-                       else f"{c.recovery_time_s:.0f}s after the "
+                         f"{self.chaos.configuration}")
+            lines.append(f"  burst  {burst.burst_start:.0f}s -> "
+                         f"{burst.burst_end:.0f}s, replica {crash.tier} down "
+                         f"{crash.at:.0f}s -> {crash.clears_at:.0f}s")
+            recover = ("never (within the run)" if recovery is None
+                       else f"{recovery:.0f}s after the "
                             f"disturbance cleared")
             lines.append(f"  SLO compliance through the incident: "
-                         f"{100 * c.summary.compliant_fraction:.1f}% of "
-                         f"windows; goodput {c.summary.goodput_per_s:.2f}"
-                         f"/s of {c.summary.offered_per_s:.2f}/s offered")
+                         f"{100 * point.slo.compliant_fraction:.1f}% of "
+                         f"windows; goodput {point.slo.goodput_per_s:.2f}"
+                         f"/s of {point.slo.offered_per_s:.2f}/s offered")
             lines.append(f"  back in compliance: {recover}")
-            lines.append(f"  degraded pages {c.degraded_served}, breaker "
-                         f"trips {c.breaker_trips}, rejections "
-                         f"{c.rejections}, sessions abandoned "
-                         f"{c.abandoned_sessions}")
+            lines.append(f"  degraded pages "
+                         f"{point.degradation.degraded_served}, breaker "
+                         f"trips {point.degradation.breaker.trips}, "
+                         f"rejections {point.overload_stats.rejections}, "
+                         f"sessions abandoned "
+                         f"{point.overload_stats.sessions_abandoned}")
         return "\n".join(lines)
 
 
@@ -283,36 +223,37 @@ def _ms(seconds: Optional[float]) -> str:
 
 
 def run_slo(scale: str = "tiny", app_name: str = "bookstore",
-            mix_name: str = "shopping", seed: int = 42,
-            configurations: Optional[Tuple[str, ...]] = None,
-            jobs: Optional[int] = None, chaos: bool = True,
-            sweep: bool = True) -> SloReport:
-    """The full experiment: offered-load sweeps plus the chaos run."""
-    timeline = SCALES[scale]
+            mixes: Optional[Tuple[str, ...]] = None,
+            configs: Optional[Tuple[str, ...]] = None, seed: int = 42,
+            jobs: Optional[int] = None, no_chaos: bool = False,
+            chaos_only: bool = False) -> SloReport:
+    """The full experiment: offered-load sweeps (skipped by
+    ``chaos_only``) plus the chaos run (skipped by ``no_chaos``), all
+    one ``run_points`` list.  ``mixes`` names the one mix to run."""
+    level = scale_level(SCALES, scale)
+    mix_name, = mixes or DEFAULT_MIXES[app_name]
     report = SloReport(
         title=f"Open-loop SLO sweep ({app_name}/{mix_name}, "
               f"scale={scale}, SLO: p{100 * SLO.percentile:.0f} < "
-              f"{SLO.latency_bound:.0f}s per {timeline.window:.0f}s "
-              f"window)",
-        scale=scale)
-    if sweep:
-        todo = configurations or tuple(c.name for c in ALL_CONFIGURATIONS)
-        specs = [
-            _point_spec(app_name, mix_name, config,
-                        _overload_spec(PoissonProfile(rate=rate), timeline),
-                        timeline, seed)
+              f"{SLO.latency_bound:.0f}s per {level.window:.0f}s "
+              f"window)")
+    rows = []
+    if not chaos_only:
+        todo = configs or configuration_names()
+        rows = [
+            SweepRow(rate,
+                     _point_spec(app_name, mix_name, config,
+                                 _overload_spec(PoissonProfile(rate=rate),
+                                                level),
+                                 level, seed),
+                     (0,))
             for config in ALL_CONFIGURATIONS if config.name in todo
-            for rate in (timeline.ejb_rates if config.flavor == "ejb"
-                         else timeline.rates)]
-        report.points = group_by_key(
-            [spec.config.name for spec in specs],
-            parallel_map(run_slo_point, [strip_spec(s) for s in specs],
-                         jobs=jobs, app_names=(app_name,)))
-    if chaos:
-        report.chaos = run_chaos(timeline, seed=seed, app_name=app_name,
-                                 mix_name=mix_name)
+            for rate in (level.ejb_rates if config.flavor == "ejb"
+                         else level.rates)]
+        for row in rows:
+            report.points.setdefault(row.configuration, []).append(row)
+    if not no_chaos:
+        report.chaos = chaos_row(level, seed, app_name, mix_name)
+        rows = rows + [report.chaos]
+    run_rows(rows, jobs)
     return report
-
-
-def render(**kwargs) -> str:
-    return run_slo(**kwargs).render()

@@ -1,82 +1,57 @@
 """Trace figure points and attribute their bottlenecks.
 
-``python -m repro trace <figure> [--config NAME] [--clients N]`` re-runs
-one or more points of a registered figure with request-level tracing
-(:mod:`repro.obs`) switched on, then prints each point's
-bottleneck-attribution report.  By default every configuration is
-traced at its *peak-throughput* client count -- the sweep behind the
-figure runs first (cached, optionally parallel) to find the peaks, and
-only the peak points are re-run serially with tracing.
+The library behind ``python -m repro trace <figure> [--config NAME]
+[--clients N]`` and ``figure NN --trace``: re-run one or more points of
+a registered figure with request-level tracing (:mod:`repro.obs`)
+switched on.  By default every configuration is traced at its
+*peak-throughput* client count -- the sweep behind the figure runs
+first (cached, optionally parallel) to find the peaks, and only the
+peak points are re-run serially with tracing.
 
-Optional artifacts: ``--chrome PATH`` writes the retained span trees as
-Chrome trace-event JSON (load in ``chrome://tracing`` / Perfetto), and
-``--flame`` prints a text flame summary of where virtual time went.
+The command's optional artifacts: ``--chrome PATH`` writes the retained
+span trees as Chrome trace-event JSON (load in ``chrome://tracing`` /
+Perfetto), and ``--flame`` prints a text flame summary of where virtual
+time went.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.experiments.common import build_figure_specs, run_figure_spec
 from repro.experiments.registry import FIGURES, normalize_figure_id
-from repro.harness.experiment import run_experiment
+from repro.experiments.sweep import traced
 from repro.metrics.report import ThroughputPoint
-from repro.obs import flame_summary, render_report, write_chrome_trace
+from repro.obs import render_report
 
 
-def trace_figure_point(figure_id: str, config_name: str,
-                       clients: Optional[int] = None,
-                       full: bool = False,
-                       jobs: Optional[int] = None,
-                       configurations: Optional[tuple] = None) \
-        -> ThroughputPoint:
+def trace_figure_point(figure_id: str, config_name: str, clients: int,
+                       full: bool = False) -> ThroughputPoint:
     """Re-run one figure grid point with tracing on.
 
-    ``clients`` of None means the configuration's peak: the figure's
-    sweep is run (or fetched from the report cache, restricted to
-    ``configurations`` when given) to find it.  The traced re-run
-    itself is always serial -- span aggregation lives in the simulator
-    process.  The returned point carries ``bottleneck`` (verdict
-    string), ``bottleneck_report`` and ``tracer`` attributes.
+    The traced re-run is always serial -- span aggregation lives in the
+    simulator process.  The returned point carries ``bottleneck``
+    (verdict string), ``bottleneck_report`` and ``tracer`` attributes.
     """
-    figure_id = normalize_figure_id(figure_id)
-    spec, __ = FIGURES[figure_id]
-    specs_by_config, counts = build_figure_specs(spec, full=full)
-    if config_name not in specs_by_config:
-        raise KeyError(f"unknown configuration {config_name!r}; "
-                       f"have {sorted(specs_by_config)}")
-    if clients is None:
-        report = run_figure_spec(spec, full=full, jobs=jobs,
-                                 configurations=configurations)
-        clients = report.series[config_name].peak().clients
-    base = specs_by_config[config_name]
-    return run_experiment(replace(base, clients=clients, trace=True))
+    spec, __ = FIGURES[normalize_figure_id(figure_id)]
+    specs_by_config, __ = build_figure_specs(spec, full=full)
+    return traced(specs_by_config[config_name], clients)
 
 
 def trace_figure_peaks(figure_id: str, full: bool = False,
                        jobs: Optional[int] = None,
                        configurations: Optional[tuple] = None) \
         -> Dict[str, ThroughputPoint]:
-    """Trace every configuration of a figure at its peak point.
-
-    With ``configurations`` given, only those sweeps run at all -- the
-    peak-finding sweep is restricted the same way as the traced set.
+    """Trace every configuration of a figure at its peak point: the
+    figure's sweep is run (or fetched from the report cache) to find the
+    peaks.  With ``configurations`` given, only those sweeps run at all.
     """
-    figure_id = normalize_figure_id(figure_id)
-    spec, __ = FIGURES[figure_id]
+    spec, __ = FIGURES[normalize_figure_id(figure_id)]
     report = run_figure_spec(spec, full=full, jobs=jobs,
                              configurations=configurations)
-    out: Dict[str, ThroughputPoint] = {}
-    for config_name in report.series:
-        if configurations and config_name not in configurations:
-            continue
-        out[config_name] = trace_figure_point(
-            figure_id, config_name, full=full, jobs=jobs,
-            configurations=configurations)
-    return out
+    return {name: trace_figure_point(figure_id, name, series.peak().clients,
+                                     full=full)
+            for name, series in report.series.items()}
 
 
 def render_figure_bottlenecks(figure_id: str, full: bool = False,
@@ -95,78 +70,3 @@ def render_figure_bottlenecks(figure_id: str, full: bool = False,
         lines.append("")
         lines.append(render_report(point.bottleneck_report))
     return "\n".join(lines)
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Re-run figure points with request-level tracing and "
-                    "print bottleneck attribution.")
-    parser.add_argument("figure",
-                        help="figure id (5, 05, fig05 ... accepted)")
-    parser.add_argument("--config", action="append", default=None,
-                        metavar="NAME",
-                        help="configuration to trace (repeatable; "
-                             "default: all six)")
-    parser.add_argument("--clients", type=int, default=None,
-                        help="client count to trace (default: each "
-                             "configuration's peak)")
-    parser.add_argument("--full", action="store_true",
-                        help="paper-scale client grid and phase durations")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the untraced peak-"
-                             "finding sweep (default: serial; 0 = one "
-                             "per CPU)")
-    parser.add_argument("--chrome", metavar="PATH",
-                        help="write retained span trees as Chrome "
-                             "trace-event JSON")
-    parser.add_argument("--flame", action="store_true",
-                        help="also print a flame summary (where virtual "
-                             "time went, by span path)")
-    args = parser.parse_args(argv)
-
-    if args.config:
-        # Validate before the (expensive) peak-finding sweep: a typo
-        # costs milliseconds and prints the valid names, not a run.
-        from repro.topology.spec import validate_config_names
-        errors = validate_config_names(args.config, paper_only=True)
-        if errors:
-            for line in errors:
-                print(line, file=sys.stderr)
-            raise SystemExit(2)
-    figure_id = normalize_figure_id(args.figure)
-    spec, __ = FIGURES[figure_id]
-    configurations = tuple(args.config) if args.config else None
-    if args.clients is not None:
-        names = configurations
-        if names is None:
-            specs_by_config, __counts = build_figure_specs(
-                spec, full=args.full)
-            names = tuple(specs_by_config)
-        points = {name: trace_figure_point(figure_id, name,
-                                           clients=args.clients,
-                                           full=args.full, jobs=args.jobs)
-                  for name in names}
-    else:
-        points = trace_figure_peaks(figure_id, full=args.full,
-                                    jobs=args.jobs,
-                                    configurations=configurations)
-
-    for i, (config_name, point) in enumerate(points.items()):
-        if i:
-            print()
-        print(render_report(point.bottleneck_report))
-        if args.flame:
-            print()
-            print(flame_summary(point.tracer.requests))
-
-    if args.chrome:
-        # One file; when several configurations were traced the last one
-        # wins (a merged export would interleave unrelated runs).
-        last = list(points.values())[-1]
-        n = write_chrome_trace(last.tracer, args.chrome)
-        print(f"\n[chrome trace: {n} events -> {args.chrome}]")
-
-
-if __name__ == "__main__":
-    main()

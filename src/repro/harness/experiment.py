@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.harness.profiles import AppProfile
+from repro.metrics.availability import AvailabilitySampler
 from repro.metrics.report import (
     ConfigurationSeries,
     CpuUtilization,
@@ -73,7 +74,9 @@ class ExperimentSpec:
     # DegradationPolicy installs bounded tier queues, the DB circuit
     # breaker and priority shedding on the site (works for closed-loop
     # runs too); ``slo`` -- an SloSpec for the windowed SLO series
-    # (open-loop runs default to SloSpec() when unset).
+    # (open-loop runs default to SloSpec() when unset); on a closed-loop
+    # run with a ``fault_plan`` its ``window`` is the width of the
+    # availability windows the point then carries.
     overload: Optional[object] = None
     degradation: Optional[object] = None
     slo: Optional[object] = None
@@ -151,7 +154,17 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
     and assemble the point: the one place a run is windowed, for the
     closed and the open loop alike.  Returns ``(point, stats,
     measure_end)`` with ``stats`` the population's measurement-window
-    record."""
+    record.
+
+    Besides its declared fields the point carries, as undeclared and
+    picklable attributes, whatever the spec switched on: ``cache`` /
+    ``shard`` (measurement-window deltas), ``degradation`` (whole-run
+    tallies, under the names the live state uses) and -- closed loop
+    with ``fault_plan`` and ``slo`` set -- ``availability`` (windows of
+    ``slo.window`` seconds over the measurement plus the error totals).
+    ``asdict()``-based equality between serial and pooled runs ignores
+    them all; ``tracer`` / ``bottleneck_report`` never cross the pool
+    (tracing runs serially)."""
     tracer = None
     if spec.trace:
         from repro.obs import Tracer
@@ -167,6 +180,11 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
 
     sim.run(until=spec.ramp_up)
     population.begin_measurement()
+    windows = None
+    if spec.fault_plan and spec.slo is not None and spec.overload is None:
+        windows = AvailabilitySampler(sim, population,
+                                      interval=spec.slo.window)
+        windows.start()
     db_wait0 = site.db_lock_wait_time
     sync_wait0 = site.sync_lock_wait_time
     cache = site.cache
@@ -177,6 +195,7 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
     sim.run(until=spec.ramp_up + spec.measure)
     stats = population.end_measurement()
     measure_end = sim.now
+    availability = windows.close(stats) if windows is not None else None
     cache_stats = (cache.stats.delta(cache_stats0)
                    if cache is not None else None)
     shard_stats = (shard.delta(shard_stats0)
@@ -215,13 +234,13 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
             (site.sync_lock_wait_time - sync_wait0) / completed),
         kernel_events=sim.events_processed)
     if cache_stats is not None:
-        # Undeclared attribute (like ``tracer`` below): a picklable
-        # snapshot of the tier's hit/miss/absorption aggregates over
-        # the measurement window.
         point.cache = cache_stats
     if shard_stats is not None:
-        # Routing/2PC counters over the measurement window (picklable).
         point.shard = shard_stats
+    if availability is not None:
+        point.availability = availability
+    if spec.degradation is not None:
+        point.degradation = site.degradation.tally()
     if tracer is not None:
         from repro.obs import build_report
         tracer.finalize()
@@ -233,9 +252,6 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
             clients=spec.clients, web_nic_utilization=nic_util,
             cache_stats=cache_stats)
         point.bottleneck = bottleneck.bottleneck
-        # Undeclared attributes: asdict()-based equality checks between
-        # serial and parallel runs ignore them, and they never cross the
-        # process pool (tracing runs serially).
         point.tracer = tracer
         point.bottleneck_report = bottleneck
     return point, stats, measure_end

@@ -31,6 +31,12 @@ Design
   produced -- combined with pinned seeds, reports are bit-identical to
   the serial path.
 
+* **One entry point.**  :func:`run_points` is the only way a list of
+  points runs: everything a point carries is picklable
+  (:func:`~repro.harness.experiment.measure_point` lists it), so no
+  driver folds in the worker, and :func:`parallel_map`,
+  :func:`strip_spec` and :func:`rehydrate_spec` have no other caller.
+
 ``jobs`` semantics everywhere in the harness: ``None`` or ``1`` means
 in-process, in order (no pool, no pickling); ``N > 1`` fans out over
 ``min(N, len(tasks))`` workers; ``0`` / negative values mean "one
@@ -87,12 +93,6 @@ def _warm_worker(app_names: Tuple[str, ...]) -> None:
         get_profiles(name)
 
 
-def _warm_parent(app_names: Iterable[str]) -> None:
-    """Warm the parent's caches before forking, so fork children inherit
-    populated caches and the initializer becomes a no-op."""
-    _warm_worker(tuple(app_names))
-
-
 def parallel_map(func: Callable, tasks: Sequence, jobs: Optional[int] = None,
                  app_names: Iterable[str] = ()) -> list:
     """Map ``func`` over ``tasks`` preserving order.
@@ -106,7 +106,9 @@ def parallel_map(func: Callable, tasks: Sequence, jobs: Optional[int] = None,
     njobs = effective_jobs(jobs, len(tasks))
     if njobs <= 1:
         return [func(task) for task in tasks]
-    _warm_parent(app_names)
+    # Warm the parent before forking: fork children inherit populated
+    # caches and their initializer becomes a no-op.
+    _warm_worker(app_names)
     ctx = multiprocessing.get_context()
     with ctx.Pool(processes=njobs, initializer=_warm_worker,
                   initargs=(app_names,)) as pool:

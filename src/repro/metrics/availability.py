@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.metrics.report import table
 from repro.sim.kernel import Simulator
 
 # A window counts as "recovered" when its goodput is back to this
@@ -100,6 +101,27 @@ class AvailabilitySampler:
         if self.sim.now > self._last[0]:
             self._close_window()
 
+    def close(self, stats) -> "Availability":
+        """Flush, and fold the series with the population's
+        measurement-window ``stats`` into what a point carries."""
+        self.flush()
+        return Availability(self.windows, stats.timeouts, stats.aborts,
+                            stats.rejections, stats.retries, stats.abandoned)
+
+
+@dataclass
+class Availability:
+    """A faulted closed-loop point's ``availability`` attribute: the
+    window series over the measurement and the error totals
+    (picklable; :func:`summarize_failover` takes it as ``stats``)."""
+
+    windows: List[AvailabilityWindow]
+    timeouts: int = 0
+    aborts: int = 0
+    rejections: int = 0
+    retries: int = 0
+    abandoned: int = 0
+
 
 @dataclass
 class FailoverSummary:
@@ -184,34 +206,31 @@ class FailoverReport:
     tier: str
     summaries: List[FailoverSummary] = field(default_factory=list)
 
-    def summary_for(self, configuration: str) -> FailoverSummary:
-        for summary in self.summaries:
-            if summary.configuration == configuration:
-                return summary
-        raise KeyError(f"no summary for {configuration!r}")
-
     def render(self) -> str:
-        lines = [self.title,
-                 f"fault: crash of tier {self.tier!r}", ""]
-        header = (f"{'configuration':<22} {'pre':>8} {'during':>8} "
-                  f"{'post':>8} {'recover':>8}  "
-                  f"{'timeout':>7} {'abort':>6} {'reject':>6} "
-                  f"{'retry':>6} {'lost':>5}")
-        lines.append(header)
-        lines.append("-" * len(header))
-        for s in self.summaries:
+        def recover(s):
             if s.contained:
-                recover = "n/a"
-            elif s.recovery_time_s is None:
-                recover = "never"
-            else:
-                recover = f"{s.recovery_time_s:.0f}s"
-            note = "  [not deployed: fault contained]" if s.contained else ""
-            lines.append(
-                f"{s.configuration:<22} {s.pre_goodput_ipm:>8.0f} "
-                f"{s.during_goodput_ipm:>8.0f} {s.post_goodput_ipm:>8.0f} "
-                f"{recover:>8}  {s.timeouts:>7} {s.aborts:>6} "
-                f"{s.rejections:>6} {s.retries:>6} {s.abandoned:>5}{note}")
+                return "n/a"
+            if s.recovery_time_s is None:
+                return "never"
+            return f"{s.recovery_time_s:.0f}s"
+
+        header, body = table((
+            ("configuration", "<22", lambda s: s.configuration),
+            ("pre", " >8.0f", lambda s: s.pre_goodput_ipm),
+            ("during", " >8.0f", lambda s: s.during_goodput_ipm),
+            ("post", " >8.0f", lambda s: s.post_goodput_ipm),
+            ("recover", " >8", recover),
+            ("timeout", "  >7", lambda s: s.timeouts),
+            ("abort", " >6", lambda s: s.aborts),
+            ("reject", " >6", lambda s: s.rejections),
+            ("retry", " >6", lambda s: s.retries),
+            ("lost", " >5", lambda s: s.abandoned),
+        ), self.summaries)
+        lines = [self.title, f"fault: crash of tier {self.tier!r}", "",
+                 header, "-" * len(header)]
+        lines += [line + ("  [not deployed: fault contained]"
+                          if s.contained else "")
+                  for s, line in zip(self.summaries, body)]
         lines.append("")
         lines.append("goodput in interactions/minute; pre / during / post "
                      "= before, while, and after the tier is down; "

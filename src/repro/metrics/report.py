@@ -7,8 +7,29 @@ per-machine CPU-utilization bars at the peak (Figures 6, 8, 10, 12, 14).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+_COLUMN = re.compile(r"( *)([<>][0-9]+)(.*)")
+
+
+def table(columns: Iterable[Tuple[str, str, Callable]], rows: Iterable) \
+        -> Tuple[str, List[str]]:
+    """``(header, lines)`` of a fixed-width text table, one line per row.
+
+    A column is ``(title, spec, cell)``.  ``spec`` declares the column
+    once, for its header and its cells alike: leading spaces are the
+    gap before the column, then alignment and width, then the cells'
+    number format -- ``"  >9.0f"`` is two spaces, right-aligned in
+    nine, cells without decimals.  ``cell(row)`` is the value."""
+    parts = [(title, *_COLUMN.fullmatch(spec).groups(), cell)
+             for title, spec, cell in columns]
+    header = "".join(f"{gap}{title:{align}}"
+                     for title, gap, align, __, __ in parts)
+    return header, ["".join(f"{gap}{cell(row):{align}{kind}}"
+                            for __, gap, align, kind, cell in parts)
+                    for row in rows]
 
 
 @dataclass

@@ -202,6 +202,23 @@ class CircuitBreaker:
         self.trips += 1
 
 
+@dataclass
+class BreakerTally:
+    trips: int
+    fast_fails: int
+
+
+@dataclass
+class DegradationTally:
+    """What a point carries of the layer (``point.degradation``): the
+    tallies of :class:`DegradationState` under the same attribute
+    names, detached from the site so the point can cross the pool."""
+
+    degraded_served: int
+    backpressure_rejects: Dict[str, int]
+    breaker: Optional[BreakerTally]      # None: the policy has no breaker
+
+
 class DegradationState:
     """Gates, breaker, and tallies attached to one site, and the three
     generator methods that interpose them on its seams."""
@@ -233,6 +250,13 @@ class DegradationState:
             self._busy_page_cpu = site.ejb_costs.per_busy_reject
         else:
             self._busy_page_cpu = site.servlet_costs.per_busy_reject
+
+    def tally(self) -> DegradationTally:
+        breaker = self.breaker
+        return DegradationTally(
+            self.degraded_served, dict(self.backpressure_rejects),
+            BreakerTally(breaker.trips, breaker.fast_fails)
+            if breaker is not None else None)
 
     def shedding(self, route) -> bool:
         """Is the site under enough pressure to degrade browses?

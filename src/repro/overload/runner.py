@@ -6,10 +6,10 @@
 :class:`~repro.metrics.report.ThroughputPoint` assembly (so cache and
 shard records, and the traced verdict, come along) -- but driven by
 an :class:`~repro.overload.openloop.OpenLoopPopulation` and carrying the
-windowed SLO series as undeclared point attributes (the ``point.tracer``
-idiom): ``point.slo`` (the :class:`~repro.metrics.slo.SloSummary` over
-stable windows), ``point.slo_windows``, ``point.overload_stats``, and
-``point.degradation`` when the layer is installed.
+windowed SLO series as undeclared, picklable point attributes:
+``point.slo`` (the :class:`~repro.metrics.slo.SloSummary` over stable
+windows), ``point.slo_windows`` and ``point.overload_stats``
+(``point.degradation`` is ``measure_point``'s, as for the closed loop).
 
 ``run_experiment`` delegates here when a spec carries an
 ``overload`` field, so sweeps, the parallel runner, and the CLI all
@@ -64,12 +64,7 @@ def run_open_loop(spec) -> ThroughputPoint:
         summary.p95 = percentile(samples, 0.95)
         summary.p99 = percentile(samples, 0.99)
 
-    # Undeclared attributes, following the point.tracer idiom: ignored
-    # by asdict()-based equality, never shipped across the process pool
-    # boundary unpickled (the parallel runner round-trips fine).
     point.slo = summary
     point.slo_windows = stable
     point.overload_stats = stats
-    if spec.degradation is not None:
-        point.degradation = site.degradation
     return point

@@ -315,31 +315,3 @@ def test_config_for_composes_with_any_topology():
         is configuration_by_name("Ws-Servlet-DB")
     assert config_for("Ws-Servlet-DB", 2, 0.0) \
         is configuration_by_name("Ws-Servlet-DB")
-
-
-def test_group_by_key_groups_in_order():
-    from repro.experiments.common import group_by_key
-
-    grouped = group_by_key(["x", "y", "x", "y"], ["A", "B", "C", "D"])
-    assert list(grouped) == ["x", "y"]
-    assert grouped == {"x": ["A", "C"], "y": ["B", "D"]}
-    with pytest.raises(ValueError, match="3 values but 2 keys"):
-        group_by_key(["x", "y"], ["A", "B", "C"])
-
-
-@pytest.mark.slow
-def test_ext_cache_tiny_report_smoke(monkeypatch):
-    from repro.experiments import ext_cache
-
-    monkeypatch.setitem(ext_cache.SCALES, "unit", ext_cache.CacheScale(
-        sizes_mb=(0, 16), node_counts=(1,), clients={},
-        default_clients=10, ramp_up=10.0, measure=30.0, ramp_down=2.0))
-    report = ext_cache.run_cache(mix_names=("browsing",), scale="unit")
-    rows = report.mixes["browsing"]
-    assert len(rows) == 2
-    assert not report.baseline("browsing").cached
-    cached_row = next(r for r in rows if r.cached)
-    assert cached_row.hit_rate > 0
-    text = report.render()
-    assert "bookstore/browsing" in text
-    assert "Cache" in text

@@ -210,14 +210,3 @@ def test_build_site_dispatches_on_cluster_axis(app, profiles):
     clustered_site = build_site(
         Simulator(), _spec(clustered(base, web=2), profiles, app))
     assert isinstance(clustered_site, ClusteredSite)
-
-
-# -- CLI validation ------------------------------------------------------------
-
-
-def test_trace_cli_rejects_unknown_config(capsys):
-    from repro.experiments.trace import main as trace_main
-    with pytest.raises(SystemExit) as exc:
-        trace_main(["fig05", "--config", "NoSuchConfig"])
-    assert exc.value.code == 2
-    assert "known configurations:" in capsys.readouterr().err

@@ -16,6 +16,7 @@ Regenerate (only when an intentional behavior change lands)::
 
 import json
 import os
+from importlib import import_module
 
 import pytest
 
@@ -26,40 +27,40 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "ext_tiny_text.json")
 
 
-def _scale(**kwargs):
-    from repro.experiments.ext_scaleout import render
-    return render(scale="tiny", **kwargs)
+#: Command -> the driver arguments that select the slice the golden holds.
+SLICES = {"scale": {}, "cache": dict(mixes=("browsing",)), "shard": {},
+          "slo": dict(configs=("WsPhp-DB",)),
+          "faults": dict(configs=("WsPhp-DB",))}
 
 
-def _cache(**kwargs):
-    from repro.experiments.ext_cache import render
-    return render(scale="tiny", mix_names=("browsing",), **kwargs)
+def _driver(name):
+    row = COMMANDS[name]
+    return getattr(import_module(f"repro.experiments.{row['module']}"),
+                   row["driver"])
 
 
-def _shard(**kwargs):
-    from repro.experiments.ext_shard import render
-    return render(scale="tiny", **kwargs)
+def _tiny(name, **kwargs):
+    return _driver(name)(scale="tiny", **{**SLICES[name], **kwargs})
 
 
-def _slo(**kwargs):
-    from repro.experiments.ext_slo import render
-    return render(scale="tiny", configurations=("WsPhp-DB",), **kwargs)
+def _pooled_faults():
+    """Two configurations over the pool; without the second one's row
+    the text is the one-configuration serial text."""
+    lines = _tiny("faults", jobs=2, configs=(
+        "WsPhp-DB", "WsServlet-DB")).render().splitlines()
+    extra = [line for line in lines if line.startswith("WsServlet-DB ")]
+    assert len(extra) == 1 and " 10s " in extra[0]
+    return "\n".join(line for line in lines if line not in extra)
 
 
-def _faults(**kwargs):
-    from repro.experiments.ext_failover import render
-    return render(scale="tiny", configurations=("WsPhp-DB",), **kwargs)
-
-
-RENDERERS = {"scale": _scale, "cache": _cache, "shard": _shard,
-             "slo": _slo, "faults": _faults}
-
-# The part of an experiment that fans out, run over a 2-worker pool.
-# Reports render section by section, so the text of the first mix alone
-# (``scale``), or of the sweep without the always-in-process chaos run
-# (``slo``), is a prefix of the full serial text.
-POOLED = {"scale": lambda: _scale(mix_names=("shopping",), jobs=2),
-          "slo": lambda: _slo(chaos=False, jobs=2)}
+# Part of an experiment's points over a 2-worker pool.  Reports render
+# section by section, so the text of the first mix alone (``scale``), or
+# of the sweep without the chaos run (``slo``; 0.8 s saved), is a prefix
+# of the full serial text.
+POOLED = {
+    "scale": lambda: _tiny("scale", mixes=("shopping",), jobs=2).render(),
+    "slo": lambda: _tiny("slo", no_chaos=True, jobs=2).render(),
+    "faults": _pooled_faults}
 
 
 def _golden(name):
@@ -71,26 +72,50 @@ def _golden(name):
 
 
 @pytest.fixture(scope="module")
-def rendered():
-    """Each experiment's serial text, rendered once per module."""
+def reports():
+    """Each experiment's serial report, run once per module."""
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = RENDERERS[name]()
+            cache[name] = _tiny(name)
         return cache[name]
     return get
 
 
-@pytest.mark.parametrize("name", sorted(RENDERERS))
-def test_tiny_text_matches_golden(name, rendered):
-    assert rendered(name) == _golden(name)
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_tiny_text_matches_golden(name, reports):
+    assert reports(name).render() == _golden(name)
+
+
+def test_tiny_reports_hold_what_they_print(reports):
+    """The rows behind the ``cache`` and ``shard`` text."""
+    cache = reports("cache")
+    rows = cache.mixes["browsing"]
+    assert len(rows) == 2
+    assert cache.baseline("browsing").key == (0, 0.0)
+    assert not hasattr(cache.baseline("browsing").peak, "cache")
+    cached_row, = (row for row in rows if row.key[0] > 0)
+    assert cached_row.peak.cache.hit_rate > 0
+    assert "Cache" in cached_row.configuration
+    shard = reports("shard")
+    assert len(shard.rows) == 2
+    assert all(row.peak.throughput_ipm > 0 for row in shard.rows)
+    text = shard.render()
+    assert "DB[2]" in text and "vs repl" in text
 
 
 @pytest.mark.parametrize("name", sorted(POOLED))
-def test_jobs2_prints_what_jobs1_prints(name, rendered):
+def test_jobs2_prints_what_jobs1_prints(name, reports):
     pooled = POOLED[name]()
-    assert len(pooled) > 400 and rendered(name).startswith(pooled)
+    assert len(pooled) > 400 and reports(name).render().startswith(pooled)
+
+
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_unknown_scale_names_the_known_ones(name):
+    with pytest.raises(KeyError, match=r"unknown scale 'nope'; "
+                                       r"have \['full', 'quick', 'tiny'\]"):
+        _driver(name)(scale="nope")
 
 
 # -- the command line ---------------------------------------------------------
@@ -109,11 +134,26 @@ def test_cli_contract(command, no_apps, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     if "--config" in COMMANDS[command].get("flags", ()):
-        positional = ["5"] if command == "figure" else []
+        positional = ["5"] if command in FIGURE_COMMANDS else []
         assert main([command, *positional, "--config", "NoSuchConfig"]) == 2
         err = capsys.readouterr().err
         assert "unknown configuration 'NoSuchConfig'" in err
         assert "WsPhp-DB" in err                # the known names follow
+    assert no_apps == {}
+
+
+FIGURE_COMMANDS = sorted(name for name, row in COMMANDS.items()
+                         if "figure" in row.get("args", ()))
+
+
+@pytest.mark.parametrize("command", FIGURE_COMMANDS)
+def test_unknown_figure_is_rejected_before_any_work(command, no_apps,
+                                                    capsys):
+    assert FIGURE_COMMANDS == ["figure", "trace"]
+    assert main([command, "fig99"]) == 2
+    assert capsys.readouterr().err == (
+        f"repro {command}: error: unknown figure 'fig99'; "
+        f"try 'python -m repro figures'\n")
     assert no_apps == {}
 
 
@@ -132,16 +172,17 @@ def test_bad_repro_jobs_only_fails_commands_that_take_jobs(
     assert main(["version"]) == 0
     assert main(["figures"]) == 0
     capsys.readouterr()
-    assert main(["scale", "--scale", "tiny"]) == 2
-    err = capsys.readouterr().err
-    assert "REPRO_JOBS must be an integer" in err
-    assert err.count("\n") == 1                 # one line, no traceback
+    for command in (["scale", "--scale", "tiny"], ["trace", "fig06"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_JOBS must be an integer" in err
+        assert err.count("\n") == 1             # one line, no traceback
     assert no_apps == {}
 
 
 def _regenerate():
     with open(GOLDEN_PATH, "w") as fh:
-        json.dump({name: fn() for name, fn in RENDERERS.items()}, fh,
+        json.dump({name: _tiny(name).render() for name in SLICES}, fh,
                   indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {GOLDEN_PATH}")

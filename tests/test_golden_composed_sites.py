@@ -129,20 +129,7 @@ def run_case(case) -> dict:
         fault_plan=FaultPlan.db_conn_glitch(**GLITCH) if degraded else None,
         **PHASES)
 
-    # The closed-loop runner does not hand the site back; borrow it from
-    # build_site to read the degradation tallies.
-    built = []
-    build_site = experiment.build_site
-
-    def capturing_build_site(sim, spec):
-        built.append(build_site(sim, spec))
-        return built[-1]
-
-    experiment.build_site = capturing_build_site
-    try:
-        point = experiment.run_experiment(spec)
-    finally:
-        experiment.build_site = build_site
+    point = experiment.run_experiment(spec)
 
     record = {"point": _sha(asdict(point)),
               "interactions": round(point.throughput_ipm
@@ -151,7 +138,7 @@ def run_case(case) -> dict:
               "shard": asdict(point.shard)
               if getattr(point, "shard", None) is not None else None}
     if degraded:
-        state = built[0].degradation
+        state = point.degradation
         record["degradation"] = {
             "degraded_served": state.degraded_served,
             "backpressure_rejects": dict(state.backpressure_rejects),

@@ -1,0 +1,100 @@
+"""There is one way to describe, run, window and ask for a point.
+
+A source scan (no simulation) that pins the layering DESIGN.md "How a
+sweep is described and run" states, so a later change cannot quietly
+re-fork it: the driver says *what* to run, the harness alone knows
+*how* a point is run and shipped, the CLI alone knows how it is asked
+for.
+"""
+
+import ast
+import re
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+#: Where points are built and run.
+RUNNERS = sorted([*(SRC / "harness").glob("*.py"),
+                  *(SRC / "experiments").glob("*.py"),
+                  SRC / "overload" / "runner.py"])
+
+
+@lru_cache(maxsize=None)
+def _calls(path):
+    """``(callee as written, enclosing top-level function or None)``
+    for every call in a file."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inside = function
+            if inside is None and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = child.name
+            if isinstance(child, ast.Call):
+                yield ast.unparse(child.func), inside
+            yield from visit(child, inside)
+    return list(visit(ast.parse(path.read_text()), None))
+
+
+def _callers(name):
+    return {(path.relative_to(SRC).as_posix(), function)
+            for path in RUNNERS for callee, function in _calls(path)
+            if f".{callee}".endswith(f".{name}")}
+
+
+def _mentions(word):
+    pattern = re.compile(rf"\b{word}\b")
+    return {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+            if pattern.search(path.read_text())}
+
+
+def test_one_place_builds_a_spec():
+    assert _callers("ExperimentSpec") == {
+        ("harness/experiment.py", "point_spec")}
+
+
+@pytest.mark.parametrize("name", ["sim.run", "FaultInjector",
+                                  "AvailabilitySampler", "SysstatSampler"])
+def test_one_place_windows_a_run(name):
+    """``sim.run(...)`` and the things started around it."""
+    assert _callers(name) == {("harness/experiment.py", "measure_point")}
+
+
+@pytest.mark.parametrize("name", ["parallel_map", "strip_spec",
+                                  "rehydrate_spec"])
+def test_one_place_fans_out(name):
+    assert _mentions(name) == {"harness/parallel.py"}
+
+
+def test_one_place_parses_a_command_line():
+    assert _mentions("argparse") == {"__main__.py"}
+
+
+def test_drivers_describe_points_and_nothing_else():
+    """No experiment module reaches under ``run_points``: no simulator,
+    no population, no pool."""
+    for path in (SRC / "experiments").glob("*.py"):
+        imported = {alias.name for node in ast.walk(ast.parse(
+            path.read_text())) if isinstance(node, (ast.Import,
+                                                    ast.ImportFrom))
+            for alias in node.names}
+        assert not imported & {"multiprocessing", "Simulator",
+                               "ClientPopulation", "OpenLoopPopulation"}, \
+            path.name
+
+
+def test_the_forks_are_gone():
+    import repro.__main__ as cli
+    from repro.experiments import ext_failover, ext_slo, trace
+
+    assert not hasattr(ext_failover, "run_failover_point")
+    assert not hasattr(ext_slo, "run_slo_point")
+    assert not hasattr(ext_slo, "SloPoint")
+    assert not hasattr(trace, "main")
+    assert "trace_args" not in cli.COMMANDS["trace"]["args"]
+    for adapter in ("_faults", "_scale", "_slo", "_cache", "_shard"):
+        assert not hasattr(cli, adapter)
+    drivers = {name for name, row in cli.COMMANDS.items() if "driver" in row}
+    assert drivers == {"faults", "scale", "slo", "cache", "shard"}
+    assert all("func" not in cli.COMMANDS[name] for name in drivers)

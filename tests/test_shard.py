@@ -373,19 +373,3 @@ def test_shard_arm_labels_and_config_for():
     assert config.name == "Ws{8}-Servlet{8}-DB[2](1+3)"
     assert config_for("Ws-Servlet-DB", ShardArm(1, 0), front=1).name \
         == "Ws-Servlet-DB"
-
-
-@pytest.mark.slow
-def test_ext_shard_tiny_report_smoke(monkeypatch):
-    from repro.experiments import ext_shard
-
-    monkeypatch.setitem(ext_shard.SCALES, "unit", ext_shard.ShardScale(
-        boxes=2, arms=(ext_shard.ShardArm(1, 1), ext_shard.ShardArm(2, 0)),
-        grid=(10,), probe_clients=(), ramp_up=10.0, measure=30.0,
-        ramp_down=2.0))
-    report = ext_shard.run_shard(scale="unit")
-    assert len(report.rows) == 2
-    assert all(row.peak.throughput_ipm > 0 for row in report.rows)
-    text = report.render()
-    assert "DB[2]" in text
-    assert "vs repl" in text
