@@ -37,8 +37,6 @@ so the events/sec figure stays comparable across kernels.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.sim.kernel import CpuGrant, Simulator
 from repro.sim.resources import Resource
 
@@ -255,17 +253,20 @@ class Cpu:
                 self._arm(job, self._batch_end)
                 return
             self._batch_t = None
-        if rem <= 0:
-            # Demand finished.  Ordering rule 1: the process goes on the
-            # ready queue *before* _release() posts the next grant's
-            # marker, so it still runs ahead of that grant's seq draw.
-            job.proc._waiting_on = None
-            sim._ready.append(job.proc)
-            self._release()
-            return
-        job.remaining = rem
-        now = sim.now
-        if queue:
+        while True:
+            if rem <= 0:
+                # Demand finished.  Ordering rule 1: the process goes on
+                # the ready queue *before* _release() posts the next
+                # grant's marker, so it still runs ahead of that grant's
+                # seq draw.
+                job.proc._waiting_on = None
+                sim._ready.append(job.proc)
+                self._release()
+                return
+            job.remaining = rem
+            now = sim.now
+            if not queue:
+                break
             # Ordering rule 2: hand-off with demand left.  The head is
             # popped before the job re-joins the tail, and its grant is
             # delivered in this callback (the ready queue is empty on a
@@ -282,11 +283,26 @@ class Cpu:
             head.slice = s
             head.granted = True
             key = sim._seq = sim._seq + 1
-            head._timeout_key = key
-            sim._live += 1
-            sim._push(now + s, key, None, head)
             # Two resumes elided: the slice-end wake and the head's grant.
             sim.events_processed += 2
+            t = now + s
+            if t <= sim._run_ahead:
+                top = sim._peek_live()
+                if top is None or t < top[0]:
+                    # Run-ahead fold: the head's slice end is strictly
+                    # the earliest live entry (a tie has the older seq
+                    # and must pop first) inside run()'s horizon, so
+                    # nothing can observe the interval.  The seq and the
+                    # events are drawn as if the entry had been pushed
+                    # at ``now`` and popped at ``t``; rotate again.
+                    sim._root_sched = now
+                    sim.now = t
+                    job = head
+                    rem = head.remaining - s
+                    continue
+            head._timeout_key = key
+            sim._live += 1
+            sim._push(t, key, None, head)
             return
         # Alone: the per-quantum loop releases to idle and regrants the
         # core to the same process at the same instant.
@@ -377,24 +393,11 @@ class Cpu:
     def _tied_cascade_before(self, slice_start: float) -> bool:
         """True when the next calendar entry fires at exactly ``now`` and
         was pushed before ``slice_start`` -- i.e. the heap kernel would
-        run its cascade before the current slice's end wakeup.  Stale
-        (lazily cancelled) tied entries are discarded along the way so
-        they can't mask a live one."""
-        sim = self.sim
-        active = sim._active
-        now = sim.now
-        while active:
-            top = active[0]
-            if top[0] != now:
-                return False
-            tproc = top[3]
-            if tproc is not None and tproc._timeout_key != top[1]:
-                heapq.heappop(active)
-                continue
-            return top[4] < slice_start
-        # Far buckets only hold strictly later times, so an empty active
-        # heap means nothing is tied with ``now``.
-        return False
+        run its cascade before the current slice's end wakeup (a stale
+        tied entry cannot mask a live one: _peek_live discards it)."""
+        top = self.sim._peek_live()
+        return (top is not None and top[0] == self.sim.now
+                and top[4] < slice_start)
 
     def _on_contention(self) -> None:
         """A competitor just queued.  Pull the parked wakeup forward to

@@ -37,30 +37,6 @@ class Nic:
         self.bytes_received = 0
         self.name = name
 
-    def _hold(self, res: Resource, nbytes: int):
-        # Uncontended channels are the common case: try_acquire() takes
-        # the slot without allocating an Event (or the safe_acquire
-        # generator frame); the queued path keeps full interrupt safety.
-        if not res.try_acquire():
-            yield from safe_acquire(res)
-        try:
-            # Wire time is priced at transmission start, so a
-            # fault-injected bandwidth change never rewrites transfers
-            # already on the wire.
-            yield (nbytes * 8.0) / self.bandwidth
-        finally:
-            res.release()
-
-    def transmit(self, nbytes: int):
-        """Occupy the tx channel for the wire time of ``nbytes``."""
-        self.bytes_sent += nbytes
-        yield from self._hold(self._tx, nbytes)
-
-    def receive(self, nbytes: int):
-        """Occupy the rx channel for the wire time of ``nbytes``."""
-        self.bytes_received += nbytes
-        yield from self._hold(self._rx, nbytes)
-
 
 class Lan:
     """A switch: point-to-point store-and-forward transfers between NICs."""
@@ -131,15 +107,32 @@ class Lan:
     def _transfer(self, src, dst, nbytes: int):
         src_nic = self.nic_of(src.name)
         dst_nic = self.nic_of(dst.name)
-        # Calls _hold directly (bypassing the transmit/receive wrapper
-        # generators): every dynamic request crosses the wire at least
-        # twice, and the flattened chain saves two generator frames per
-        # message.
+        # Both channel holds are written out here rather than delegated:
+        # every dynamic request crosses the wire at least twice, and each
+        # delegation is a generator object and a ``yield from`` level
+        # per message.  Uncontended channels are the common case:
+        # try_acquire() takes the slot without allocating an Event (or
+        # the safe_acquire generator frame); the queued path keeps full
+        # interrupt safety.  Wire time is priced at transmission start,
+        # so a fault-injected bandwidth change never rewrites transfers
+        # already on the wire.
         src_nic.bytes_sent += nbytes
-        yield from src_nic._hold(src_nic._tx, nbytes)
+        tx = src_nic._tx
+        if not tx.try_acquire():
+            yield from safe_acquire(tx)
+        try:
+            yield (nbytes * 8.0) / src_nic.bandwidth
+        finally:
+            tx.release()
         yield self.latency
         dst_nic.bytes_received += nbytes
-        yield from dst_nic._hold(dst_nic._rx, nbytes)
+        rx = dst_nic._rx
+        if not rx.try_acquire():
+            yield from safe_acquire(rx)
+        try:
+            yield (nbytes * 8.0) / dst_nic.bandwidth
+        finally:
+            rx.release()
 
 
 # ``yield from`` over an exhausted iterator costs one next() call; using

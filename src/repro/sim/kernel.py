@@ -36,6 +36,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -306,12 +307,16 @@ class Simulator:
     __slots__ = ("now", "_seq", "_ready", "_nproc", "_current",
                  "events_processed", "tracer",
                  "_active", "_far", "_far_idx", "_cur_bucket",
-                 "_inv_width", "_live", "_batch_cpus", "_root_sched")
+                 "_inv_width", "_live", "_batch_cpus", "_root_sched",
+                 "_run_ahead")
 
-    #: Default calendar bucket width (seconds); a power of two close to
-    #: the CPU scheduling quantum so near-term pushes stay heap-local
-    #: while long sleeps (client think times) take the O(1) far path.
-    BUCKET_WIDTH = 2.0 ** -10
+    #: Default calendar bucket width (seconds), a power of two.  Wide
+    #: enough that a push one CPU quantum (1 ms) ahead lands in the
+    #: active heap and a bucket holds tens of entries when it is
+    #: heapified; narrow enough that think-time sleeps (seconds) still
+    #: take the O(1) far path.  Chosen by sweep over the three sim-*
+    #: workloads; the table is in DESIGN.md section 10.
+    BUCKET_WIDTH = 2.0 ** -6
 
     def __init__(self, bucket_width: float = BUCKET_WIDTH) -> None:
         if bucket_width <= 0:
@@ -349,6 +354,11 @@ class Simulator:
         # tie-breaking when a competitor queues exactly at a slice
         # boundary (see machine.cpu.Cpu._on_contention).
         self._root_sched = 0.0
+        # How far a timed call-back may advance ``now`` by itself
+        # (Cpu._slice_end's run-ahead fold): the ``until`` of the
+        # enclosing run(), and "not at all" outside it, so step() and
+        # run_all() advance exactly one timed entry per call.
+        self._run_ahead = -_INF
 
     @property
     def current_process(self) -> Optional["Process"]:
@@ -382,19 +392,25 @@ class Simulator:
             else:
                 lst.append((time, key, fn, proc, self.now))
 
-    def _ensure_active(self) -> bool:
-        """Activate the earliest far bucket if the active heap is empty;
-        False when no timed entries remain anywhere."""
-        active = self._active
-        while not active:
+    def _peek_live(self) -> Optional[tuple]:
+        """The earliest live calendar entry, left in place at the top of
+        ``_active`` (None when nothing live is pending).  Stale -- lazily
+        cancelled -- tops are discarded on the way, which no one can
+        observe, and the next far bucket is activated when the active
+        heap is empty, which replaces the ``_active`` list."""
+        while True:
+            active = self._active
+            while active:
+                top = active[0]
+                proc = top[3]
+                if proc is None or proc._timeout_key == top[1]:
+                    return top
+                heapq.heappop(active)
             if not self._far_idx:
-                return False
-            b = heapq.heappop(self._far_idx)
-            self._cur_bucket = b
-            active = self._far.pop(b)
+                return None
+            self._cur_bucket = b = heapq.heappop(self._far_idx)
+            self._active = active = self._far.pop(b)
             heapq.heapify(active)
-            self._active = active
-        return True
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` virtual seconds."""
@@ -537,36 +553,28 @@ class Simulator:
     def step(self) -> bool:
         """Advance past the next timed entry.  Returns False when idle."""
         self._drain_ready()
-        heappop = heapq.heappop
-        while True:
-            if not self._active and not self._ensure_active():
-                return False
-            time, key, fn, proc, sched = heappop(self._active)
-            if proc is not None:
-                if proc._timeout_key != key:
-                    # Stale timeout entry: the process was interrupted
-                    # (its pending timeout cancelled lazily) or has moved
-                    # on to a newer wait.  A finished process always has
-                    # a cleared key, so this one test covers every stale
-                    # case.  Skipping it without advancing ``now`` keeps
-                    # interrupt-during-timeout deterministic.
-                    continue
-                self._live -= 1
-                self.now = time
-                self._root_sched = sched
-                proc._timeout_key = None
-                if proc.__class__ is CpuGrant:
-                    proc.cpu._slice_end(proc)
-                else:
-                    proc._waiting_on = None
-                    self._resume(proc, None, None)
+        # Stale timeout entries -- the process was interrupted (its
+        # pending timeout cancelled lazily) or has moved on to a newer
+        # wait; a finished process always has a cleared key -- are
+        # skipped without advancing ``now``, which keeps
+        # interrupt-during-timeout deterministic.
+        if self._peek_live() is None:
+            return False
+        time, key, fn, proc, sched = heapq.heappop(self._active)
+        self._live -= 1
+        self.now = time
+        self._root_sched = sched
+        if proc is None:
+            fn()
+        else:
+            proc._timeout_key = None
+            if proc.__class__ is CpuGrant:
+                proc.cpu._slice_end(proc)
             else:
-                self._live -= 1
-                self.now = time
-                self._root_sched = sched
-                fn()
-            self._drain_ready()
-            return True
+                proc._waiting_on = None
+                self._resume(proc, None, None)
+        self._drain_ready()
+        return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the calendar empties or virtual time reaches ``until``.
@@ -591,6 +599,7 @@ class Simulator:
         wait_on = self._wait_on
         active = self._active
         events = 0
+        self._run_ahead = _INF if until is None else until
         try:
             while True:
                 if ready:
@@ -634,8 +643,11 @@ class Simulator:
                         if tproc.__class__ is CpuGrant:
                             # A running CPU job's slice or batch is
                             # due: the run queue advances here, with no
-                            # generator resumed.
+                            # generator resumed -- possibly over several
+                            # slices, and _peek_live may have activated
+                            # a far bucket on the way.
                             tproc.cpu._slice_end(tproc)
+                            active = self._active
                             continue
                         tproc._waiting_on = None
                         proc = tproc
@@ -685,6 +697,7 @@ class Simulator:
                     wait_on(proc, target)
         finally:
             self.events_processed += events
+            self._run_ahead = -_INF
         if until is not None and self.now < until:
             self.now = until
         return self.now

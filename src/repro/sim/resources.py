@@ -18,16 +18,15 @@ class Resource:
         yield service_time
         cpu.release()
 
-    Event caching: an uncontended :meth:`acquire` returns a shared
-    pre-triggered event (waiters never subscribe to a triggered event,
-    so sharing is safe), and wait events recycled at hand-off time are
-    reused for later queued acquires -- once a wait event triggers, its
-    waiter is already on the ready queue and nothing reads the event
-    again, so the recycle is unobservable.
+    An uncontended :meth:`acquire` returns a shared pre-triggered event
+    (waiters never subscribe to a triggered event, so sharing is safe).
+    A queued one always gets a fresh event: an interrupted waiter's
+    handler still reads ``triggered`` on its own event after the slot
+    was handed to it, so wait events are never recycled.
     """
 
     __slots__ = ("sim", "capacity", "in_use", "_queue", "name",
-                 "_granted", "_pool")
+                 "_granted")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -39,7 +38,6 @@ class Resource:
         self.name = name
         self._granted = Event(sim)
         self._granted.triggered = True
-        self._pool: list[Event] = []
 
     @property
     def queue_length(self) -> int:
@@ -51,12 +49,7 @@ class Resource:
         if self.in_use < self.capacity and not self._queue:
             self.in_use += 1
             return self._granted
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.triggered = False
-        else:
-            ev = Event(self.sim)
+        ev = Event(self.sim)
         self._queue.append(ev)
         return ev
 
@@ -73,11 +66,7 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._queue:
             # Hand the slot directly to the next waiter: in_use is unchanged.
-            ev = self._queue.popleft()
-            ev.trigger(None)
-            # The waiter is on the ready queue now and nothing inspects
-            # a granted wait event afterwards; recycle it.
-            self._pool.append(ev)
+            self._queue.popleft().trigger(None)
         else:
             self.in_use -= 1
 

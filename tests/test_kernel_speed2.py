@@ -172,16 +172,21 @@ def _cases(draw):
     return delays, script
 
 
+# A bucket narrower than most delays of the pool (every push takes the
+# far path), the default, and one wider than most (the active heap does
+# nearly all the work): pop order must not depend on the width.
+@pytest.mark.parametrize("bucket_width",
+                         [2.0 ** -10, Simulator.BUCKET_WIDTH, 1.0])
 @given(_cases())
-@settings(deadline=None, max_examples=80)
-def test_calendar_queue_matches_heap_reference(case):
+@settings(deadline=None, max_examples=40)
+def test_calendar_queue_matches_heap_reference(bucket_width, case):
     delays_per_worker, script = case
 
     ref = _HeapKernel()
     ref_log = _run_script(ref, ref.spawn, ref.interrupt,
                           delays_per_worker, script)
 
-    sim = Simulator()
+    sim = Simulator(bucket_width)
     sim_log = _run_script(sim, sim.spawn,
                           lambda p: p.interrupt("chaos"),
                           delays_per_worker, script)
@@ -336,9 +341,6 @@ class PerQuantumCpu:
 
     def _release(self):
         self._res.release()
-        # The seed's Resource did not recycle wait events, and an
-        # interrupted waiter above still has to read ``triggered``.
-        self._res._pool.clear()
         if self._res.in_use == 0 and not self._res.queue_length:
             if self._busy_since is not None:
                 self._busy_accum += self.sim.now - self._busy_since
@@ -396,7 +398,8 @@ def run_cpu_script(make_cpu, jobs, script=(), observe=(), checkpoint=None):
         # A phase boundary: the counter is read while jobs are parked.
         sim.run(until=checkpoint)
         sim.finalize_events()
-        log.append(("checkpoint", sim.events_processed, cpu.busy_time()))
+        log.append(("checkpoint", sim.now, sim.events_processed,
+                    cpu.busy_time()))
     sim.run()
     sim.finalize_events()
     return (log, cpu.busy_time(), sim.events_processed), sim, cpu
@@ -419,13 +422,42 @@ _CHAOS_LEAD_IN = 0.00004
 _OFF_GRID = st.sampled_from([0.00026, 0.00052, 0.00103, 0.00228, 0.00451])
 
 
+# A saturated core: 3-6 jobs of two quanta or more, all queued within
+# the first quantum, so the core rotates with nothing else on the
+# calendar and whole rounds go by inside one run-ahead fold
+# (Cpu._slice_end).  The first 2 x njobs slices are full quanta, ending
+# on the left-fold ``(..(first arrival + q) + q..)``: a checkpoint on
+# one of those, or 0.13 ms past it, stops run(until=) exactly on a slice
+# end or strictly inside the chain.
+_EARLY = st.sampled_from([0.00025, 0.0005, 0.001])
+_LONG = st.sampled_from([d for d in _GRID if d >= 0.002])
+
+
+@st.composite
+def _saturated(draw):
+    njobs = draw(st.integers(min_value=3, max_value=6))
+    jobs = [(draw(_EARLY),
+             [(demand, 0.0) for demand in
+              draw(st.lists(_LONG, min_size=1, max_size=2))])
+            for __ in range(njobs)]
+    checkpoint = min(arrival for arrival, __ in jobs)
+    for __ in range(draw(st.integers(min_value=1, max_value=2 * njobs))):
+        checkpoint = checkpoint + 0.001
+    return jobs, checkpoint + draw(st.sampled_from([0.0, 0.00013]))
+
+
 @st.composite
 def _cpu_cases(draw):
-    njobs = draw(st.integers(min_value=1, max_value=6))
-    jobs = [(draw(_ARRIVALS),
-             [(demand, 0.0) for demand in
-              draw(st.lists(_DEMANDS, min_size=1, max_size=2))])
-            for __ in range(njobs)]
+    if draw(st.booleans()):
+        jobs, fold_checkpoint = draw(_saturated())
+        njobs = len(jobs)
+    else:
+        fold_checkpoint = None
+        njobs = draw(st.integers(min_value=1, max_value=6))
+        jobs = [(draw(_ARRIVALS),
+                 [(demand, 0.0) for demand in
+                  draw(st.lists(_DEMANDS, min_size=1, max_size=2))])
+                for __ in range(njobs)]
     # One interrupt per instant: with the core's holder and a queued job
     # interrupted together, holder first, the seed hands the slot to the
     # dead waiter (whose handler releases it again) where
@@ -435,7 +467,8 @@ def _cpu_cases(draw):
                       min_size=1, max_size=1)
     script = draw(st.lists(st.tuples(_OFF_GRID, target),
                            min_size=0, max_size=5))
-    checkpoint = draw(st.one_of(st.none(), _ARRIVALS, _OFF_GRID))
+    checkpoint = draw(st.one_of(st.none(), _ARRIVALS, _OFF_GRID,
+                                st.just(fold_checkpoint)))
     return jobs, script, (), checkpoint
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine import Machine, MachineSpec, paper_machine_spec
 from repro.machine.cpu import Cpu
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from tests.test_kernel_speed2 import (PerQuantumCpu,
                                       assert_cpu_matches_reference)
 
@@ -192,6 +192,124 @@ def test_job_in_the_hand_off_marker_window_is_not_interruptible(make_cpu):
                    ("second again", 0.0055)]
     assert not cpu.busy and cpu.queue_length == 0
     assert sim.quiescent()
+
+
+# Run-ahead slice folding (Cpu._slice_end): a saturated core whose next
+# slice end is strictly the earliest live calendar entry rotates again
+# without going through the calendar.  Four jobs queue inside the first
+# quantum; from 1 ms on the core is alone on the calendar except for
+# what each script plants.  0.001 + 0.001 + ... is exact in floats up
+# to 0.008, so a timer "at 0.003" really ties with that slice end.
+
+_FOUR = [(0.001, [(0.004, 0.0)]), (0.00125, [(0.004, 0.0)]),
+         (0.0015, [(0.003, 0.0)]), (0.00175, [(0.0035, 0.0)])]
+
+
+def test_timer_tied_with_a_folded_slice_end_runs_in_reference_order():
+    # j4's pause ends at 0.001 + 0.002 == 0.003, the end of j1's first
+    # slice; its timer was pushed first, so it queues *before* j1
+    # re-joins the tail and runs at 6 and 11 ms.  A fold over the tie
+    # would put it behind j1, a slice later.
+    log = assert_cpu_matches_reference(
+        jobs=_FOUR + [(0.001, [(None, 0.002), (0.0015, 0.0)])])
+    assert log[0] == ("j4", "done", pytest.approx(0.0115))
+    # The same tie as a phase boundary: run(until=0.003) stops there.
+    assert_cpu_matches_reference(jobs=_FOUR, checkpoint=0.003)
+
+
+def test_interrupt_between_two_folded_slice_ends_withdraws_a_queued_job():
+    seen = []
+    sim = Simulator()
+    cpu = Cpu(sim)
+
+    def job():
+        try:
+            yield from cpu.execute(0.004)
+        except Interrupt:
+            seen.append(("interrupted", sim.now))
+
+    def chaos():
+        yield 0.00245           # j2's first slice runs from 2 to 3 ms
+        for proc in procs[2], procs[0]:
+            grant = proc._waiting_on
+            seen.append((grant.granted, grant._timeout_key is not None))
+        seen.append(procs[0].interrupt("chaos"))
+
+    procs = [sim.spawn(job()) for __ in range(4)]
+    sim.spawn(chaos())
+    sim.run()
+    # The fold stopped short of the chaos timer: the running job owns a
+    # real calendar entry, the queued one none, and is withdrawn at once.
+    assert seen == [(True, True), (False, False), True,
+                    ("interrupted", 0.00245)]
+    assert sim.now == pytest.approx(0.012 + 0.001)
+    assert not cpu.busy and cpu.queue_length == 0 and sim.quiescent()
+    assert_cpu_matches_reference(jobs=_FOUR, script=[(0.00241, [0])])
+
+
+class _CountingSimulator(Simulator):
+    """Counts calendar pushes made through ``_push`` (``Cpu``'s) and
+    ``step()`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushes = self.steps = 0
+
+    def _push(self, time, key, fn, proc):
+        self.pushes += 1
+        super()._push(time, key, fn, proc)
+
+    def step(self):
+        self.steps += 1
+        return super().step()
+
+
+def _execute(cpu, demand):
+    yield from cpu.execute(demand)
+
+
+def _saturate(sim, cpu, demands):
+    """A one-quantum starter holds the core while ``demands`` queue in
+    the same instant, so no job ever runs alone with quanta to spare (a
+    batch would draw fewer seqs than the per-quantum loop)."""
+    return [sim.spawn(_execute(cpu, demand)) for demand in [0.001] + demands]
+
+
+def test_step_and_run_all_advance_one_timed_entry_per_call():
+    sim = _CountingSimulator()
+    cpu = Cpu(sim)
+    procs = _saturate(sim, cpu, [0.003] * 4)
+    sim.run_all(procs[:2])      # j0's third slice is the 10th entry
+    assert (sim.steps, sim.now) == (10, pytest.approx(0.010))
+    assert cpu.queue_length == 2
+    sim.run()                   # leaves no horizon behind for step()
+    _saturate(sim, cpu, [0.003] * 4)
+    times, expected, t = [], [], sim.now
+    while sim.step():
+        times.append(sim.now)
+    for __ in range(13):        # the starter's quantum + 4 x 3 slices
+        t = t + 0.001
+        expected.append(t)
+    assert times == expected
+
+
+def test_a_saturated_core_pushes_once_per_finished_job_not_per_slice():
+    demands = [0.003, 0.004, 0.0055, 0.005]
+    ref, sim = _CountingSimulator(), _CountingSimulator()
+    ref_cpu, cpu = PerQuantumCpu(ref), Cpu(sim)
+    _saturate(ref, ref_cpu, demands)
+    _saturate(sim, cpu, demands)
+    ref.run()
+    sim.run()
+    sim.finalize_events()
+    assert (sim.now, cpu.busy_time()) == (ref.now, ref_cpu.busy_time())
+    assert sim.events_processed == ref.events_processed
+    # One seq per slice on both sides: 1 + 3 + 4 + 6 + 5 slices ...
+    assert sim._seq == ref._seq == 19
+    # ... but one calendar push per grant that follows a finished job
+    # (the last to finish leaves the core idle).
+    assert sim.pushes == 4
+    assert sim._live == 0 and sim.quiescent() and not cpu.busy
 
 
 def test_disk_io_takes_access_plus_transfer_time():

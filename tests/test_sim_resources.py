@@ -207,17 +207,14 @@ def test_rwlock_write_then_write_queues():
     assert w2.triggered
 
 
-@pytest.mark.xfail(strict=True, reason="wait-event recycling is unsafe when "
-                   "a holder and a queued waiter are interrupted together")
 def test_interrupted_waiter_does_not_read_a_recycled_wait_event():
     """The holder, interrupted first, releases: the slot goes to the
-    interrupted waiter's dead wait event, which is recycled at once and
-    reused by the holder's next acquire.  The waiter's handler then
-    reads ``triggered`` on an event that is no longer its own, cancels
-    the holder's request instead of giving the slot back, and the slot
-    leaks.  Found by the CPU differential test of
-    ``tests/test_kernel_speed2.py`` (whose reference therefore empties
-    the pool); ``Cpu`` itself no longer queues Events."""
+    interrupted waiter's dead wait event.  Were that event recycled for
+    the holder's next acquire (as it once was), the waiter's handler
+    would read ``triggered`` on an event that is no longer its own,
+    cancel the holder's request instead of giving the slot back, and
+    leak the slot.  Found by the CPU differential test of
+    ``tests/test_kernel_speed2.py``."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     log = []
