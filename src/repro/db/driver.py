@@ -299,12 +299,13 @@ class CircuitBreakerConnection:
 
 class RecordingConnection:
     """Wraps a connection, capturing a QueryRecord per statement:
-    every ``execute`` that returns has appended exactly one record,
-    ``records[-1]`` (the middleware files that one on its trace)."""
+    every ``execute`` that returns has left exactly one record in
+    ``last`` (the middleware files that one on its trace; none is kept
+    here, a deployment's connections live as long as it does)."""
 
     def __init__(self, inner: Connection):
         self.inner = inner
-        self.records: List[QueryRecord] = []
+        self.last: Optional[QueryRecord] = None
 
     def execute(self, sql: str, params: Sequence = ()) -> ResultSet:
         result = self.inner.execute(sql, params)
@@ -312,10 +313,10 @@ class RecordingConnection:
         lock_set = tuple(self.inner.session.locks.items()) \
             if kind == "lock" else ()
         # Positional, in QueryRecord's field order.
-        self.records.append(QueryRecord(
+        self.last = QueryRecord(
             sql, kind, cost.cpu_seconds, cost.result_bytes,
             len(result.rows), stats.rows_changed, stats.tables_read,
-            stats.tables_written, lock_set, "", stats.access_summary()))
+            stats.tables_written, lock_set, "", stats.access_summary())
         return result
 
     @property

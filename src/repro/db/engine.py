@@ -144,7 +144,7 @@ class Database:
         return table
 
     def load_rows(self, table_name: str, rows: Sequence[dict]) -> int:
-        """Bulk-load dictionaries (data generators use this)."""
+        """``Table.insert`` each dictionary (the sharded loader's path)."""
         table = self.table(table_name)
         for row in rows:
             table.insert(row)

@@ -43,6 +43,14 @@ class ColumnType(enum.Enum):
             return value
         return value
 
+    def exact_class(self) -> type:
+        """The class this type stores unchanged: for a value of exactly
+        it (no ``bool``, no subclass) :meth:`coerce` is the identity
+        and :meth:`accepts` is true."""
+        if self is ColumnType.INT:
+            return int
+        return float if self in (ColumnType.FLOAT, ColumnType.DATETIME) else str
+
 
 @dataclass(frozen=True)
 class Column:

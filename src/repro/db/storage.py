@@ -8,6 +8,8 @@ from repro.db.errors import IntegrityError, SqlError
 from repro.db.index import HashIndex, SortedIndex, make_index
 from repro.db.schema import IndexDef, TableSchema
 
+_MISSING = object()
+
 
 class Table:
     """A heap of rows with tombstone deletion and index maintenance.
@@ -16,6 +18,13 @@ class Table:
     The primary key (when declared) is backed by a unique index; an
     INT auto-increment primary key is assigned on insert when the caller
     passes ``None``, mirroring MySQL.
+
+    The immutable schema is resolved once into the *column plan*,
+    ``(name, row position, default, Column, exact class)`` per column,
+    and each index's key columns into row positions (``_key_pos``).  A
+    value of exactly ``ColumnType.exact_class()`` is stored as is;
+    every other one (None, ``bool``, a subclass, a number of the other
+    kind, a wrong type, a default) takes the checks one by one.
     """
 
     def __init__(self, schema: TableSchema):
@@ -23,6 +32,10 @@ class Table:
         self.name = schema.name
         self._colmap: Dict[str, int] = {
             col.name: pos for pos, col in enumerate(schema.columns)}
+        self._plan = [
+            (col.name, pos, col.default, col, col.type.exact_class())
+            for pos, col in enumerate(schema.columns)]
+        self._key_pos: Dict[str, tuple] = {}
         self._rows: List[Optional[list]] = []
         self._live = 0
         self._next_auto = 1
@@ -55,8 +68,8 @@ class Table:
     def _add_index(self, index_def: IndexDef) -> None:
         if index_def.name in self.indexes:
             raise SqlError(f"duplicate index name {index_def.name!r}")
-        for col in index_def.columns:
-            self.column_pos(col)  # validates existence
+        self._key_pos[index_def.name] = tuple(
+            self.column_pos(col) for col in index_def.columns)
         index = make_index(index_def.kind, index_def.name,
                            index_def.columns, index_def.unique)
         # Backfill existing rows.
@@ -81,7 +94,10 @@ class Table:
         del self.indexes[name]
 
     def _key_of(self, index, row: Sequence) -> tuple:
-        return tuple(row[self._colmap[c]] for c in index.columns)
+        positions = self._key_pos[index.name]
+        if len(positions) == 1:
+            return (row[positions[0]],)
+        return tuple([row[pos] for pos in positions])
 
     def index_on(self, columns: Sequence[str]):
         """The first index whose leading columns equal ``columns``, or None."""
@@ -108,15 +124,20 @@ class Table:
         auto-increment key is assigned the next counter value.
         """
         row = []
-        consumed = 0
-        for col in self.schema.columns:
-            if col.name in values:
-                value = col.type.coerce(values[col.name])
-                consumed += 1
-            else:
-                value = col.default
+        missing = 0
+        unchecked = []
+        get = values.get
+        for name, pos, default, col, cls in self._plan:
+            value = get(name, _MISSING)
+            if value.__class__ is not cls:
+                if value is _MISSING:
+                    value = default
+                    missing += 1
+                else:
+                    value = col.type.coerce(value)
+                unchecked.append((pos, col, cls))
             row.append(value)
-        if consumed != len(values):
+        if len(row) - missing != len(values):
             unknown = set(values) - set(self._colmap)
             raise SqlError(
                 f"insert into {self.name!r}: unknown columns {sorted(unknown)}")
@@ -133,7 +154,10 @@ class Table:
             elif self.schema.auto_increment and isinstance(row[pk_pos], int):
                 self._next_auto = max(self._next_auto, row[pk_pos] + 1)
 
-        for col, value in zip(self.schema.columns, row):
+        for pos, col, cls in unchecked:
+            value = row[pos]
+            if value.__class__ is cls:
+                continue    # coerced, defaulted or auto-assigned to it
             if value is None and not col.nullable and col.name != pk:
                 raise IntegrityError(
                     f"table {self.name!r}: column {col.name!r} is NOT NULL")
@@ -187,13 +211,15 @@ class Table:
         reinserted = []
         try:
             for name, value in changes.items():
-                col = self.schema.column(name)
-                coerced = col.type.coerce(value)
-                if not col.type.accepts(coerced):
-                    raise SqlError(
-                        f"table {self.name!r}.{name}: {value!r} is not "
-                        f"a {col.type.value}")
-                row[self._colmap[name]] = coerced
+                _, pos, _, col, cls = self._plan[self._colmap[name]]
+                if value.__class__ is not cls:
+                    coerced = col.type.coerce(value)
+                    if not col.type.accepts(coerced):
+                        raise SqlError(
+                            f"table {self.name!r}.{name}: {value!r} is not "
+                            f"a {col.type.value}")
+                    value = coerced
+                row[pos] = value
             for index in affected:
                 index.insert(self._key_of(index, row), rowid)
                 reinserted.append(index)

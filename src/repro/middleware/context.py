@@ -87,7 +87,7 @@ class AppContext:
     def query(self, sql: str, params: Sequence = ()) -> ResultSet:
         """Run a statement, recording it on the trace."""
         result = self._conn.execute(sql, params)
-        self.trace.add_query(self._conn.records[-1])
+        self.trace.add_query(self._conn.last)
         return result
 
     # An alias that reads naturally at update call sites.

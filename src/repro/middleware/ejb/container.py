@@ -189,7 +189,7 @@ class EjbContainer:
         result = conn.execute(sql, params)
         self.queries_issued += 1
         if self._trace is not None:
-            self._trace.add_query(conn.records[-1])
+            self._trace.add_query(conn.last)
         return result
 
     def materialize(self, home: EntityHome, pk,

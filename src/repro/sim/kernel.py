@@ -354,10 +354,10 @@ class Simulator:
         # tie-breaking when a competitor queues exactly at a slice
         # boundary (see machine.cpu.Cpu._on_contention).
         self._root_sched = 0.0
-        # How far a timed call-back may advance ``now`` by itself
-        # (Cpu._slice_end's run-ahead fold): the ``until`` of the
-        # enclosing run(), and "not at all" outside it, so step() and
-        # run_all() advance exactly one timed entry per call.
+        # How far ``now`` may be advanced past the calendar (run()'s
+        # run-ahead timeouts, Cpu._slice_end's fold): the ``until`` of
+        # the enclosing run(), and "not at all" outside it, so step()
+        # and run_all() advance exactly one timed entry per call.
         self._run_ahead = -_INF
 
     @property
@@ -442,11 +442,14 @@ class Simulator:
         return proc
 
     def _schedule_timeout(self, delay: float, proc: Process) -> None:
+        time = self.now + delay
+        if time < self.now:     # the same test as run()'s inlined branch
+            raise SimulationError(f"negative delay: {delay!r}")
         key = self._seq = self._seq + 1
         proc._waiting_on = "timeout"
         proc._timeout_key = key
         self._live += 1
-        self._push(self.now + delay, key, None, proc)
+        self._push(time, key, None, proc)
 
     def _schedule_timeout_at(self, time: float, proc: Process) -> None:
         if time < self.now:
@@ -583,7 +586,7 @@ class Simulator:
         (one copy, fed by either the ready queue or a popped timed entry)
         with the queues and bound methods held in locals, and the
         float-timeout reschedule -- the dominant yield -- goes straight
-        into the calendar without a method call.
+        into the calendar without a method call, or past it.
         """
         if until is not None and until < self.now:
             raise SimulationError(
@@ -599,7 +602,7 @@ class Simulator:
         wait_on = self._wait_on
         active = self._active
         events = 0
-        self._run_ahead = _INF if until is None else until
+        self._run_ahead = run_ahead = _INF if until is None else until
         try:
             while True:
                 if ready:
@@ -658,43 +661,61 @@ class Simulator:
                         self._root_sched = sched
                         fn()
                         continue
-                # Resume ``proc`` (inlined _resume).
-                events += 1
+                # Resume ``proc`` (inlined _resume) -- again and again
+                # while it asks for plain timeouts nothing can precede.
                 gen = proc._gen
-                self._current = proc
-                try:
-                    if exc is None:
-                        target = gen.send(value)
-                    else:
-                        target = gen.throw(exc)
-                except StopIteration as stop:
+                while True:
+                    events += 1
+                    self._current = proc
+                    try:
+                        if exc is None:
+                            target = gen.send(value)
+                        else:
+                            target = gen.throw(exc)
+                    except StopIteration as stop:
+                        self._current = None
+                        proc._finish(stop.value)
+                        break
+                    except BaseException:
+                        self._current = None
+                        raise
                     self._current = None
-                    proc._finish(stop.value)
-                    continue
-                except BaseException:
-                    self._current = None
-                    raise
-                self._current = None
-                tcls = target.__class__
-                if tcls is float or tcls is int:
+                    tcls = target.__class__
+                    if tcls is not float and tcls is not int:
+                        wait_on(proc, target)
+                        break
                     # Inlined _schedule_timeout + calendar push.
+                    now = self.now
+                    t = now + target
+                    if t < now:
+                        raise SimulationError(f"negative delay: {target!r}")
                     key = self._seq = self._seq + 1
+                    if (t < active[0][0] if active else
+                            not far_idx or int(t * inv_width) < far_idx[0]
+                            ) and not ready and t <= run_ahead:
+                        # Run-ahead timeout: strictly the earliest
+                        # entry (a tie has the older seq; a stale top
+                        # only makes the test conservative), nothing
+                        # ready, inside run()'s horizon -- it would be
+                        # pushed now and popped next, so it is neither.
+                        self._root_sched = now
+                        self.now = t
+                        value = exc = None
+                        continue
                     proc._waiting_on = "timeout"
                     proc._timeout_key = key
                     self._live += 1
-                    t = self.now + target
                     b = int(t * inv_width)
                     if b <= self._cur_bucket:
-                        heappush(active, (t, key, None, proc, self.now))
+                        heappush(active, (t, key, None, proc, now))
                     else:
                         lst = far.get(b)
                         if lst is None:
-                            far[b] = [(t, key, None, proc, self.now)]
+                            far[b] = [(t, key, None, proc, now)]
                             heappush(far_idx, b)
                         else:
-                            lst.append((t, key, None, proc, self.now))
-                else:
-                    wait_on(proc, target)
+                            lst.append((t, key, None, proc, now))
+                    break
         finally:
             self.events_processed += events
             self._run_ahead = -_INF

@@ -25,6 +25,25 @@ def test_schedule_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_process_negative_delay_rejected(drive):
+    # A negative yield used to rewind the clock (``now`` ended at 0.5).
+    sim = Simulator()
+
+    def rewinder():
+        yield 1.0
+        yield -0.5
+    sim.spawn(rewinder())
+    with pytest.raises(SimulationError, match="negative delay: -0.5"):
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+    assert sim.now == 1.0
+    assert sim.current_process is None
+
+
 def test_callbacks_run_in_time_order():
     sim = Simulator()
     order = []
@@ -494,3 +513,134 @@ def test_events_processed_counts_resumes():
     sim.run()
     # Initial spawn resume plus two timeout wakeups.
     assert sim.events_processed == 3
+
+
+# ------------------------------------------------------- run-ahead timeouts
+#
+# Inside run() a plain timeout that nothing can precede advances ``now``
+# and resumes the same generator without entering the calendar.  Nothing
+# may be able to tell: ties, foreign entries, the horizon and interrupts.
+
+def test_lone_process_timeouts_skip_the_calendar(monkeypatch):
+    import heapq
+
+    def ticker():
+        for __ in range(1000):
+            yield 0.25
+
+    stepped = Simulator()
+    stepped.spawn(ticker())
+    while stepped.step():
+        pass
+
+    # One bucket wide enough for the whole run: every calendar push is
+    # a heappush, so counting those counts them all.
+    sim = Simulator(bucket_width=1024.0)
+    sim.spawn(ticker())
+    pushes = []
+    real_push = heapq.heappush
+
+    def counting_push(heap, entry):
+        pushes.append(entry)
+        real_push(heap, entry)
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    sim.run()
+    assert pushes == []
+    assert (sim.now, sim.events_processed, sim._seq) == \
+        (stepped.now, stepped.events_processed, stepped._seq) == \
+        (250.0, 1001, 1000)
+    assert sim.quiescent() and sim._live == 0
+
+
+def test_run_ahead_stops_at_a_tied_timer_which_fires_first():
+    sim = Simulator()
+    order = []
+
+    def sleeper():
+        yield 1.0
+        order.append(("woke", sim.now))
+        yield 1.0                 # would end at 2.0, tied with the timer
+        order.append(("woke", sim.now))
+
+    sim.schedule(2.0, lambda: order.append(("timer", sim.now)))   # seq 1
+    sim.spawn(sleeper())
+    sim.run()
+    assert order == [("woke", 1.0), ("timer", 2.0), ("woke", 2.0)]
+
+
+def test_callback_inside_the_interval_bounds_the_run_ahead():
+    sim = Simulator()
+    seen = []
+
+    def sleeper():
+        yield 1.0
+        yield 1.0
+        seen.append(("woke", sim.now))
+
+    sim.schedule(1.5, lambda: seen.append(("timer", sim.now)))
+    sim.spawn(sleeper())
+    sim.run()
+    assert seen == [("timer", 1.5), ("woke", 2.0)]
+
+
+def test_run_ahead_never_passes_until():
+    sim = Simulator()
+    woke = []
+
+    def ticker():
+        while True:
+            yield 0.5
+            woke.append(sim.now)
+
+    sim.spawn(ticker())
+    assert sim.run(until=1.25) == 1.25
+    assert woke == [0.5, 1.0] and sim.now == 1.25
+    assert sim._live == 1                   # the 1.5 wake is parked for real
+    assert sim.run(until=1.5) == 1.5        # a wake *at* the horizon runs
+    assert woke == [0.5, 1.0, 1.5] and sim._live == 1
+
+
+def test_step_and_run_all_advance_one_entry_per_call():
+    class Stepwise(Simulator):
+        __slots__ = ("seen",)
+
+        def step(self):
+            advanced = super().step()
+            self.seen.append(self.now)
+            return advanced
+
+    def ticker():
+        for __ in range(3):
+            yield 1.0
+
+    sim = Stepwise()
+    sim.seen = []
+    sim.spawn(ticker())
+    while sim.step():
+        pass
+    assert sim.seen == [1.0, 2.0, 3.0, 3.0]     # the last call found it idle
+
+    sim = Stepwise()
+    sim.seen = []
+    assert sim.run_all([sim.spawn(ticker())]) == 3.0
+    assert sim.seen == [1.0, 2.0, 3.0]
+
+
+def test_interrupt_right_after_a_run_ahead_chain_finds_a_real_entry():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield 1.0             # run ahead
+            yield 1.0             # run ahead
+            yield 5.0             # bounded by the callback at 2.5: parked
+        except Interrupt as irq:
+            log.append((sim.now, irq.cause))
+
+    proc = sim.spawn(sleeper())
+    sim.schedule(2.5, lambda: log.append(proc.interrupt("stop")))
+    sim.run()
+    assert log == [True, (2.5, "stop")]
+    assert proc.finished and sim.now == 2.5
+    assert sim.quiescent() and sim._live == 0
