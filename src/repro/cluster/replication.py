@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.balancer import LoadBalancer
 from repro.sim.kernel import Event
-from repro.sim.resources import RWLock, Store, safe_acquire_write
+from repro.sim.resources import RWLock, Store, acquire_lock
 
 
 class SessionState:
@@ -143,7 +143,7 @@ class ReplicatedDb:
             try:
                 for table in tables:
                     lock = replica.table_lock(table)
-                    yield from safe_acquire_write(lock)
+                    yield from acquire_lock(lock, "WRITE")
                     taken.append(lock)
                 if apply_cpu > 0.0:
                     yield from replica.machine.cpu.execute(apply_cpu)

@@ -32,12 +32,7 @@ class Disk:
         """Process-style: one I/O of ``nbytes`` bytes."""
         if nbytes < 0:
             raise ValueError(f"negative I/O size: {nbytes}")
-        # Uncontended disks are the common case (steady-state I/O stays
-        # under 20 transfers/s): try_acquire() takes the slot without an
-        # Event or a safe_acquire generator frame; the queued path keeps
-        # full interrupt safety.
-        if not self._res.try_acquire():
-            yield from safe_acquire(self._res)
+        yield from safe_acquire(self._res)
         try:
             yield self.access_time + nbytes / self.transfer_rate
             self.transfers += 1

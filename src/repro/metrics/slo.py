@@ -20,8 +20,8 @@ from typing import Dict, List, Optional
 
 def percentile(samples: List[float], fraction: float) -> Optional[float]:
     """The ``fraction`` percentile of ``samples`` (nearest-rank on the
-    sorted list, the same convention as ``ClientStats.percentile``);
-    None when there are no samples."""
+    sorted list; ``ClientStats.percentile`` delegates here); None when
+    there are no samples."""
     if not samples:
         return None
     ordered = sorted(samples)

@@ -52,11 +52,7 @@ from repro.harness.profiles import AppProfile
 from repro.shard.routing import ShardScheme, scheme_for, shard_index
 from repro.shard.twopc import ShardStats, TwoPcCoordinator, TwoPcCosts
 from repro.sim.kernel import Simulator
-from repro.sim.resources import (
-    safe_acquire_read,
-    safe_acquire_write,
-    traced_acquire_lock,
-)
+from repro.sim.resources import acquire_lock
 from repro.sim.rng import RngStreams
 
 #: Span name for a scatter-gather read fan-out.
@@ -374,13 +370,7 @@ class ShardedSite(ClusteredSite):
                 continue             # remote reference read: no span lock
             lock = self.repls[shard].primary.table_lock(table)
             waited_from = self.sim.now
-            if rc is not None:
-                yield from traced_acquire_lock(lock, mode, rc, lock.name,
-                                               "db", label)
-            elif mode == "WRITE":
-                yield from safe_acquire_write(lock)
-            else:
-                yield from safe_acquire_read(lock)
+            yield from acquire_lock(lock, mode, rc, "db", label)
             self.db_lock_wait_time += self.sim.now - waited_from
             held_explicit[table] = (mode, lock)
         for shard in participants:

@@ -366,16 +366,6 @@ class Simulator:
         the kernel itself runs, e.g. inside a scheduled callback)."""
         return self._current
 
-    @property
-    def _heap(self) -> list:
-        """Flattened snapshot of pending timed entries (compat shim for
-        tests that inspected the old single binary heap; not in time
-        order across buckets)."""
-        entries = list(self._active)
-        for lst in self._far.values():
-            entries.extend(lst)
-        return entries
-
     # -- low level scheduling ------------------------------------------------
 
     def _push(self, time: float, key: int, fn, proc) -> None:

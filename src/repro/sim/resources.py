@@ -86,63 +86,19 @@ class Resource:
 # process is interrupted; these ``yield from`` wrappers withdraw it (and
 # release an already-granted slot) before re-raising, so chaos in one
 # interaction can never strand a CPU slot or a table lock.
-
-def safe_acquire(resource: "Resource"):
-    ev = resource.acquire()
-    if ev.triggered:
-        return
-    try:
-        yield ev
-    except BaseException:
-        if ev.triggered:
-            resource.release()
-        else:
-            resource.cancel(ev)
-        raise
-
-
-def safe_acquire_read(lock: "RWLock"):
-    ev = lock.acquire_read()
-    if ev.triggered:
-        return
-    try:
-        yield ev
-    except BaseException:
-        if ev.triggered:
-            lock.release_read()
-        else:
-            lock.cancel(ev)
-        raise
-
-
-def safe_acquire_write(lock: "RWLock"):
-    ev = lock.acquire_write()
-    if ev.triggered:
-        return
-    try:
-        yield ev
-    except BaseException:
-        if ev.triggered:
-            lock.release_write()
-        else:
-            lock.cancel(ev)
-        raise
-
-
-# -- traced acquisition (repro.obs) ------------------------------------------
 #
-# Same cancellation-safe semantics as the helpers above, but when the
-# acquire actually blocks, the wait is recorded as a span on ``rc`` (a
-# repro.obs RequestTrace).  Uncontended acquires record nothing, so the
-# span stream carries only real waits; virtual-time behaviour is
-# identical either way (spans never add events).
+# With ``rc`` (a repro.obs RequestTrace) set, a wait that actually blocks
+# is recorded as a span on it.  Uncontended acquires return before any
+# span or ``try``, so the span stream carries only real waits;
+# virtual-time behaviour is identical either way (spans never add
+# events).
 
-def traced_acquire(resource: "Resource", rc, name: str, cat: str,
-                   tier: str):
+def safe_acquire(resource: "Resource", rc=None, name: str = "",
+                 cat: str = "", tier: str = ""):
     ev = resource.acquire()
     if ev.triggered:
         return
-    span = rc.push(name, cat, tier)
+    span = rc.push(name, cat, tier) if rc is not None else None
     try:
         yield ev
     except BaseException:
@@ -152,31 +108,31 @@ def traced_acquire(resource: "Resource", rc, name: str, cat: str,
             resource.cancel(ev)
         raise
     finally:
-        rc.pop(span)
+        if span is not None:
+            rc.pop(span)
 
 
-def traced_acquire_lock(lock: "RWLock", mode: str, rc, name: str,
-                        tier: str, origin: str = ""):
-    """Take an RW lock in ``mode`` ("READ"/"WRITE"), recording the wait
-    (if any) as a lock span named after the lock and mode."""
+def acquire_lock(lock: "RWLock", mode: str, rc=None, tier: str = "",
+                 origin: str = ""):
+    """Take an RW lock in ``mode`` ("READ"/"WRITE"); a traced wait is a
+    ``lock`` span named after the lock and mode."""
     ev = lock.acquire_write() if mode == "WRITE" else lock.acquire_read()
     if ev.triggered:
         return
-    span = rc.push(f"{name} {mode}", "lock", tier,
-                   meta={"origin": origin} if origin else None)
+    span = rc.push(f"{lock.name} {mode}", "lock", tier,
+                   meta={"origin": origin} if origin else None) \
+        if rc is not None else None
     try:
         yield ev
     except BaseException:
         if ev.triggered:
-            if mode == "WRITE":
-                lock.release_write()
-            else:
-                lock.release_read()
+            lock.release(mode)
         else:
             lock.cancel(ev)
         raise
     finally:
-        rc.pop(span)
+        if span is not None:
+            rc.pop(span)
 
 
 class Store:
@@ -273,6 +229,13 @@ class RWLock:
             raise SimulationError(f"write-release of unheld lock {self.name!r}")
         self.writer = False
         self._wake()
+
+    def release(self, mode: str) -> None:
+        """Release a hold taken in ``mode`` ("READ"/"WRITE")."""
+        if mode == "WRITE":
+            self.release_write()
+        else:
+            self.release_read()
 
     def cancel(self, ev: Event) -> None:
         """Withdraw a queued (untriggered) lock request (see

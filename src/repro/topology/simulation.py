@@ -43,15 +43,7 @@ from repro.db.driver import (
 from repro.faults.errors import AdmissionReject, TierDown, TransientDbError
 from repro.net.lan import Lan
 from repro.sim.kernel import Process, Simulator
-from repro.sim.resources import (
-    Resource,
-    RWLock,
-    safe_acquire,
-    safe_acquire_read,
-    safe_acquire_write,
-    traced_acquire,
-    traced_acquire_lock,
-)
+from repro.sim.resources import Resource, RWLock, acquire_lock, safe_acquire
 from repro.topology.configs import Configuration
 from repro.web.server import (
     SPAN_ACCEPT_QUEUE,
@@ -342,11 +334,8 @@ class SimulatedSite:
             raise AdmissionReject(f"accept queue full "
                                   f"({web_processes.queue_length}"
                                   f" >= {limit})")
-        if rc is None:
-            yield from safe_acquire(web_processes)
-        else:
-            yield from traced_acquire(web_processes, rc,
-                                      SPAN_ACCEPT_QUEUE, "queue", "web")
+        yield from safe_acquire(web_processes, rc, SPAN_ACCEPT_QUEUE,
+                                "queue", "web")
         try:
             span = rc.push(SPAN_HTTP, "phase", "web") \
                 if rc is not None else None
@@ -499,60 +488,33 @@ class SimulatedSite:
         held_explicit: Dict[str, str] = {}
         held_sync: list = []
         key_draws: Dict[int, int] = {}
+        # Code-site labels only feed spans: untraced, every label is "".
+        labels = variant.step_labels if rc is not None else ()
+        nlabels = len(labels)
         try:
-            if rc is None:
-                # Hot path: identical to the untraced replay loop that
-                # the perf harness benchmarks.
-                for step in variant.steps:
-                    kind = step[0]
-                    if kind == "query":
-                        yield from self._db_query(step, held_explicit,
-                                                  route)
-                    elif kind == "lock":
-                        yield from self._db_explicit_lock(step[1],
-                                                          held_explicit,
-                                                          route)
-                    elif kind == "unlock":
-                        yield from self._db_unlock_step(held_explicit,
-                                                        route)
-                    elif kind == "sync_acquire":
-                        yield from self._sync_acquire(step[1], held_sync,
-                                                      rng, key_draws, route)
-                    elif kind == "sync_release":
-                        self._sync_release(step[1], held_sync, route)
-                    elif kind == "rmi":
-                        yield from self._rmi_crossing(step[1], step[2],
-                                                      route)
-                    elif kind == "ejb_work":
-                        yield from self._ejb_work(step[1], step[2], step[3],
-                                                  route)
-            else:
-                labels = variant.step_labels
-                nlabels = len(labels)
-                for i, step in enumerate(variant.steps):
-                    label = labels[i] if i < nlabels else ""
-                    kind = step[0]
-                    if kind == "query":
-                        yield from self._db_query(step, held_explicit,
-                                                  route, rc, label)
-                    elif kind == "lock":
-                        yield from self._db_explicit_lock(
-                            step[1], held_explicit, route, rc, label)
-                    elif kind == "unlock":
-                        yield from self._db_unlock_step(held_explicit,
-                                                        route, rc)
-                    elif kind == "sync_acquire":
-                        yield from self._sync_acquire(step[1], held_sync,
-                                                      rng, key_draws, route,
-                                                      rc, label)
-                    elif kind == "sync_release":
-                        self._sync_release(step[1], held_sync, route)
-                    elif kind == "rmi":
-                        yield from self._rmi_crossing(step[1], step[2],
-                                                      route, rc, label)
-                    elif kind == "ejb_work":
-                        yield from self._ejb_work(step[1], step[2], step[3],
-                                                  route, rc, label)
+            for i, step in enumerate(variant.steps):
+                label = labels[i] if i < nlabels else ""
+                kind = step[0]
+                if kind == "query":
+                    yield from self._db_query(step, held_explicit, route,
+                                              rc, label)
+                elif kind == "lock":
+                    yield from self._db_explicit_lock(
+                        step[1], held_explicit, route, rc, label)
+                elif kind == "unlock":
+                    yield from self._db_unlock_step(held_explicit, route, rc)
+                elif kind == "sync_acquire":
+                    yield from self._sync_acquire(step[1], held_sync, rng,
+                                                  key_draws, route, rc,
+                                                  label)
+                elif kind == "sync_release":
+                    self._sync_release(step[1], held_sync, route)
+                elif kind == "rmi":
+                    yield from self._rmi_crossing(step[1], step[2], route,
+                                                  rc, label)
+                elif kind == "ejb_work":
+                    yield from self._ejb_work(step[1], step[2], step[3],
+                                              route, rc, label)
         finally:
             # Defensive cleanup: a variant always closes its spans, but
             # never leave locks dangling if one did not.
@@ -599,22 +561,13 @@ class SimulatedSite:
                         lock = self._instance_table_lock(db, table)
                         mode = "WRITE" if table in write_set else "READ"
                         waited_from = self.sim.now
-                        if rc is not None:
-                            yield from traced_acquire_lock(
-                                lock, mode, rc, lock.name, "db", label)
-                        elif mode == "WRITE":
-                            yield from safe_acquire_write(lock)
-                        else:
-                            yield from safe_acquire_read(lock)
+                        yield from acquire_lock(lock, mode, rc, "db", label)
                         taken.append((lock, mode))
                         self.db_lock_wait_time += self.sim.now - waited_from
                 yield from db.cpu.execute(db_cpu)
             finally:
                 for lock, mode in taken:
-                    if mode == "WRITE":
-                        lock.release_write()
-                    else:
-                        lock.release_read()
+                    lock.release(mode)
             if writes:
                 self._note_commit(route, writes, db_cpu, db)
             yield from self.lan.transfer(db, issuer, reply_bytes)
@@ -645,23 +598,14 @@ class SimulatedSite:
         for table, mode in sorted(lock_set):
             lock = self.table_lock(table)
             waited_from = self.sim.now
-            if rc is not None:
-                yield from traced_acquire_lock(lock, mode, rc, lock.name,
-                                               "db", label)
-            elif mode == "WRITE":
-                yield from safe_acquire_write(lock)
-            else:
-                yield from safe_acquire_read(lock)
+            yield from acquire_lock(lock, mode, rc, "db", label)
             self.db_lock_wait_time += self.sim.now - waited_from
             held_explicit[table] = (mode, lock)
         yield from route.db.cpu.execute(self.costs.db_lock_statement_cpu)
 
     def _db_explicit_unlock(self, held_explicit):
         for mode, lock in list(held_explicit.values()):
-            if mode == "WRITE":
-                lock.release_write()
-            else:
-                lock.release_read()
+            lock.release(mode)
         held_explicit.clear()
 
     def _db_unlock_step(self, held_explicit, route, rc=None):
@@ -699,23 +643,14 @@ class SimulatedSite:
             yield from gen.cpu.execute(self.servlet_costs.per_sync_lock)
             lock = self.sync_lock(name, route)
             waited_from = self.sim.now
-            if rc is not None:
-                yield from traced_acquire_lock(lock, mode, rc, lock.name,
-                                               gen.name, label)
-            elif mode == "WRITE":
-                yield from safe_acquire_write(lock)
-            else:
-                yield from safe_acquire_read(lock)
+            yield from acquire_lock(lock, mode, rc, gen.name, label)
             self.sync_lock_wait_time += self.sim.now - waited_from
             held_sync.append((name, mode, lock))
 
     def _sync_release(self, names, held_sync, route):
         registry = self._sync_registry(route)
         for name, mode, lock in list(held_sync):
-            if mode == "WRITE":
-                lock.release_write()
-            else:
-                lock.release_read()
+            lock.release(mode)
             # Keyed entity locks are transient: drop idle ones so the
             # registry does not accumulate one lock per random key.
             if "#" in name and not lock.writer and not lock.readers \

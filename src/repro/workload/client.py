@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.faults.errors import AdmissionReject, RequestError, TierDown
+from repro.metrics.slo import percentile
 from repro.sim.kernel import Interrupt, Simulator
 from repro.sim.rng import RngStreams
 
@@ -137,13 +138,7 @@ class ClientStats:
     def percentile(self, name: str, fraction: float = 0.9) -> Optional[float]:
         """The ``fraction`` response-time percentile of one interaction
         (None if it never completed in the window)."""
-        samples = self.response_times.get(name)
-        if not samples:
-            return None
-        ordered = sorted(samples)
-        index = min(len(ordered) - 1,
-                    max(0, int(fraction * len(ordered)) - 1))
-        return ordered[index]
+        return percentile(self.response_times.get(name), fraction)
 
 
 class ClientPopulation:

@@ -84,6 +84,41 @@ def test_drivers_describe_points_and_nothing_else():
             path.name
 
 
+def _functions(path):
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_one_way_to_take_a_lock():
+    """Every RW lock is taken through ``acquire_lock`` and released
+    through ``RWLock.release(mode)``; neither acquisition helper has a
+    traced or per-mode twin, and the step replay has one loop."""
+    resources = SRC / "sim" / "resources.py"
+    primitive = re.compile(r"\.acquire_(read|write)\(")
+    assert {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+            if primitive.search(path.read_text())} == {"sim/resources.py"}
+    assert {node.name for node in ast.parse(resources.read_text()).body
+            if isinstance(node, ast.FunctionDef)} == {"safe_acquire",
+                                                      "acquire_lock"}
+    forks = {"safe_acquire_read", "safe_acquire_write", "traced_acquire",
+             "traced_acquire_lock"}
+    for path in SRC.rglob("*.py"):
+        assert not {f.name for f in _functions(path)} & forks, path
+        if path == resources:
+            continue
+        switches = [ast.unparse(node.test) for node in ast.walk(
+            ast.parse(path.read_text())) if isinstance(node, ast.If)
+            and re.search(r"\.release_(read|write)\(\)", ast.unparse(node))]
+        assert not switches, (path, switches)
+
+    replay, = [f for f in _functions(SRC / "topology" / "simulation.py")
+               if f.name == "_replay_steps"]
+    assert [ast.unparse(node.iter) for node in ast.walk(replay)
+            if isinstance(node, ast.For)
+            and "variant.steps" in ast.unparse(node.iter)] \
+        == ["enumerate(variant.steps)"]
+
+
 def test_the_forks_are_gone():
     import repro.__main__ as cli
     from repro.experiments import ext_failover, ext_slo, trace

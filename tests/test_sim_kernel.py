@@ -6,6 +6,18 @@ from repro.sim import Delay, Event, Interrupt, Simulator
 from repro.sim.kernel import SimulationError
 
 
+def _pending(sim):
+    """Every timed entry still in the calendar: the active heap and the
+    far buckets (in no particular order)."""
+    return [*sim._active, *(e for bucket in sim._far.values() for e in bucket)]
+
+
+def _live(entry):
+    """A callback, or a timeout whose owner still claims its key."""
+    proc = entry[3]
+    return proc is None or proc._timeout_key == entry[1]
+
+
 def test_time_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
@@ -441,9 +453,9 @@ def test_quiescent_reflects_pending_and_stale_work():
     sim.spawn(killer())
     sim.run(until=5.0)
     assert proc.finished
-    # The heap still holds the sleeper's cancelled t=10 entry; it is
+    # The calendar still holds the sleeper's cancelled t=10 entry; it is
     # stale, so the kernel is quiescent anyway.
-    assert sim._heap
+    assert [entry for entry in _pending(sim) if not _live(entry)]
     assert sim.quiescent()
 
     sim.schedule(1.0, lambda: None)
@@ -472,9 +484,7 @@ def test_cancelled_timeout_leaves_no_live_heap_entry():
     # The stale entry may still sit in the heap, but it is dead: no
     # process claims its key, so the kernel reports quiescence.
     assert proc._timeout_key is None
-    assert all(
-        entry[3] is None or entry[3]._timeout_key != entry[1]
-        for entry in sim._heap)
+    assert not [entry for entry in _pending(sim) if _live(entry)]
     assert sim.quiescent()
     # Draining past the stale entry's deadline must not resume anything.
     before = sim.events_processed

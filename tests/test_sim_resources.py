@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Interrupt, Resource, RWLock, Simulator, Store
 from repro.sim.kernel import SimulationError
-from repro.sim.resources import safe_acquire
+from repro.sim.resources import acquire_lock, safe_acquire
 
 
 # ---------------------------------------------------------------- Resource
@@ -247,3 +247,173 @@ def test_interrupted_waiter_does_not_read_a_recycled_wait_event():
     sim.run()
     assert log == ["holder again"]
     assert res.in_use == 0 and res.queue_length == 0
+
+
+# ------------------------------------------ cancellation-safe acquisition
+#
+# ``mode`` "READ" / "WRITE" takes an RWLock through ``acquire_lock``,
+# "SLOT" a one-slot Resource through ``safe_acquire``; "EXCL" is the
+# exclusive hold that blocks either.
+
+MODES = ["READ", "WRITE", "SLOT"]
+
+
+class _Recorder:
+    """The two RequestTrace calls the helpers make, as
+    ``[name, cat, tier, meta, pushed at, popped at]``."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.spans = []
+
+    def push(self, name, cat, tier, meta=None):
+        span = [name, cat, tier, meta, self.sim.now, None]
+        self.spans.append(span)
+        return span
+
+    def pop(self, span):
+        span[5] = self.sim.now
+
+
+def _target(sim, mode):
+    if mode == "SLOT":
+        return Resource(sim, capacity=1, name="httpd")
+    return RWLock(sim, name="db.items")
+
+
+def _take(target, mode, rc):
+    if isinstance(target, Resource):
+        return safe_acquire(target, rc, "httpd.accept", "queue", "web")
+    return acquire_lock(target, "WRITE" if mode == "EXCL" else mode, rc,
+                        "db", "Cart.add")
+
+
+def _release(target, mode):
+    if isinstance(target, Resource):
+        target.release()
+    else:
+        target.release("WRITE" if mode == "EXCL" else mode)
+
+
+def _holders(target):
+    if isinstance(target, Resource):
+        return target.in_use
+    return target.readers + target.writer
+
+
+def _waiting(target):
+    if isinstance(target, Resource):
+        return target.queue_length
+    return target.waiting_readers + target.waiting_writers
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_interrupt_while_queued_withdraws_the_request(mode, traced):
+    sim = Simulator()
+    target = _target(sim, mode)
+    rc = _Recorder(sim) if traced else None
+    outcome = []
+
+    def acquirer(tag):
+        try:
+            yield from _take(target, mode, rc)
+        except Interrupt:
+            outcome.append((tag, "interrupted"))
+        else:
+            outcome.append((tag, "granted"))
+
+    assert (target.acquire() if mode == "SLOT"
+            else target.acquire_write()).triggered
+    first = sim.spawn(acquirer("first"))
+    sim.spawn(acquirer("next"))
+    sim.run()
+    assert _waiting(target) == 2
+    first.interrupt()
+    sim.run()
+    assert outcome == [("first", "interrupted")] and _waiting(target) == 1
+    _release(target, "EXCL")
+    sim.run()
+    # Nothing went to the dead request: the next acquirer alone holds.
+    assert outcome[1:] == [("next", "granted")]
+    assert _waiting(target) == 0 and _holders(target) == 1
+    if traced:
+        assert [span[4:] for span in rc.spans] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_interrupt_after_the_grant_releases_the_hold(mode, traced):
+    """Holder and waiter interrupted in one instant (a crash does
+    that): the holder's release grants the waiter's request before the
+    waiter's handler runs, so the handler must give the hold back."""
+    sim = Simulator()
+    target = _target(sim, mode)
+    rc = _Recorder(sim) if traced else None
+    log = []
+
+    def holder():
+        yield from _take(target, "EXCL", rc)
+        try:
+            yield 1.0
+        except Interrupt:
+            pass
+        _release(target, "EXCL")
+        log.append(("handed over", _holders(target)))
+
+    def waiter():
+        try:
+            yield from _take(target, mode, rc)
+        except Interrupt:
+            log.append(("interrupted", _holders(target)))
+
+    def chaos():
+        yield 0.5
+        procs[0].interrupt()
+        procs[1].interrupt()
+
+    procs = [sim.spawn(holder()), sim.spawn(waiter())]
+    sim.spawn(chaos())
+    sim.run()
+    assert log == [("handed over", 1), ("interrupted", 0)]
+    assert _waiting(target) == 0
+    if traced:
+        assert [span[4:] for span in rc.spans] == [[0.0, 0.5]]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_only_a_blocked_traced_acquire_records_a_span(mode):
+    sim = Simulator()
+    target = _target(sim, mode)
+    holder_rc, waiter_rc = _Recorder(sim), _Recorder(sim)
+
+    def holder():
+        yield from _take(target, "EXCL", holder_rc)
+        yield 1.0
+        _release(target, "EXCL")
+
+    def waiter():
+        yield from _take(target, mode, waiter_rc)
+        _release(target, mode)
+
+    sim.spawn(holder())
+    sim.spawn(waiter())
+    sim.run()
+    assert holder_rc.spans == []
+    wait = ["httpd.accept", "queue", "web", None] if mode == "SLOT" \
+        else [f"db.items {mode}", "lock", "db", {"origin": "Cart.add"}]
+    assert waiter_rc.spans == [[*wait, 0.0, 1.0]]
+    assert _holders(target) == 0
+
+
+def test_an_unlabelled_lock_wait_carries_no_meta():
+    sim = Simulator()
+    lock = RWLock(sim, name="sync.cart")
+    rc = _Recorder(sim)
+    assert lock.acquire_write().triggered
+    sim.spawn(acquire_lock(lock, "READ", rc, "servlet"))
+    sim.run()
+    lock.release_write()
+    sim.run()
+    assert rc.spans == [["sync.cart READ", "lock", "servlet", None, 0.0, 0.0]]
+    assert lock.readers == 1
