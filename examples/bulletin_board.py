@@ -8,7 +8,8 @@ configuration saturates, and compares the ranking against the auction
 site analytically (seconds, no simulation).
 
 Run:  python examples/bulletin_board.py
-(or `python -m repro bboard` for the full simulated experiment)
+(or `python -m repro figure extb1` for the simulated experiment, which
+checks the auction site's findings on the bulletin board)
 """
 
 from repro.analytic.bounds import bounds_for

@@ -5,15 +5,14 @@ Commands
 figures              list the reproducible figures
 figure NN [--full] [--jobs N] [--trace] [--csv PATH] [--config NAME]
                      regenerate one figure by number ("6", "06" and
-                     "fig06" all work); ``--trace`` appends bottleneck
-                     attribution from request-level tracing
+                     "fig06" all work) and check its findings;
+                     ``--trace`` appends bottleneck attribution
 trace FIG [--config NAME] [--clients N] [--chrome PATH] [--flame]
                      re-run figure points with request-level tracing
                      (default: each configuration's peak); print
                      bottleneck reports, optionally write Chrome trace
                      JSON and a flame summary
 calibrate            print analytic saturation points vs paper targets
-bboard [--full]      run the bulletin-board extension experiment
 faults [--tier T]    crash/restart one tier mid-run, report availability
 scale [--replicas N] scale-out experiment: peak throughput vs database
                      read replicas (repro.cluster)
@@ -87,21 +86,23 @@ def _figures(__args) -> int:
 
 def _figure(args) -> int:
     from repro.experiments import registry
-    sweep = dict(full=args.full, jobs=args.jobs, configurations=args.config)
-    print(registry.render_figure(args.figure, trace=args.trace, **sweep))
+    report = registry.run_figure(args.figure, full=args.full, jobs=args.jobs,
+                                 configurations=args.config)
+    print(registry.render_figure(args.figure, report, full=args.full,
+                                 trace=args.trace))
     if args.csv:
-        registry.run_figure(args.figure, **sweep).save_csv(args.csv)
+        report.save_csv(args.csv)
         print(f"\n[csv written to {args.csv}]")
     return 0
 
 
 def _trace(args) -> int:
-    from repro.experiments import trace
+    from repro.experiments import registry, trace
     from repro.obs import flame_summary, render_report, write_chrome_trace
     if args.clients is None:
-        points = trace.trace_figure_peaks(
+        points = trace.trace_figure_peaks(args.figure, registry.run_figure(
             args.figure, full=args.full, jobs=args.jobs,
-            configurations=args.config)
+            configurations=args.config), full=args.full)
     else:
         from repro.topology.configs import configuration_names
         points = {name: trace.trace_figure_point(
@@ -135,12 +136,6 @@ def _version(__args) -> int:
     return 0
 
 
-def _bboard(args) -> int:
-    from repro.experiments.ext_bboard import render
-    print(render(full=args.full, jobs=args.jobs))
-    return 0
-
-
 def _experiment(args) -> int:
     """Print an extension experiment: every driver takes the shared
     arguments under these names, plus the command's own (``--trace`` if
@@ -171,7 +166,7 @@ _EXPERIMENT = ("--app", "--mix", "--config", "--scale", "--seed", "--jobs")
 COMMANDS = {
     "figures": dict(func=_figures, help="list reproducible figures"),
     "figure": dict(
-        func=_figure, help="regenerate one figure by id or number",
+        func=_figure, help="regenerate one figure and check its findings",
         flags=("--full", "--trace", "--config", "--jobs"),
         args={"figure": dict(help="figure id: 6, 06 and fig06 all work"),
               "--csv": dict(metavar="PATH",
@@ -193,8 +188,6 @@ COMMANDS = {
                                    "virtual time went, by span path)")}),
     "calibrate": dict(func=_calibrate,
                       help="analytic demands vs paper targets"),
-    "bboard": dict(func=_bboard, help="bulletin-board extension experiment",
-                   flags=("--full", "--jobs")),
     "faults": dict(
         help="failover experiment: crash and restart one tier mid-run "
              "for all six configurations",

@@ -5,7 +5,7 @@ web benchmark -- a Slashdot-style bulletin board (WWC-5, [3]) -- and
 predicts: "the Web server CPU is the bottleneck for the bulletin board.
 Therefore, we expect the results for the bulletin board to be similar
 to the auction site."  This package implements that benchmark so the
-prediction can be tested (see ``repro.experiments.ext_bboard``).
+prediction can be tested (``python -m repro figure extb1``).
 """
 
 from repro.apps.bboard.app import BulletinBoardApp, build_bboard_database

@@ -5,8 +5,8 @@ The library behind ``python -m repro trace <figure> [--config NAME]
 a registered figure with request-level tracing (:mod:`repro.obs`)
 switched on.  By default every configuration is traced at its
 *peak-throughput* client count -- the sweep behind the figure runs
-first (cached, optionally parallel) to find the peaks, and only the
-peak points are re-run serially with tracing.
+first (optionally parallel) to find the peaks, and only the peak points
+are re-run serially with tracing.
 
 The command's optional artifacts: ``--chrome PATH`` writes the retained
 span trees as Chrome trace-event JSON (load in ``chrome://tracing`` /
@@ -16,12 +16,12 @@ time went.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import build_figure_specs, run_figure_spec
+from repro.experiments.common import build_figure_specs
 from repro.experiments.registry import FIGURES, normalize_figure_id
 from repro.experiments.sweep import traced
-from repro.metrics.report import ThroughputPoint
+from repro.metrics.report import ExperimentReport, ThroughputPoint
 from repro.obs import render_report
 
 
@@ -38,32 +38,23 @@ def trace_figure_point(figure_id: str, config_name: str, clients: int,
     return traced(specs_by_config[config_name], clients)
 
 
-def trace_figure_peaks(figure_id: str, full: bool = False,
-                       jobs: Optional[int] = None,
-                       configurations: Optional[tuple] = None) \
-        -> Dict[str, ThroughputPoint]:
-    """Trace every configuration of a figure at its peak point: the
-    figure's sweep is run (or fetched from the report cache) to find the
-    peaks.  With ``configurations`` given, only those sweeps run at all.
-    """
-    spec, __ = FIGURES[normalize_figure_id(figure_id)]
-    report = run_figure_spec(spec, full=full, jobs=jobs,
-                             configurations=configurations)
+def trace_figure_peaks(figure_id: str, report: ExperimentReport,
+                       full: bool = False) -> Dict[str, ThroughputPoint]:
+    """Trace each configuration of ``report``, the figure's sweep, at its
+    peak point."""
     return {name: trace_figure_point(figure_id, name, series.peak().clients,
                                      full=full)
             for name, series in report.series.items()}
 
 
-def render_figure_bottlenecks(figure_id: str, full: bool = False,
-                              jobs: Optional[int] = None,
-                              configurations: Optional[tuple] = None) -> str:
+def render_figure_bottlenecks(figure_id: str, report: ExperimentReport,
+                              full: bool = False) -> str:
     """Bottleneck-attribution text for every configuration's peak.
 
     This is what ``--trace`` on the figure CLI appends below the
-    throughput/CPU table.
+    figure and its findings.
     """
-    points = trace_figure_peaks(figure_id, full=full, jobs=jobs,
-                                configurations=configurations)
+    points = trace_figure_peaks(figure_id, report, full=full)
     lines = [f"bottleneck attribution at peak throughput "
              f"({normalize_figure_id(figure_id)})"]
     for config_name, point in points.items():

@@ -43,11 +43,14 @@ def _tiny(name, **kwargs):
     return _driver(name)(scale="tiny", **{**SLICES[name], **kwargs})
 
 
-def _pooled_faults():
+#: The two configurations of the pooled ``faults`` run.
+POOLED_FAULTS = dict(jobs=2, configs=("WsPhp-DB", "WsServlet-DB"))
+
+
+def _pooled_faults(reports):
     """Two configurations over the pool; without the second one's row
     the text is the one-configuration serial text."""
-    lines = _tiny("faults", jobs=2, configs=(
-        "WsPhp-DB", "WsServlet-DB")).render().splitlines()
+    lines = reports("faults", **POOLED_FAULTS).render().splitlines()
     extra = [line for line in lines if line.startswith("WsServlet-DB ")]
     assert len(extra) == 1 and " 10s " in extra[0]
     return "\n".join(line for line in lines if line not in extra)
@@ -58,8 +61,8 @@ def _pooled_faults():
 # of the sweep without the chaos run (``slo``; 0.8 s saved), is a prefix
 # of the full serial text.
 POOLED = {
-    "scale": lambda: _tiny("scale", mixes=("shopping",), jobs=2).render(),
-    "slo": lambda: _tiny("slo", no_chaos=True, jobs=2).render(),
+    "scale": lambda __: _tiny("scale", mixes=("shopping",), jobs=2).render(),
+    "slo": lambda __: _tiny("slo", no_chaos=True, jobs=2).render(),
     "faults": _pooled_faults}
 
 
@@ -73,13 +76,14 @@ def _golden(name):
 
 @pytest.fixture(scope="module")
 def reports():
-    """Each experiment's serial report, run once per module."""
+    """Each experiment's report for ``kwargs``, run once per module."""
     cache = {}
 
-    def get(name):
-        if name not in cache:
-            cache[name] = _tiny(name)
-        return cache[name]
+    def get(name, **kwargs):
+        key = (name, *sorted(kwargs.items()))
+        if key not in cache:
+            cache[key] = _tiny(name, **kwargs)
+        return cache[key]
     return get
 
 
@@ -89,7 +93,7 @@ def test_tiny_text_matches_golden(name, reports):
 
 
 def test_tiny_reports_hold_what_they_print(reports):
-    """The rows behind the ``cache`` and ``shard`` text."""
+    """The rows behind the ``cache``, ``shard`` and ``faults`` text."""
     cache = reports("cache")
     rows = cache.mixes["browsing"]
     assert len(rows) == 2
@@ -103,11 +107,21 @@ def test_tiny_reports_hold_what_they_print(reports):
     assert all(row.peak.throughput_ipm > 0 for row in shard.rows)
     text = shard.render()
     assert "DB[2]" in text and "vs repl" in text
+    # Every configuration has a database machine: a database crash spares
+    # none of them, the outage shows in goodput and errors, and goodput
+    # climbs back to >= 90% of its pre-fault level after the restart.
+    for summary in reports("faults", **POOLED_FAULTS).summaries:
+        assert not summary.contained
+        assert summary.during_over_pre < 0.5
+        assert summary.timeouts + summary.aborts + summary.rejections > 0
+        assert summary.retries > 0
+        assert summary.recovery_time_s is not None
+        assert summary.post_over_pre >= 0.9
 
 
 @pytest.mark.parametrize("name", sorted(POOLED))
 def test_jobs2_prints_what_jobs1_prints(name, reports):
-    pooled = POOLED[name]()
+    pooled = POOLED[name](reports)
     assert len(pooled) > 400 and reports(name).render().startswith(pooled)
 
 

@@ -175,6 +175,23 @@ def test_crash_of_absent_tier_is_contained(php_profile):
     assert injector.log == [(0.001, "crash", "servlet", "skipped")]
 
 
+def test_crash_of_own_tier_is_not_contained(servlet_profile):
+    """The other side: a dedicated servlet machine takes the goodput of
+    its configuration down with it."""
+    retry = RetryPolicy(deadline=6.0, max_retries=3, backoff_base=0.25,
+                        backoff_cap=2.0, retry_budget=40)
+    __, __, population, sampler = _drive_population(
+        servlet_profile, WS_SEP_SERVLET_DB,
+        FaultPlan.single_crash("servlet", at=20.0, duration=20.0),
+        until=60.0, retry=retry)
+    summary = summarize_failover(
+        WS_SEP_SERVLET_DB.name, "servlet", sampler.windows, 20.0, 40.0,
+        population.stats,
+        contained="servlet" not in WS_SEP_SERVLET_DB.machine_names())
+    assert not summary.contained
+    assert summary.during_over_pre < 0.5
+
+
 def test_db_conn_glitch_aborts_queries_transiently(php_profile):
     sim = Simulator()
     site = SimulatedSite(sim, WS_PHP_DB, php_profile)

@@ -1,8 +1,8 @@
 """Golden regression test: reduced fig05 points, batched slicing on.
 
-Three representative bench points (PHP, servlet, and EJB flavors) run at
-a tenth of the bench phases and are compared field-for-field against
-``tests/golden/fig05_reduced.json``.  Any change to the kernel, the CPU
+Three representative shopping-mix points (PHP, servlet, and EJB
+flavors) run at a tenth of 300/300/5 s phases and are compared
+field-for-field against ``tests/golden/fig05_reduced.json``.  Any change to the kernel, the CPU
 scheduler, or the simulated site that shifts even one float bit in the
 throughput/latency reports fails here -- this is the cheap in-tree proxy
 for the full six-configuration bit-identity gate the PR was landed
@@ -26,16 +26,14 @@ POINTS = [("WsPhp-DB", 300), ("WsServlet-DB", 300),
 
 
 def _run_points():
-    from repro.experiments.registry import figure_spec
-    from repro.harness.experiment import run_experiment
-    from repro.harness.perf import build_bench_specs
+    from repro.harness.experiment import Phases, point_spec, run_experiment
+    from repro.topology.configs import configuration_by_name
 
-    specs, grids = build_bench_specs(figure_spec("fig05"))
     out = []
     for name, clients in POINTS:
-        assert clients in grids[name]
-        point = run_experiment(
-            replace(specs[name], clients=clients).scaled(0.1))
+        spec = point_spec("bookstore", "shopping", configuration_by_name(name),
+                          1, Phases(300.0, 300.0, 5.0))
+        point = run_experiment(replace(spec, clients=clients).scaled(0.1))
         out.append({"config": name, "clients": clients,
                     "point": asdict(point)})
     return out

@@ -133,3 +133,23 @@ def test_the_forks_are_gone():
     drivers = {name for name, row in cli.COMMANDS.items() if "driver" in row}
     assert drivers == {"faults", "scale", "slo", "cache", "shard"}
     assert all("func" not in cli.COMMANDS[name] for name in drivers)
+
+
+def test_one_place_states_a_finding():
+    """The paper's findings are rows of the figure registry, which
+    ``figure NN`` prints and checks: no bench tree, no second grid
+    table, no bulletin-board driver."""
+    import importlib.util
+
+    from repro.experiments.registry import FIGURES
+
+    root = SRC.parent.parent
+    assert sorted(path.name for path in (root / "benchmarks").iterdir()
+                  if path.name != "__pycache__") == ["ab.py", "suite"]
+    plugin = re.compile(r"^\s*(from|import)\s+pytest_benchmark\b", re.M)
+    for tree in ("src", "tests", "benchmarks"):
+        for path in (root / tree).rglob("*.py"):
+            assert not plugin.search(path.read_text()), path
+    for module in ("repro.harness.perf", "repro.experiments.ext_bboard"):
+        assert importlib.util.find_spec(module) is None
+    assert all(spec.findings for spec, __ in FIGURES.values())

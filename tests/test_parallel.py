@@ -12,7 +12,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.experiments.common import get_app, get_profiles
+from repro.apps import build_app
 from repro.harness.experiment import ExperimentSpec, run_figure, run_sweep
 from repro.harness.parallel import (
     default_jobs,
@@ -22,6 +22,7 @@ from repro.harness.parallel import (
     run_points,
     strip_spec,
 )
+from repro.harness.profiles import get_profiles
 from repro.metrics.wirt import BOOKSTORE_WIRT_LIMITS
 from repro.topology.configs import WS_PHP_DB, WS_SERVLET_DB
 
@@ -68,7 +69,7 @@ def test_parallel_map_preserves_order():
 
 def _bookstore_spec(**overrides):
     profiles = get_profiles("bookstore")
-    app = get_app("bookstore")
+    app = build_app("bookstore")
     spec = ExperimentSpec(
         config=WS_SERVLET_DB,
         profile=profiles[WS_SERVLET_DB.profile_flavor],
@@ -82,7 +83,7 @@ def _bookstore_spec(**overrides):
 
 def _auction_spec(**overrides):
     profiles = get_profiles("auction")
-    app = get_app("auction")
+    app = build_app("auction")
     spec = ExperimentSpec(
         config=WS_PHP_DB,
         profile=profiles[WS_PHP_DB.profile_flavor],

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.apps.auction import AuctionApp, build_auction_database
 from repro.apps.bookstore import BookstoreApp, build_bookstore_database
 from repro.harness.profiles import (
     compile_trace,
@@ -247,28 +246,3 @@ def test_experiment_spec_scaled():
     small = spec.scaled(0.5)
     assert small.measure == 100
     assert small.ramp_up == 50
-
-
-def test_lock_wait_accounting_separates_policies():
-    """The ordering mix shows heavy DB lock waiting without sync and
-    (much smaller) container waiting with sync -- measured directly."""
-    from repro.apps.bookstore.mixes import ORDERING_MIX
-    app = BookstoreApp(build_bookstore_database(scale=0.002, tiny=True))
-    plain_profile = profile_application(app, app.deploy_servlet(),
-                                        "servlet", repetitions=2)
-    sync_profile2 = profile_application(
-        app, app.deploy_servlet(sync_locking=True), "servlet_sync",
-        repetitions=2)
-    plain = run_experiment(ExperimentSpec(
-        config=WS_SERVLET_DB, profile=plain_profile, mix=ORDERING_MIX,
-        clients=400, ramp_up=120, measure=150, ramp_down=5))
-    sync = run_experiment(ExperimentSpec(
-        config=WS_SERVLET_DB_SYNC, profile=sync_profile2, mix=ORDERING_MIX,
-        clients=400, ramp_up=120, measure=150, ramp_down=5))
-    # Non-sync interactions wait longer on database table locks (their
-    # explicit spans hold them across round trips); entity-granular
-    # container locks cost essentially nothing.
-    assert plain.db_lock_wait_per_interaction > \
-        1.2 * sync.db_lock_wait_per_interaction
-    assert sync.sync_lock_wait_per_interaction < \
-        0.01 * plain.db_lock_wait_per_interaction
