@@ -86,7 +86,9 @@ def run_failover(scale: str = "tiny", app_name: str = "bookstore",
     A cycle is an ordinary point: ramp-up, then one measurement window
     spanning pre-fault, outage and recovery, with the crash as the
     spec's ``fault_plan`` and ``slo.window`` the availability window
-    width -- ``measure_point`` attaches the window series.
+    width -- ``measure_point`` attaches the window series
+    (``slo_windows``) and the measurement-window stats
+    (``overload_stats``).
     """
     if tier not in TIERS:
         raise KeyError(f"unknown tier {tier!r}; have {TIERS}")
@@ -111,8 +113,8 @@ def run_failover(scale: str = "tiny", app_name: str = "bookstore",
               f"({app_name}/{mix_name}, scale={scale})",
         tier=tier,
         summaries=[summarize_failover(
-            row.configuration, tier, row.peak.availability.windows,
-            fault_start, fault_end, row.peak.availability,
+            row.configuration, tier, row.peak.slo_windows,
+            fault_start, fault_end, row.peak.overload_stats,
             # A tier with no machine of its own here cannot crash: the
             # containment case.
             contained=tier not in row.key.machine_names())

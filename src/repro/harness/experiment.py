@@ -14,7 +14,6 @@ from typing import Dict, Iterable, Optional
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.harness.profiles import AppProfile
-from repro.metrics.availability import AvailabilitySampler
 from repro.metrics.report import (
     ConfigurationSeries,
     CpuUtilization,
@@ -22,6 +21,13 @@ from repro.metrics.report import (
     ThroughputPoint,
 )
 from repro.metrics.sampler import SysstatSampler
+from repro.metrics.slo import (
+    SloSeries,
+    SloSpec,
+    percentile,
+    select_stable_windows,
+    summarize_slo,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.topology.configs import Configuration
@@ -73,16 +79,17 @@ class ExperimentSpec:
     # ``clients`` is then ignored); ``degradation`` -- a
     # DegradationPolicy installs bounded tier queues, the DB circuit
     # breaker and priority shedding on the site (works for closed-loop
-    # runs too); ``slo`` -- an SloSpec for the windowed SLO series
-    # (open-loop runs default to SloSpec() when unset); on a closed-loop
-    # run with a ``fault_plan`` its ``window`` is the width of the
-    # availability windows the point then carries.
+    # runs too); ``slo`` -- an SloSpec: the point records the windowed
+    # SLO series over its measurement, closed loop or open (open-loop
+    # runs default to SloSpec() when unset); a failover run reads its
+    # goodput dip and recovery off the same windows.
     overload: Optional[object] = None
     degradation: Optional[object] = None
     slo: Optional[object] = None
 
     def scaled(self, factor: float) -> "ExperimentSpec":
-        """Shrink/grow phase durations (benches use factor < 1)."""
+        """Shrink/grow phase durations (tests shrink points with a
+        factor < 1)."""
         return replace(self, ramp_up=self.ramp_up * factor,
                        measure=self.measure * factor,
                        ramp_down=self.ramp_down * factor)
@@ -148,23 +155,25 @@ def build_site(sim: Simulator, spec: ExperimentSpec) -> SimulatedSite:
     return site
 
 
-def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
-                  stop_before_ramp_down: bool = False):
+def measure_point(spec: ExperimentSpec, sim: Simulator, site, population):
     """Drive ``population`` through ramp-up / measurement / ramp-down
     and assemble the point: the one place a run is windowed, for the
-    closed and the open loop alike.  Returns ``(point, stats,
-    measure_end)`` with ``stats`` the population's measurement-window
-    record.
+    closed and the open loop alike.  Returns ``(point, stats)`` with
+    ``stats`` the population's measurement-window record.  An open loop
+    is stopped before ramp-down: unlike closed-loop clients, sessions
+    keep *arriving*, so an un-stopped drain never ends.
 
     Besides its declared fields the point carries, as undeclared and
     picklable attributes, whatever the spec switched on: ``cache`` /
     ``shard`` (measurement-window deltas), ``degradation`` (whole-run
-    tallies, under the names the live state uses) and -- closed loop
-    with ``fault_plan`` and ``slo`` set -- ``availability`` (windows of
-    ``slo.window`` seconds over the measurement plus the error totals).
-    ``asdict()``-based equality between serial and pooled runs ignores
-    them all; ``tracer`` / ``bottleneck_report`` never cross the pool
-    (tracing runs serially)."""
+    tallies, under the names the live state uses) and -- when the spec
+    declares an SLO (every open-loop spec does) -- ``slo_windows`` (the
+    series of ``slo.window``-second windows over the measurement),
+    ``slo`` (its :class:`~repro.metrics.slo.SloSummary` over the stable
+    windows) and ``overload_stats`` (``stats``).  ``asdict()``-based
+    equality between serial and pooled runs ignores them all;
+    ``tracer`` / ``bottleneck_report`` never cross the pool (tracing
+    runs serially)."""
     tracer = None
     if spec.trace:
         from repro.obs import Tracer
@@ -173,6 +182,11 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
         sim.tracer = tracer
     sampler = SysstatSampler(sim, site.machines,
                              interval=spec.sample_interval)
+    slo_spec = spec.slo
+    if slo_spec is None and spec.overload is not None:
+        slo_spec = SloSpec()
+    if slo_spec is not None:
+        population.slo = SloSeries(sim, slo_spec)
     if spec.fault_plan:
         FaultInjector(sim, site, spec.fault_plan).start()
     population.start()
@@ -180,11 +194,6 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
 
     sim.run(until=spec.ramp_up)
     population.begin_measurement()
-    windows = None
-    if spec.fault_plan and spec.slo is not None and spec.overload is None:
-        windows = AvailabilitySampler(sim, population,
-                                      interval=spec.slo.window)
-        windows.start()
     db_wait0 = site.db_lock_wait_time
     sync_wait0 = site.sync_lock_wait_time
     cache = site.cache
@@ -195,12 +204,11 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
     sim.run(until=spec.ramp_up + spec.measure)
     stats = population.end_measurement()
     measure_end = sim.now
-    availability = windows.close(stats) if windows is not None else None
     cache_stats = (cache.stats.delta(cache_stats0)
                    if cache is not None else None)
     shard_stats = (shard.delta(shard_stats0)
                    if shard is not None else None)
-    if stop_before_ramp_down:
+    if spec.overload is not None:
         population.stop()
     sim.run(until=spec.ramp_up + spec.measure + spec.ramp_down)
     # Credit batched CPU slices still in flight so kernel_events matches
@@ -237,8 +245,20 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
         point.cache = cache_stats
     if shard_stats is not None:
         point.shard = shard_stats
-    if availability is not None:
-        point.availability = availability
+    if slo_spec is not None:
+        windows = population.slo.windows(until=measure_end)
+        point.slo = summarize_slo(select_stable_windows(windows), slo_spec)
+        # The per-window digests aggregate approximately across
+        # windows; the population kept every successful latency
+        # sample, so make the run-level percentiles exact.
+        samples = [t for times in stats.response_times.values()
+                   for t in times]
+        if samples:
+            point.slo.p50 = percentile(samples, 0.50)
+            point.slo.p95 = percentile(samples, 0.95)
+            point.slo.p99 = percentile(samples, 0.99)
+        point.slo_windows = windows
+        point.overload_stats = stats
     if spec.degradation is not None:
         point.degradation = site.degradation.tally()
     if tracer is not None:
@@ -254,20 +274,25 @@ def measure_point(spec: ExperimentSpec, sim: Simulator, site, population,
         point.bottleneck = bottleneck.bottleneck
         point.tracer = tracer
         point.bottleneck_report = bottleneck
-    return point, stats, measure_end
+    return point, stats
 
 
 def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
-    """Run one point and report its throughput + peak-window CPU."""
-    if spec.overload is not None:
-        from repro.overload.runner import run_open_loop
-        return run_open_loop(spec)
+    """Run one point and report its throughput + peak-window CPU.  A
+    spec with ``overload`` set drives an open-loop session population
+    (``clients`` is then ignored), any other the closed loop."""
     sim = Simulator()
     site = build_site(sim, spec)
-    population = ClientPopulation(
-        sim, spec.clients, spec.mix, site, RngStreams(spec.seed),
-        choose_interaction, think=spec.think, retry=spec.retry)
-    point, stats, __ = measure_point(spec, sim, site, population)
+    if spec.overload is not None:
+        from repro.overload.openloop import OpenLoopPopulation
+        population = OpenLoopPopulation(
+            sim, spec.overload, spec.mix, site, RngStreams(spec.seed),
+            choose_interaction, retry=spec.retry)
+    else:
+        population = ClientPopulation(
+            sim, spec.clients, spec.mix, site, RngStreams(spec.seed),
+            choose_interaction, think=spec.think, retry=spec.retry)
+    point, stats = measure_point(spec, sim, site, population)
     if spec.wirt_limits is not None:
         from repro.metrics.wirt import evaluate_wirt
         point.wirt = evaluate_wirt(stats, spec.wirt_limits)

@@ -1,9 +1,8 @@
-"""Measurement: the sysstat-like sampler, experiment reports, and the
-availability metrics the fault-injection experiments use."""
+"""Measurement: the sysstat-like sampler, experiment reports, the
+windowed SLO series every point that declares an SLO records, and the
+failover summary the fault-injection experiments fold it into."""
 
 from repro.metrics.availability import (
-    AvailabilitySampler,
-    AvailabilityWindow,
     FailoverReport,
     FailoverSummary,
     summarize_failover,
@@ -21,8 +20,7 @@ from repro.metrics.slo import (
 )
 
 __all__ = ["SysstatSampler", "MachineSample", "ExperimentReport",
-           "CpuUtilization", "ThroughputPoint", "AvailabilitySampler",
-           "AvailabilityWindow", "FailoverReport", "FailoverSummary",
-           "summarize_failover", "SloSpec", "SloWindow", "SloSeries",
-           "SloSummary", "select_stable_windows", "summarize_slo",
-           "time_to_recover"]
+           "CpuUtilization", "ThroughputPoint", "FailoverReport",
+           "FailoverSummary", "summarize_failover", "SloSpec", "SloWindow",
+           "SloSeries", "SloSummary", "select_stable_windows",
+           "summarize_slo", "time_to_recover"]

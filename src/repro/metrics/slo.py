@@ -1,10 +1,13 @@
-"""Windowed SLO metrics for open-loop (offered-load) runs.
+"""Windowed SLO metrics: the one time series a point records.
 
-Closed-loop experiments need one throughput number; an overload run
-needs the *shape over time*: per-window throughput and latency
-percentiles, the fraction of windows violating a latency objective, and
-goodput-vs-offered-load curves whose points come only from *stable*
-windows (after warmup, before the final partial window).
+A steady-state figure needs one throughput number; an overload or a
+failover run needs the *shape over time*: per-window throughput and
+latency percentiles, the fraction of windows violating a latency
+objective, goodput-vs-offered-load curves whose points come only from
+*stable* windows (after warmup, before the final partial window), and
+the goodput dip and recovery around a crash.  Every point whose spec
+declares an SLO -- open loop or closed -- records one
+:class:`SloSeries` over its measurement window.
 
 Recording is event-driven -- :meth:`SloSeries.record` computes the
 window index from the virtual clock -- so attaching a series schedules
@@ -14,6 +17,7 @@ unused and perturbs nothing when used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -151,15 +155,17 @@ class SloSeries:
     def record_error(self) -> None:
         self._window_at(self.sim.now).errors += 1
 
-    def windows(self) -> List[SloWindow]:
-        """The contiguous, sealed window series from 0 to the highest
-        touched index (gaps filled with empty windows).  Safe on an
-        empty series and on runs shorter than one window."""
-        if not self._by_index:
-            return []
+    def windows(self, until: float) -> List[SloWindow]:
+        """The contiguous, sealed window series from 0 to ``until`` (the
+        measurement end), gaps filled with empty windows: a silent tail
+        -- nothing arrived, finished or failed -- still counts.  A final
+        window ``until`` cuts short ends there, with its true duration;
+        a zero-length tail is not recorded.  Safe on an empty series and
+        on runs shorter than one window."""
         origin = self._origin if self._origin is not None else 0.0
         width = self.spec.window
-        top = max(self._by_index)
+        top = max(max(self._by_index, default=-1),
+                  math.ceil((until - origin) / width - 1e-9) - 1)
         out: List[SloWindow] = []
         for index in range(top + 1):
             win = self._by_index.get(index)
@@ -172,24 +178,26 @@ class SloSeries:
             elif win.p50 is None and win.completions == 0:
                 win.seal()
             out.append(win)
+        if out and out[-1].start < until < out[-1].end:
+            out[-1].end = until
         return out
 
 
 def select_stable_windows(windows: List[SloWindow], warmup: int = 0,
-                          drop_last_partial: bool = True,
-                          horizon: Optional[float] = None) -> List[SloWindow]:
+                          drop_last_partial: bool = True) -> List[SloWindow]:
     """The windows a load-curve point should aggregate over.
 
     Drops the first ``warmup`` windows (queues filling) and, when
-    ``drop_last_partial``, a final window that ``horizon`` (the
-    measurement end time) cuts short -- a partial tail understates
-    throughput exactly like the availability-sampler bug this PR fixes.
+    ``drop_last_partial``, a final window the measurement end cut short
+    (:meth:`SloSeries.windows` ends it there, so it is shorter than the
+    series' first window): a partial tail's few requests are a noisy
+    sample of the load curve.
     """
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     stable = list(windows[warmup:])
-    if stable and drop_last_partial and horizon is not None \
-            and stable[-1].end > horizon + 1e-9:
+    if stable and drop_last_partial \
+            and stable[-1].duration < windows[0].duration - 1e-9:
         stable.pop()
     return stable
 
@@ -281,10 +289,9 @@ def time_to_recover(windows: List[SloWindow], spec: SloSpec,
         if w.violates(spec):
             streak = 0
             continue
+        if streak == 0:
+            first = w
         streak += 1
         if streak >= settle:
-            first = w.index - settle + 1
-            origin = w.start - w.index * (w.end - w.start)
-            start = origin + first * (w.end - w.start)
-            return max(0.0, start - disturbance_end)
+            return max(0.0, first.start - disturbance_end)
     return None

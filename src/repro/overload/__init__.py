@@ -5,9 +5,11 @@ site; this package adds everything overload needs -- open-loop arrival
 processes and heavy-tailed think times (:mod:`~repro.overload.arrivals`),
 the open-loop session population (:mod:`~repro.overload.openloop`), the
 graceful-degradation layer of bounded tier queues, a DB circuit breaker
-and priority load shedding (:mod:`~repro.overload.degradation`), and the
-open-loop experiment runner (:mod:`~repro.overload.runner`).  Windowed
-SLO metrics live in :mod:`repro.metrics.slo`.
+and priority load shedding (:mod:`~repro.overload.degradation`).  An
+open-loop point runs through the one runner,
+:func:`repro.harness.experiment.run_experiment`, which builds the
+open-loop population when a spec carries an ``overload`` field; the
+windowed SLO series it records lives in :mod:`repro.metrics.slo`.
 
 Everything is opt-in: a closed-loop run never imports this package, and
 an installed-but-idle degradation layer adds no RNG draws and schedules
@@ -35,7 +37,6 @@ from repro.overload.openloop import (
     OpenLoopStats,
     OverloadSpec,
 )
-from repro.overload.runner import run_open_loop
 
 __all__ = [
     "PoissonProfile", "FlashCrowdProfile", "MmppProfile",
@@ -43,5 +44,4 @@ __all__ = [
     "BreakerPolicy", "DegradationPolicy", "CircuitBreaker",
     "DegradationState", "install_degradation", "DEFAULT_BROWSE_CLASS",
     "OverloadSpec", "OpenLoopStats", "OpenLoopPopulation",
-    "run_open_loop",
 ]

@@ -68,19 +68,15 @@ class OpenLoopStats(ClientStats):
 
 
 class OpenLoopPopulation(ClientPopulation):
-    """Drives sessions arriving on ``spec.arrivals``.
-
-    ``slo`` is an optional :class:`~repro.metrics.slo.SloSeries`; when
-    present, every interaction's start, completion latency, and failure
-    are filed into its windows during the measurement phase.
-    """
+    """Drives sessions arriving on ``spec.arrivals``; ``slo`` as for the
+    closed loop."""
 
     def __init__(self, sim: Simulator, spec: OverloadSpec,
                  mix: Dict[str, float], site, rng: RngStreams,
                  choose, retry: Optional[RetryPolicy] = None, slo=None):
-        super().__init__(sim, 1, mix, site, rng, choose, retry=retry)
+        super().__init__(sim, 1, mix, site, rng, choose, retry=retry,
+                         slo=slo)
         self.spec = spec
-        self.slo = slo
         self.stats: OpenLoopStats = OpenLoopStats()
         self.live_sessions = 0
         self._next_session = 0
@@ -128,24 +124,14 @@ class OpenLoopPopulation(ClientPopulation):
             budget = retry.retry_budget if retry else 0
             while sim.now < session_end:
                 name = self.choose(self.mix, rng)
-                started = sim.now
-                self.stats.interactions_started += 1
-                if self.recording and self.slo is not None:
-                    self.slo.record_arrival()
+                started = self._started()
                 if retry is None:
                     ok = yield from self._bare_attempt(session_id, name,
                                                        rng)
                 else:
                     ok, budget = yield from self._perform_with_retries(
                         session_id, name, rng, retry, budget)
-                latency = sim.now - started
-                if self.recording:
-                    if ok:
-                        self.stats.record(name, latency)
-                        if self.slo is not None:
-                            self.slo.record(latency)
-                    elif self.slo is not None:
-                        self.slo.record_error()
+                latency = self._finished(name, started, ok)
                 if abandon is not None:
                     impatient = latency > abandon.patience or \
                         (not ok and abandon.on_error)
@@ -178,10 +164,7 @@ class OpenLoopPopulation(ClientPopulation):
 
     def begin_measurement(self) -> None:
         turned_away = self.stats.turned_away
-        self.stats = OpenLoopStats()
+        super().begin_measurement()
         # turned_away is a whole-run tally (it has no per-window
         # meaning); carry it across the reset.
         self.stats.turned_away = turned_away
-        self.recording = True
-        if self.slo is not None:
-            self.slo.start()

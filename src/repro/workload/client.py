@@ -142,7 +142,12 @@ class ClientStats:
 
 
 class ClientPopulation:
-    """Spawns and drives ``n_clients`` closed-loop clients."""
+    """Spawns and drives ``n_clients`` closed-loop clients.
+
+    ``slo`` is an optional :class:`~repro.metrics.slo.SloSeries`; when
+    present, every interaction's start, completion latency, and failure
+    are filed into its windows during the measurement phase.
+    """
 
     def __init__(self, sim: Simulator, n_clients: int,
                  mix: Dict[str, float],
@@ -150,7 +155,7 @@ class ClientPopulation:
                  rng: RngStreams,
                  choose: Callable,          # choose(mix, rng) -> name
                  think: Optional[ThinkTimeSpec] = None,
-                 retry: Optional[RetryPolicy] = None):
+                 retry: Optional[RetryPolicy] = None, slo=None):
         if n_clients < 1:
             raise ValueError("need at least one client")
         self.sim = sim
@@ -161,6 +166,7 @@ class ClientPopulation:
         self.choose = choose
         self.think = think or ThinkTimeSpec()
         self.retry = retry
+        self.slo = slo
         self.stats = ClientStats()
         self.recording = False
         self._procs = []
@@ -192,22 +198,44 @@ class ClientPopulation:
                 budget = retry.retry_budget if retry else 0
                 while sim.now < session_end:
                     name = self.choose(self.mix, rng)
-                    started = sim.now
-                    self.stats.interactions_started += 1
+                    started = self._started()
                     if retry is None:
                         yield from self.site.perform(client_id, name, rng)
                         ok = True
                     else:
                         ok, budget = yield from self._perform_with_retries(
                             client_id, name, rng, retry, budget)
-                    if ok and self.recording:
-                        self.stats.record(name, sim.now - started)
+                    self._finished(name, started, ok)
                     yield rng.expovariate(1.0 / think_mean)
                 if end_session is not None:
                     end_session(client_id)
         except Interrupt:
             # stop() tears the population down at end of run.
             return
+
+    # -- filing: stats and the slo series, for both loops ---------------------
+
+    def _started(self) -> float:
+        """Count an interaction starting now (and, while recording, file
+        its arrival in the ``slo`` series); returns the start time."""
+        self.stats.interactions_started += 1
+        if self.recording and self.slo is not None:
+            self.slo.record_arrival()
+        return self.sim.now
+
+    def _finished(self, name: str, started: float, ok: bool) -> float:
+        """File an interaction's outcome while recording: a success in
+        ``stats`` and the ``slo`` series, a failure (after its retries)
+        in the series.  Returns its latency."""
+        latency = self.sim.now - started
+        if self.recording:
+            if ok:
+                self.stats.record(name, latency)
+                if self.slo is not None:
+                    self.slo.record(latency)
+            elif self.slo is not None:
+                self.slo.record_error()
+        return latency
 
     # -- resilience: attempts, deadlines, retries ----------------------------
 
@@ -276,9 +304,12 @@ class ClientPopulation:
                 proc.interrupt("stop")
 
     def begin_measurement(self) -> None:
-        """Zero the counters and start recording (end of ramp-up)."""
-        self.stats = ClientStats()
+        """Zero the counters and start recording (end of ramp-up); the
+        ``slo`` series anchors its window 0 here."""
+        self.stats = type(self.stats)()
         self.recording = True
+        if self.slo is not None:
+            self.slo.start()
 
     def end_measurement(self) -> ClientStats:
         self.recording = False

@@ -14,13 +14,11 @@ from repro.faults import (
     TierDown,
     TransientDbError,
 )
+from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.profiles import profile_application
 from repro.machine.machine import Machine
-from repro.metrics.availability import (
-    AvailabilitySampler,
-    AvailabilityWindow,
-    summarize_failover,
-)
+from repro.metrics.availability import summarize_failover
+from repro.metrics.slo import SloSeries, SloSpec, SloWindow
 from repro.net.lan import Lan
 from repro.sim import Interrupt, Simulator
 from repro.sim.rng import RngStreams
@@ -180,12 +178,12 @@ def test_crash_of_own_tier_is_not_contained(servlet_profile):
     its configuration down with it."""
     retry = RetryPolicy(deadline=6.0, max_retries=3, backoff_base=0.25,
                         backoff_cap=2.0, retry_budget=40)
-    __, __, population, sampler = _drive_population(
+    __, __, population, windows = _drive_population(
         servlet_profile, WS_SEP_SERVLET_DB,
         FaultPlan.single_crash("servlet", at=20.0, duration=20.0),
         until=60.0, retry=retry)
     summary = summarize_failover(
-        WS_SEP_SERVLET_DB.name, "servlet", sampler.windows, 20.0, 40.0,
+        WS_SEP_SERVLET_DB.name, "servlet", windows, 20.0, 40.0,
         population.stats,
         contained="servlet" not in WS_SEP_SERVLET_DB.machine_names())
     assert not summary.contained
@@ -287,34 +285,36 @@ def test_unbounded_accept_queue_never_rejects(php_profile):
 
 def _drive_population(profile, config, plan, n_clients=5, until=60.0,
                       retry=None, window=5.0):
+    """Measure from t=0 to ``until``; returns the population's SLO
+    series as its windows over that span."""
     sim = Simulator()
     site = SimulatedSite(sim, config, profile)
     app_mix = {"product_detail": 0.5, "home": 0.3, "buy_confirm": 0.2}
     population = ClientPopulation(
         sim, n_clients, app_mix, site, RngStreams(11), choose_interaction,
-        retry=retry)
+        retry=retry, slo=SloSeries(sim, SloSpec(window=window)))
     FaultInjector(sim, site, plan).start()
     population.start()
     population.begin_measurement()
-    sampler = AvailabilitySampler(sim, population, interval=window)
-    sampler.start()
     sim.run(until=until)
-    return sim, site, population, sampler
+    return sim, site, population, population.slo.windows(until=until)
 
 
 def test_clients_retry_through_outage_and_recover(php_profile):
     plan = FaultPlan.single_crash("db", at=20.0, duration=10.0)
     retry = RetryPolicy(deadline=6.0, max_retries=3, backoff_base=0.25,
                         backoff_cap=2.0, retry_budget=40)
-    sim, site, population, sampler = _drive_population(
+    sim, site, population, windows = _drive_population(
         php_profile, WS_PHP_DB, plan, until=60.0, retry=retry)
     stats = population.stats
     assert stats.interactions_completed > 0
     assert stats.rejections + stats.aborts > 0   # the outage was felt
     assert stats.retries > 0                     # and retried against
-    # The outage windows saw errors; the tail windows saw service again.
-    outage = [w for w in sampler.windows if w.start >= 20.0 and w.end <= 30.0]
-    tail = [w for w in sampler.windows if w.start >= 40.0]
+    # The outage windows saw errors -- interactions that failed after
+    # their retries, which the series files as one error each, not one
+    # per attempt; the tail windows saw service again.
+    outage = [w for w in windows if w.start >= 20.0 and w.end <= 30.0]
+    tail = [w for w in windows if w.start >= 40.0]
     assert sum(w.errors for w in outage) > 0
     assert sum(w.completions for w in tail) > 0
     assert _no_dangling_locks(site)
@@ -385,17 +385,23 @@ def test_population_stop_drains_to_quiescence(php_profile):
 # -- availability metrics ------------------------------------------------------
 
 
-def test_availability_window_goodput():
-    window = AvailabilityWindow(start=10.0, end=20.0, completions=30,
-                                timeouts=1, aborts=2, rejections=3)
-    assert window.goodput_ipm == pytest.approx(180.0)
+def test_slo_window_goodput():
+    """A failover run's window is an SLO window.  Its ``errors`` are
+    failed *interactions* (after their retries), not failed attempts:
+    the timeout/abort/rejection split lives on the point's stats."""
+    window = SloWindow(index=1, start=10.0, end=20.0, completions=30,
+                       errors=6)
+    assert window.throughput * 60.0 == pytest.approx(180.0)
     assert window.errors == 6
+    summary = summarize_failover("C1", "db", [window], 0.0, 5.0,
+                                 stats=ClientStats())
+    assert summary.post_goodput_ipm == pytest.approx(180.0)
 
 
 def test_summarize_failover_recovery_math():
     def window(i, completions):
-        return AvailabilityWindow(start=i * 10.0, end=(i + 1) * 10.0,
-                                  completions=completions)
+        return SloWindow(index=i, start=i * 10.0, end=(i + 1) * 10.0,
+                         completions=completions)
     # Steady at 100/window, dead during the fault, limping at 40, then
     # back at 95 from t=60.
     windows = [window(0, 100), window(1, 100), window(2, 100),  # pre
@@ -413,11 +419,49 @@ def test_summarize_failover_recovery_math():
 
 
 def test_summarize_failover_never_recovers():
-    windows = [AvailabilityWindow(0.0, 10.0, completions=100),
-               AvailabilityWindow(10.0, 20.0, completions=0),
-               AvailabilityWindow(20.0, 30.0, completions=10)]
+    windows = [SloWindow(0, 0.0, 10.0, completions=100),
+               SloWindow(1, 10.0, 20.0, completions=0),
+               SloWindow(2, 20.0, 30.0, completions=10)]
     summary = summarize_failover("C1", "db", windows, 10.0, 20.0,
                                  stats=ClientStats())
     assert summary.recovery_time_s is None
     assert summary.during_over_pre == pytest.approx(0.0)
     assert summary.post_over_pre == pytest.approx(0.1)
+
+
+def _tiny_point(app, php_profile, loop):
+    if loop == "closed":
+        # A failover point: db crash mid-measurement, no ramp-down.
+        return ExperimentSpec(
+            config=WS_PHP_DB, profile=php_profile, mix=app.mix("shopping"),
+            clients=8, ramp_up=5.0, measure=30.0, ramp_down=0.0,
+            retry=RetryPolicy(deadline=6.0, max_retries=2, backoff_base=0.25,
+                              backoff_cap=2.0, retry_budget=20),
+            fault_plan=FaultPlan.single_crash("db", at=15.0, duration=8.0),
+            slo=SloSpec(window=5.0))
+    from repro.overload import OverloadSpec, PoissonProfile, ThinkTimeModel
+    return ExperimentSpec(
+        config=WS_PHP_DB, profile=php_profile, mix=app.mix("shopping"),
+        clients=0, ramp_up=3.0, measure=12.5, ramp_down=2.0,
+        overload=OverloadSpec(arrivals=PoissonProfile(rate=2.0),
+                              think=ThinkTimeModel(mean=1.0),
+                              session_mean=10.0))
+
+
+@pytest.mark.parametrize("loop", ["closed", "open"])
+def test_slo_windows_balance_the_measurement_stats(app, php_profile, loop):
+    """The closed and the open loop file into one series: over the
+    point's windows, arrivals and completions add up to the
+    measurement-window stats, and the windows tile the measurement --
+    the open loop's half-window tail included."""
+    spec = _tiny_point(app, php_profile, loop)
+    point = run_experiment(spec)
+    stats = point.overload_stats
+    windows = point.slo_windows
+    assert stats.interactions_completed > 0
+    assert sum(w.completions for w in windows) == \
+        stats.interactions_completed
+    assert sum(w.arrivals for w in windows) == stats.interactions_started
+    assert windows[0].start == spec.ramp_up
+    assert windows[-1].end == spec.ramp_up + spec.measure
+    assert sum(w.duration for w in windows) == pytest.approx(spec.measure)

@@ -17,8 +17,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Where points are built and run.
 RUNNERS = sorted([*(SRC / "harness").glob("*.py"),
-                  *(SRC / "experiments").glob("*.py"),
-                  SRC / "overload" / "runner.py"])
+                  *(SRC / "experiments").glob("*.py")])
 
 
 @lru_cache(maxsize=None)
@@ -55,10 +54,32 @@ def test_one_place_builds_a_spec():
 
 
 @pytest.mark.parametrize("name", ["sim.run", "FaultInjector",
-                                  "AvailabilitySampler", "SysstatSampler"])
+                                  "SloSeries", "SysstatSampler"])
 def test_one_place_windows_a_run(name):
     """``sim.run(...)`` and the things started around it."""
     assert _callers(name) == {("harness/experiment.py", "measure_point")}
+
+
+def test_one_window_series_and_one_runner():
+    """Every point that declares an SLO records one ``SloSeries``, filed
+    by the ``ClientPopulation`` base class for the closed and the open
+    loop alike, and ``run_experiment`` runs both: the sampler, its
+    window types and the open-loop runner twin do not exist."""
+    import importlib.util
+
+    import repro.metrics as metrics
+    import repro.metrics.availability as availability
+    import repro.overload as overload
+
+    assert importlib.util.find_spec("repro.overload.runner") is None
+    assert not hasattr(overload, "run_open_loop")
+    for gone in ("AvailabilitySampler", "AvailabilityWindow",
+                 "Availability"):
+        assert not hasattr(availability, gone)
+        assert not hasattr(metrics, gone)
+    for path in (SRC / "overload").glob("*.py"):
+        assert not [callee for callee, __ in _calls(path)
+                    if re.search(r"\bslo\.record", callee)], path.name
 
 
 @pytest.mark.parametrize("name", ["parallel_map", "strip_spec",

@@ -457,11 +457,13 @@ def test_open_loop_bit_identical_under_pinned_seed(app, php_profile):
     two = _open_loop_run(spec, php_profile, mix)
     assert asdict(one[0]) == asdict(two[0])
     assert one[2] == two[2]             # kernel event counts match
-    w1 = [(w.completions, w.arrivals, w.p95) for w in one[1].windows()]
-    w2 = [(w.completions, w.arrivals, w.p95) for w in two[1].windows()]
+    w1 = [(w.completions, w.arrivals, w.p95)
+          for w in one[1].windows(until=30.0)]
+    w2 = [(w.completions, w.arrivals, w.p95)
+          for w in two[1].windows(until=30.0)]
     assert w1 == w2
     assert one[0].interactions_completed > 0
-    assert sum(w.arrivals for w in one[1].windows()) > 0
+    assert sum(w.arrivals for w in one[1].windows(until=30.0)) > 0
 
 
 def test_abandonment_ends_sessions(app, php_profile):
@@ -485,9 +487,9 @@ def test_session_cap_turns_arrivals_away(app, php_profile):
     assert stats.turned_away > 0
 
 
-# -- runner + ExperimentSpec integration --------------------------------------
+# -- the open loop through run_experiment -------------------------------------
 
-def test_run_open_loop_point(app, php_profile):
+def test_open_loop_point_through_run_experiment(app, php_profile):
     spec = ExperimentSpec(
         config=WS_PHP_DB, profile=php_profile, mix=app.mix("shopping"),
         clients=0, ramp_up=3.0, measure=15.0, ramp_down=2.0,
@@ -505,7 +507,7 @@ def test_run_open_loop_point(app, php_profile):
     assert point.kernel_events > 0
 
 
-def test_run_open_loop_deterministic(app, php_profile):
+def test_open_loop_point_deterministic(app, php_profile):
     spec = ExperimentSpec(
         config=WS_PHP_DB, profile=php_profile, mix=app.mix("shopping"),
         clients=0, ramp_up=2.0, measure=10.0, ramp_down=1.0,

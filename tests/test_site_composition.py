@@ -149,7 +149,7 @@ def test_full_container_gate_answers_busy_before_any_fragment_lookup(
 
 
 def test_open_loop_point_carries_cache_and_shard_records(bookstore):
-    """``run_open_loop`` windows and reports through the same
+    """An open-loop point runs through the same ``run_experiment`` and
     ``measure_point`` as the closed loop: an open-loop point on a cached,
     sharded topology carries ``point.cache`` and ``point.shard``, and the
     traced verdict sees the cache aggregates."""

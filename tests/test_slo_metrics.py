@@ -1,12 +1,10 @@
-"""Windowed SLO metrics, the availability-sampler tail fix, and
+"""Windowed SLO metrics, the series' run to the measurement end, and
 construction-time validation of the resilience knobs."""
 
 import random
-from dataclasses import dataclass
 
 import pytest
 
-from repro.metrics.availability import AvailabilitySampler
 from repro.metrics.slo import (
     SloSeries,
     SloSpec,
@@ -63,7 +61,7 @@ def test_series_files_samples_by_window():
     clock.now = 2.5
     series.record_arrival()
     series.record_error()
-    windows = series.windows()
+    windows = series.windows(until=3.0)
     assert [w.index for w in windows] == [0, 1, 2]
     assert windows[0].completions == 2
     assert windows[0].arrivals == 1
@@ -85,7 +83,7 @@ def test_series_origin_anchors_window_zero():
     series.record(0.5)
     clock.now = 102.1
     series.record(0.5)
-    windows = series.windows()
+    windows = series.windows(until=104.0)
     assert [w.index for w in windows] == [0, 1]
     assert (windows[0].start, windows[0].end) == (100.0, 102.0)
     assert windows[0].completions == 1
@@ -94,12 +92,12 @@ def test_series_origin_anchors_window_zero():
 
 def test_series_empty_and_unstarted_are_safe():
     series = SloSeries(_Clock(), SloSpec())
-    assert series.windows() == []
+    assert series.windows(until=0.0) == []
     # Recording before start() anchors at t=0 instead of crashing.
     clock = _Clock(now=3.5)
     series = SloSeries(clock, SloSpec(window=1.0))
     series.record(0.2)
-    assert [w.index for w in series.windows()] == [0, 1, 2, 3]
+    assert [w.index for w in series.windows(until=4.0)] == [0, 1, 2, 3]
 
 
 def test_series_never_schedules_events():
@@ -109,7 +107,7 @@ def test_series_never_schedules_events():
     series.record_arrival()
     series.record(0.1)
     series.record_error()
-    series.windows()
+    series.windows(until=1.0)
     assert sim.quiescent()
     assert sim.events_processed == 0
 
@@ -152,15 +150,15 @@ def _window_run(n, width=1.0):
 
 
 def test_select_stable_windows_drops_warmup_and_partial_tail():
+    aligned = _window_run(10)
+    assert [w.index for w in select_stable_windows(aligned)] == \
+        list(range(10))
     windows = _window_run(10)
-    stable = select_stable_windows(windows, warmup=2, horizon=9.5)
-    # Warmup windows 0-1 gone; window [9, 10) extends past the 9.5
-    # horizon so it is partial and dropped too.
+    windows[-1].end = 9.5           # the measurement ended at 9.5
+    stable = select_stable_windows(windows, warmup=2)
+    # Warmup windows 0-1 gone; window [9, 9.5) is partial, dropped too.
     assert [w.index for w in stable] == [2, 3, 4, 5, 6, 7, 8]
-    aligned = select_stable_windows(windows, warmup=0, horizon=10.0)
-    assert [w.index for w in aligned] == list(range(10))
-    kept = select_stable_windows(windows, warmup=0, horizon=9.5,
-                                 drop_last_partial=False)
+    kept = select_stable_windows(windows, drop_last_partial=False)
     assert [w.index for w in kept] == list(range(10))
     assert select_stable_windows([], warmup=3) == []
     with pytest.raises(ValueError):
@@ -240,6 +238,15 @@ def test_time_to_recover_never_settles():
         time_to_recover(windows, spec, disturbance_end=2.0, settle=0)
 
 
+def test_time_to_recover_settling_in_a_cut_short_tail():
+    spec = SloSpec(latency_bound=2.0, percentile=0.95)
+    windows = _recovery_series(violating_until=5)[:8]
+    windows[-1].end = 7.5           # SloSeries.windows(until=7.5)
+    # Windows 5, 6 and the half window 7 settle; the run starts at t=5.
+    assert time_to_recover(windows, spec, disturbance_end=4.0,
+                           settle=3) == pytest.approx(1.0)
+
+
 def test_time_to_recover_ignores_pre_disturbance_compliance():
     spec = SloSpec(latency_bound=2.0, percentile=0.95)
     # Compliant early, violating through the disturbance, never recovers.
@@ -249,72 +256,69 @@ def test_time_to_recover_ignores_pre_disturbance_compliance():
     assert time_to_recover(windows, spec, disturbance_end=4.0) is None
 
 
-# -- AvailabilitySampler.flush (the tail-window fix) --------------------------
+# -- SloSeries.windows(until=...): the series runs to the measurement end ----
 
-@dataclass
-class _Counters:
-    interactions_completed: int = 0
-    timeouts: int = 0
-    aborts: int = 0
-    rejections: int = 0
-    retries: int = 0
-
-
-class _StubPopulation:
-    def __init__(self):
-        self.stats = _Counters()
-
-
-def test_flush_captures_run_shorter_than_one_interval():
-    sim = Simulator()
-    population = _StubPopulation()
-    sampler = AvailabilitySampler(sim, population, interval=10.0)
-    sampler.start()
-    population.stats.interactions_completed = 7
-    sim.run(until=4.0)
-    assert sampler.windows == []          # no full interval elapsed
-    sampler.flush()
-    assert len(sampler.windows) == 1
-    tail = sampler.windows[0]
+def test_until_captures_run_shorter_than_one_window():
+    clock = _Clock()
+    series = SloSeries(clock, SloSpec(window=10.0))
+    series.start()
+    clock.now = 3.0
+    for __ in range(7):
+        series.record(0.1)
+    tail, = series.windows(until=4.0)
     assert (tail.start, tail.end) == (0.0, 4.0)
     assert tail.completions == 7
-    assert tail.goodput_ipm == pytest.approx(7 * 60.0 / 4.0)
+    assert tail.throughput == pytest.approx(7 / 4.0)
 
 
-def test_flush_captures_partial_tail_after_full_windows():
-    sim = Simulator()
-    population = _StubPopulation()
-    sampler = AvailabilitySampler(sim, population, interval=5.0)
-    sampler.start()
-    population.stats.interactions_completed = 10
-    sim.run(until=5.0)
-    population.stats.interactions_completed = 14
-    population.stats.rejections = 2
-    sim.run(until=8.0)
-    sampler.flush()
-    assert len(sampler.windows) == 2
-    assert (sampler.windows[0].start, sampler.windows[0].end) == (0.0, 5.0)
-    assert sampler.windows[0].completions == 10
-    tail = sampler.windows[1]
+def test_until_ends_partial_tail_after_full_windows():
+    clock = _Clock()
+    series = SloSeries(clock, SloSpec(window=5.0))
+    series.start()
+    clock.now = 4.0
+    for __ in range(10):
+        series.record(0.1)
+    clock.now = 6.0
+    for __ in range(4):
+        series.record(0.1)
+    series.record_error()
+    series.record_error()
+    full, tail = series.windows(until=8.0)
+    assert (full.start, full.end, full.completions) == (0.0, 5.0, 10)
     assert (tail.start, tail.end) == (5.0, 8.0)
-    assert tail.completions == 4
-    assert tail.rejections == 2
+    assert (tail.completions, tail.errors) == (4, 2)
+    # The SLO summary still leaves the cut-short window out.
+    assert select_stable_windows([full, tail]) == [full]
 
 
-def test_flush_skips_zero_length_tail_and_unstarted_sampler():
-    sim = Simulator()
-    population = _StubPopulation()
-    sampler = AvailabilitySampler(sim, population, interval=5.0)
-    sampler.flush()                       # never started: no-op
-    assert sampler.windows == []
-    sampler.start()
-    sim.run(until=5.0)
-    sampler.flush()                       # measurement ended on a sample
-    assert len(sampler.windows) == 1
-    assert sampler.windows[0].duration == pytest.approx(5.0)
-    # Double flush adds nothing either.
-    sampler.flush()
-    assert len(sampler.windows) == 1
+def test_until_skips_zero_length_tail():
+    clock = _Clock()
+    series = SloSeries(clock, SloSpec(window=5.0))
+    series.start()
+    clock.now = 1.0
+    series.record(0.1)
+    # Measurement ended on a window boundary: one full window, no tail.
+    window, = series.windows(until=5.0)
+    assert window.duration == pytest.approx(5.0)
+
+
+def test_until_keeps_a_silent_tail():
+    """Nothing arrives, finishes or fails after t=2 (every client parked
+    behind a dead tier, or an idle open loop): the quiet windows are
+    still part of the measurement, so they count in the summary."""
+    clock = _Clock()
+    series = SloSeries(clock, SloSpec(window=1.0))
+    series.start()
+    clock.now = 1.5
+    series.record_arrival()
+    series.record(0.2)
+    windows = series.windows(until=6.0)
+    assert [w.index for w in windows] == [0, 1, 2, 3, 4, 5]
+    assert sum(w.completions for w in windows[2:]) == 0
+    summary = summarize_slo(select_stable_windows(windows),
+                            SloSpec(window=1.0))
+    assert summary.windows_total == 6
+    assert summary.goodput_per_s == pytest.approx(1 / 6.0)
 
 
 # -- construction-time validation of resilience knobs -------------------------
