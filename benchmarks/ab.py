@@ -10,7 +10,11 @@ of ``BENCHMARK.json``: both medians with their quartiles, in how many
 pairs the change read better, and whether the medians are further apart
 than the parent's own inter-quartile distance -- a gain is claimed only
 when that holds and the change won at least nine tenths of the pairs.
-Exits 1 when a ``stats_digest`` or ``ops_failed`` differs between runs.
+Exits 1 when a ``stats_digest`` or ``ops_failed`` differs between runs,
+or when on any workload the change's median ``peak_rss_mb`` is worse
+than the parent's by more than that metric's ``bound`` in
+``BENCHMARK.json``: resident memory repeats to about 1 % from run to
+run, so even two smoke pairs can hold that gate, while times cannot.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
 
     metrics = json.loads(CATALOGUE.read_text())["end_to_end"]
-    agree = True
+    passed = True
     for workload in runs["parent"][0]:
         print(f"\n== {workload} (seed {options.seed}, {options.pairs} pairs)")
         for metric in metrics:
@@ -84,13 +88,18 @@ def main(argv=None) -> int:
                   f"{metric['unit']}  ratio {bm / am:.3f}  change better in "
                   f"{wins}/{len(a)} pairs; medians {apart} apart than the "
                   f"parent's IQR ({a3 - a1:.3g})")
+            if metric["name"] == "peak_rss_mb" and \
+                    sign * (bm - am) > metric["bound"] * am:
+                print(f"   peak_rss_mb: WORSE than the parent by more than "
+                      f"the bound ({metric['bound']:.0%})")
+                passed = False
         for fact in ("stats_digest", "ops_failed"):
             seen = {str(run[workload].get(fact))
                     for side in runs.values() for run in side}
             print(f"   {fact}: " + ("the same in every run" if len(seen) == 1
                                     else f"DIFFERS: {sorted(seen)}"))
-            agree = agree and len(seen) == 1
-    return 0 if agree else 1
+            passed = passed and len(seen) == 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

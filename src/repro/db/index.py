@@ -61,6 +61,11 @@ class HashIndex:
             return []
         return self._map.get(key, [])
 
+    def entries(self) -> list:
+        """``(key, rowid)`` pairs, bucket by bucket, NULL keys excluded."""
+        return [(key, rowid)
+                for key, bucket in self._map.items() for rowid in bucket]
+
     def null_rows(self) -> list:
         return list(self._null_rows)
 
@@ -69,37 +74,45 @@ class HashIndex:
 
 
 class SortedIndex:
-    """Order-preserving index: a sorted array of (key, rowid) pairs.
+    """Order-preserving index: two parallel arrays, ``_keys`` and
+    ``_rowids``, ordered by (key, rowid).
 
-    Supports equality probes, half-open/closed range scans, and ordered
-    iteration in both directions (for ORDER BY ... LIMIT plans).
+    A one-column index stores each key bare, the value rather than a
+    1-tuple, so an entry is two list slots; callers pass key tuples
+    either way.  Supports equality probes, half-open/closed range scans,
+    and ordered iteration in both directions (for ORDER BY ... LIMIT
+    plans).
     """
 
-    __slots__ = ("name", "columns", "unique", "_entries", "_null_rows")
+    __slots__ = ("name", "columns", "unique", "_bare", "_keys", "_rowids",
+                 "_null_rows")
 
     def __init__(self, name: str, columns: tuple, unique: bool = False):
         self.name = name
         self.columns = columns
         self.unique = unique
-        self._entries: list = []   # sorted list of (key, rowid)
+        self._bare = len(columns) == 1
+        self._keys: list = []
+        self._rowids: list = []
         self._null_rows: list = []
+
+    def _span(self, key) -> tuple:
+        """``(lo, hi)``: the run of ``_keys`` equal to stored key ``key``."""
+        lo = bisect.bisect_left(self._keys, key)
+        return lo, bisect.bisect_right(self._keys, key, lo)
 
     def insert(self, key: tuple, rowid: int) -> None:
         if None in key:
             self._null_rows.append(rowid)
             return
-        entries = self._entries
-        if not self.unique:
-            bisect.insort(entries, (key, rowid))
-            return
-        # Row ids are >= 0, so (key, -1) sorts before every entry of
-        # ``key``: one bisect serves the uniqueness test and, no equal
-        # key being present, is also where (key, rowid) belongs.
-        pos = bisect.bisect_left(entries, (key, -1))
-        if pos < len(entries) and entries[pos][0] == key:
+        stored = key[0] if self._bare else key
+        lo, hi = self._span(stored)
+        if self.unique and lo < hi:
             raise IntegrityError(
                 f"duplicate key {key!r} in unique index {self.name!r}")
-        entries.insert(pos, (key, rowid))
+        pos = bisect.bisect_right(self._rowids, rowid, lo, hi)
+        self._keys.insert(pos, stored)
+        self._rowids.insert(pos, rowid)
 
     def delete(self, key: tuple, rowid: int) -> None:
         if None in key:
@@ -108,76 +121,74 @@ class SortedIndex:
             except ValueError:
                 pass
             return
-        pos = bisect.bisect_left(self._entries, (key, rowid))
-        if pos < len(self._entries) and self._entries[pos] == (key, rowid):
-            self._entries.pop(pos)
+        lo, hi = self._span(key[0] if self._bare else key)
+        pos = bisect.bisect_left(self._rowids, rowid, lo, hi)
+        if pos < hi and self._rowids[pos] == rowid:
+            del self._keys[pos], self._rowids[pos]
 
     def lookup(self, key: tuple) -> list:
         if None in key:
             return []
-        entries = self._entries
-        lo = bisect.bisect_left(entries, (key, -1))
-        n = len(entries)
+        if self._bare:
+            key = key[0]
+        keys = self._keys
+        lo = bisect.bisect_left(keys, key)
         if self.unique:
-            if lo < n and entries[lo][0] == key:
-                return [entries[lo][1]]
+            if lo < len(keys) and keys[lo] == key:
+                return [self._rowids[lo]]
             return []
-        out = []
-        while lo < n and entries[lo][0] == key:
-            out.append(entries[lo][1])
-            lo += 1
-        return out
+        return self._rowids[lo:bisect.bisect_right(keys, key, lo)]
 
     def prefix(self, key: tuple) -> list:
         """Row ids whose key starts with ``key``, in index order."""
         if None in key:
             return []
-        entries = self._entries
-        lo = bisect.bisect_left(entries, (key, -1))
-        out = []
+        if self._bare:
+            return self._rowids[slice(*self._span(key[0]))]
+        keys = self._keys
+        lo = hi = bisect.bisect_left(keys, key)
         klen = len(key)
-        n = len(entries)
-        while lo < n and entries[lo][0][:klen] == key:
-            out.append(entries[lo][1])
-            lo += 1
-        return out
+        while hi < len(keys) and keys[hi][:klen] == key:
+            hi += 1
+        return self._rowids[lo:hi]
 
     def range(self, low: Optional[tuple], high: Optional[tuple],
               low_inclusive: bool = True, high_inclusive: bool = True) -> Iterator[int]:
-        """Yield row ids with low <= key <= high (bounds optional)."""
+        """Row ids with low <= key <= high (bounds optional)."""
         if (low is not None and None in low) or \
                 (high is not None and None in high):
-            return
-        entries = self._entries
+            return iter(())
+        keys = self._keys
         if low is None:
             lo = 0
-        elif low_inclusive:
-            lo = bisect.bisect_left(entries, (low, -1))
         else:
-            lo = bisect.bisect_right(entries, (low, float("inf")))
+            low = low[0] if self._bare else low
+            lo = (bisect.bisect_left if low_inclusive
+                  else bisect.bisect_right)(keys, low)
         if high is None:
-            hi = len(entries)
-        elif high_inclusive:
-            hi = bisect.bisect_right(entries, (high, float("inf")))
+            hi = len(keys)
         else:
-            hi = bisect.bisect_left(entries, (high, -1))
-        for pos in range(lo, hi):
-            yield entries[pos][1]
+            high = high[0] if self._bare else high
+            hi = (bisect.bisect_right if high_inclusive
+                  else bisect.bisect_left)(keys, high, lo)
+        return iter(self._rowids[lo:hi])
 
     def scan(self, descending: bool = False) -> Iterator[int]:
         """Ordered iteration over all non-null keys."""
-        if descending:
-            for pos in range(len(self._entries) - 1, -1, -1):
-                yield self._entries[pos][1]
-        else:
-            for __, rowid in self._entries:
-                yield rowid
+        return reversed(self._rowids) if descending else iter(self._rowids)
+
+    def entries(self) -> list:
+        """``(key tuple, rowid)`` pairs in index order, NULL keys excluded."""
+        if self._bare:
+            return [((key,), rowid)
+                    for key, rowid in zip(self._keys, self._rowids)]
+        return list(zip(self._keys, self._rowids))
 
     def null_rows(self) -> list:
         return list(self._null_rows)
 
     def __len__(self) -> int:
-        return len(self._entries) + len(self._null_rows)
+        return len(self._keys) + len(self._null_rows)
 
 
 def make_index(kind: str, name: str, columns: Iterable[str], unique: bool):

@@ -214,6 +214,12 @@ class Table:
                 _, pos, _, col, cls = self._plan[self._colmap[name]]
                 if value.__class__ is not cls:
                     coerced = col.type.coerce(value)
+                    if coerced is None and name == self.schema.primary_key:
+                        raise IntegrityError(
+                            f"table {self.name!r}: NULL primary key")
+                    if coerced is None and not col.nullable:
+                        raise IntegrityError(
+                            f"table {self.name!r}: column {name!r} is NOT NULL")
                     if not col.type.accepts(coerced):
                         raise SqlError(
                             f"table {self.name!r}.{name}: {value!r} is not "

@@ -1,5 +1,9 @@
 """Unit tests for row storage and index maintenance internals."""
 
+import bisect
+import inspect
+import tracemalloc
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -70,6 +74,26 @@ def test_update_rollback_on_unique_violation():
     # The whole row image is restored, not just the indexed column.
     assert table.get_row(second) == [2, 2, "b"]
     assert sorted(table.indexes["uk"].lookup((2,))) == [second]
+
+
+def test_update_refuses_null_in_not_null_column_and_primary_key():
+    table = make_table(
+        columns=[Column("id", ColumnType.INT, nullable=False),
+                 Column("k", ColumnType.INT),
+                 Column("v", ColumnType.VARCHAR, nullable=False)],
+        indexes=[IndexDef("idx_k", ("k",)), IndexDef("idx_v", ("v",))])
+    rowid = table.insert({"k": 5, "v": "a"})
+    with pytest.raises(IntegrityError) as refused:
+        table.insert({"k": 6, "v": None})
+    with pytest.raises(IntegrityError) as also_refused:
+        table.update_row(rowid, {"k": 6, "v": None})
+    assert str(also_refused.value) == str(refused.value)
+    with pytest.raises(IntegrityError, match="NULL primary key"):
+        table.update_row(rowid, {"id": None})
+    assert table.get_row(rowid) == [1, 5, "a"]
+    for name, key in (("pk_t", (1,)), ("idx_k", (5,)), ("idx_v", ("a",))):
+        assert table.indexes[name].lookup(key) == [rowid]
+        assert table.indexes[name].null_rows() == []
 
 
 def test_insert_rollback_on_unique_violation():
@@ -234,6 +258,12 @@ class ReferenceTable(Table):
             for name, value in changes.items():
                 col = self.schema.column(name)
                 coerced = col.type.coerce(value)
+                if coerced is None and name == self.schema.primary_key:
+                    raise IntegrityError(
+                        f"table {self.name!r}: NULL primary key")
+                if coerced is None and not col.nullable:
+                    raise IntegrityError(
+                        f"table {self.name!r}: column {name!r} is NOT NULL")
                 if not col.type.accepts(coerced):
                     raise SqlError(
                         f"table {self.name!r}.{name}: {value!r} is not "
@@ -299,21 +329,24 @@ row_values = st.one_of(
     st.dictionaries(names, any_value))
 operation = st.one_of(
     st.tuples(st.just("insert"), row_values),
-    st.tuples(st.just("update"), st.integers(0, 5), row_values))
+    st.tuples(st.just("update"), st.integers(0, 5), row_values),
+    st.tuples(st.just("update"), st.integers(0, 5),
+              st.dictionaries(names, st.none(), min_size=1, max_size=2)))
 
 
 def image(table):
     """Everything an insert or update may touch; classes included, so
-    ``True`` for ``1`` or a subclass instance for its base shows."""
+    ``True`` for ``1`` or a subclass instance for its base shows.  Rows
+    with a NULL key are a set: no plan reads their order, and an update
+    that is refused files its row at the end again."""
     def exact(values):
         return [(value, value.__class__) for value in values]
     return {
         "rows": [row and exact(row) for row in table._rows],
         "live": len(table),
         "indexes": {
-            name: (sorted(index._map.items())
-                   if isinstance(index, HashIndex) else list(index._entries),
-                   list(index._null_rows))
+            name: (sorted(index.entries(), key=lambda entry: entry[0]),
+                   sorted(index.null_rows()))
             for name, index in table.indexes.items()}}
 
 
@@ -339,9 +372,10 @@ def test_column_plan_admits_exactly_what_the_checks_admit(auto_increment, ops):
         assert outcome == attempt(reference, op)
         assert image(table) == image(reference)
         assert table.next_auto_increment == reference.next_auto_increment
-        if op[0] == "insert" and isinstance(outcome, tuple):
-            # A refused row -- a unique-key violation included -- leaves
-            # the row array and every index as they were.
+        if isinstance(outcome, tuple):
+            # A refused insert or update -- a unique-key violation or a
+            # NULL in a NOT NULL column included -- leaves the row array
+            # and every index as they were.
             assert image(table) == before
 
 
@@ -358,3 +392,179 @@ def test_building_the_default_bookstore_checks_no_value(monkeypatch):
     database = build_bookstore_database()
     assert len(database.table("items")) > 1000
     assert calls == []
+
+
+# ------------------------------------------ the index arrays, checked
+#
+# SortedIndex keeps two parallel arrays and stores a one-column key
+# bare.  ReferenceSortedIndex is the seed's code: one sorted list of
+# (key tuple, rowid) pairs.
+
+class ReferenceSortedIndex:
+    def __init__(self, name, columns, unique=False):
+        self.name = name
+        self.unique = unique
+        self._entries = []
+        self._null_rows = []
+
+    def insert(self, key, rowid):
+        if None in key:
+            self._null_rows.append(rowid)
+            return
+        if not self.unique:
+            bisect.insort(self._entries, (key, rowid))
+            return
+        pos = bisect.bisect_left(self._entries, (key, -1))
+        if pos < len(self._entries) and self._entries[pos][0] == key:
+            raise IntegrityError(
+                f"duplicate key {key!r} in unique index {self.name!r}")
+        self._entries.insert(pos, (key, rowid))
+
+    def delete(self, key, rowid):
+        if None in key:
+            try:
+                self._null_rows.remove(rowid)
+            except ValueError:
+                pass
+            return
+        pos = bisect.bisect_left(self._entries, (key, rowid))
+        if pos < len(self._entries) and self._entries[pos] == (key, rowid):
+            self._entries.pop(pos)
+
+    def lookup(self, key):
+        if None in key:
+            return []
+        entries = self._entries
+        lo = bisect.bisect_left(entries, (key, -1))
+        n = len(entries)
+        if self.unique:
+            if lo < n and entries[lo][0] == key:
+                return [entries[lo][1]]
+            return []
+        out = []
+        while lo < n and entries[lo][0] == key:
+            out.append(entries[lo][1])
+            lo += 1
+        return out
+
+    def prefix(self, key):
+        if None in key:
+            return []
+        lo = bisect.bisect_left(self._entries, (key, -1))
+        out = []
+        while lo < len(self._entries) and \
+                self._entries[lo][0][:len(key)] == key:
+            out.append(self._entries[lo][1])
+            lo += 1
+        return out
+
+    def range(self, low, high, low_inclusive=True, high_inclusive=True):
+        if (low is not None and None in low) or \
+                (high is not None and None in high):
+            return
+        entries = self._entries
+        if low is None:
+            lo = 0
+        elif low_inclusive:
+            lo = bisect.bisect_left(entries, (low, -1))
+        else:
+            lo = bisect.bisect_right(entries, (low, float("inf")))
+        if high is None:
+            hi = len(entries)
+        elif high_inclusive:
+            hi = bisect.bisect_right(entries, (high, float("inf")))
+        else:
+            hi = bisect.bisect_left(entries, (high, -1))
+        for pos in range(lo, hi):
+            yield entries[pos][1]
+
+    def scan(self, descending=False):
+        if descending:
+            for pos in range(len(self._entries) - 1, -1, -1):
+                yield self._entries[pos][1]
+        else:
+            for __, rowid in self._entries:
+                yield rowid
+
+    def null_rows(self):
+        return list(self._null_rows)
+
+    def __len__(self):
+        return len(self._entries) + len(self._null_rows)
+
+
+# Equal int / float keys, NULLs, and few enough values to collide.
+key_value = st.sampled_from([0, 1, 1.0, 2, 2.0, 3, None])
+index_op = st.tuples(st.sampled_from(["insert", "delete"]),
+                     st.tuples(key_value, key_value), st.integers(0, 5))
+
+
+def outcome(call, *args):
+    try:
+        result = call(*args)
+        return None if result is None else list(result)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.sampled_from([1, 2]), unique=st.booleans(),
+       ops=st.lists(index_op, max_size=20))
+def test_index_arrays_answer_as_the_pair_list_does(width, unique, ops):
+    columns = ("a", "b")[:width]
+    index = SortedIndex("s", columns, unique)
+    reference = ReferenceSortedIndex("s", columns, unique)
+    for op, key, rowid in ops:
+        key = key[:width]
+        assert outcome(getattr(index, op), key, rowid) == \
+            outcome(getattr(reference, op), key, rowid)
+        assert repr(index.entries()) == repr(reference._entries)
+    probes = [(value,) for value in (0, 1, 1.5, 2.0, 3, 4, None)]
+    if width == 2:
+        probes += [(a, b) for a in (0, 1.0, 2) for b in (0, 1, 2.0, None)]
+    for key in probes:
+        for ask in ("lookup", "prefix"):
+            assert outcome(getattr(index, ask), key) == \
+                outcome(getattr(reference, ask), key)
+    bounds = [None, (1,), (1.5,), (2.0,), (None,)]
+    if width == 2:
+        bounds += [(1.0, 1), (2, 2.0), (0, None)]
+    for low in bounds:
+        for high in bounds:
+            for flags in ((True, True), (True, False), (False, True),
+                          (False, False)):
+                assert list(index.range(low, high, *flags)) == \
+                    list(reference.range(low, high, *flags))
+    for descending in (False, True):
+        assert list(index.scan(descending)) == \
+            list(reference.scan(descending))
+    assert index.null_rows() == reference.null_rows()
+    assert len(index) == len(reference)
+
+
+def test_one_column_sorted_index_entries_are_two_list_slots():
+    # A one-column key is stored bare, not as a 1-tuple inside a
+    # (key, rowid) pair: 16 bytes an entry plus list slack, where the
+    # pair list paid 112.  If the tuples come back, this says so.
+    table = make_table(indexes=[], primary_key=None, auto_increment=False)
+    for i in range(10_000):
+        table.insert({"id": i, "k": i % 97, "v": "x"})
+    source, first = inspect.getsourcelines(Table._key_of)
+    key_of = range(first, first + len(source))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        table.create_index(IndexDef("uk_id", ("id",), unique=True))
+        table.create_index(IndexDef("idx_k", ("k",)))
+        grown = tracemalloc.take_snapshot().compare_to(before, "lineno")
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        stat.size_diff for stat in grown
+        if stat.traceback[0].filename.endswith("index.py") or
+        (stat.traceback[0].filename.endswith("storage.py") and
+         stat.traceback[0].lineno in key_of))
+    indexes = [table.indexes["uk_id"], table.indexes["idx_k"]]
+    assert held / sum(len(index) for index in indexes) <= 20
+    assert not any(isinstance(key, tuple)
+                   for index in indexes for key in index._keys)
