@@ -201,6 +201,25 @@ class Table:
             unknown = set(changes) - set(self._colmap)
             raise SqlError(
                 f"update {self.name!r}: unknown columns {sorted(unknown)}")
+        # Admit every value before touching the row or an index, so a
+        # NULL or a value of the wrong type leaves both as they were.
+        admitted = []
+        for name, value in changes.items():
+            _, pos, _, col, cls = self._plan[self._colmap[name]]
+            if value.__class__ is not cls:
+                coerced = col.type.coerce(value)
+                if coerced is None and name == self.schema.primary_key:
+                    raise IntegrityError(
+                        f"table {self.name!r}: NULL primary key")
+                if coerced is None and not col.nullable:
+                    raise IntegrityError(
+                        f"table {self.name!r}: column {name!r} is NOT NULL")
+                if not col.type.accepts(coerced):
+                    raise SqlError(
+                        f"table {self.name!r}.{name}: {value!r} is not "
+                        f"a {col.type.value}")
+                value = coerced
+            admitted.append((pos, value))
         affected = [
             index for index in self.indexes.values()
             if any(c in changes for c in index.columns)]
@@ -208,29 +227,16 @@ class Table:
         old_keys = [(index, self._key_of(index, row)) for index in affected]
         for index, key in old_keys:
             index.delete(key, rowid)
+        for pos, value in admitted:
+            row[pos] = value
         reinserted = []
         try:
-            for name, value in changes.items():
-                _, pos, _, col, cls = self._plan[self._colmap[name]]
-                if value.__class__ is not cls:
-                    coerced = col.type.coerce(value)
-                    if coerced is None and name == self.schema.primary_key:
-                        raise IntegrityError(
-                            f"table {self.name!r}: NULL primary key")
-                    if coerced is None and not col.nullable:
-                        raise IntegrityError(
-                            f"table {self.name!r}: column {name!r} is NOT NULL")
-                    if not col.type.accepts(coerced):
-                        raise SqlError(
-                            f"table {self.name!r}.{name}: {value!r} is not "
-                            f"a {col.type.value}")
-                    value = coerced
-                row[pos] = value
             for index in affected:
                 index.insert(self._key_of(index, row), rowid)
                 reinserted.append(index)
-        except (IntegrityError, SqlError):
-            # Restore the row image and the original index entries.
+        except IntegrityError:
+            # A unique key collided: restore the row image and the
+            # original index entries.
             for index in reinserted:
                 index.delete(self._key_of(index, row), rowid)
             row[:] = old_image
