@@ -20,6 +20,7 @@ SELECTs all consume them the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List
 
 from repro.db.errors import SqlError
@@ -58,7 +59,13 @@ class ExecStats:
 
         Stamped onto QueryRecords so trace tooling can show *how* a
         query touched its tables without re-planning the statement.
+        A one-index summary, the stamp of every pk probe, is one shared
+        string per value, not a new one per statement.
         """
+        if len(self.rows_examined_index) == 1 and \
+                not self.rows_examined_scan:
+            ((table, __), count), = self.rows_examined_index.items()
+            return _index_stamp(table, count)
         parts = []
         for (table, __), count in sorted(self.rows_examined_index.items()):
             parts.append(f"{table}:index({count})")
@@ -77,6 +84,11 @@ class ExecStats:
             else self.rows_examined_index
         key = path.examined_key
         counts[key] = counts.get(key, 0) + count
+
+
+@lru_cache(maxsize=1024)
+def _index_stamp(table: str, count: int) -> str:
+    return f"{table}:index({count})"
 
 
 # ---------------------------------------------------------------- SELECT

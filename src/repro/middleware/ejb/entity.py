@@ -29,9 +29,14 @@ the paper's EJB configurations.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence
 
 from repro.db.errors import SqlError
+
+# The dirty set of every clean bean: a read never writes, so a bean gets
+# a set of its own only on its first field write.
+_CLEAN: frozenset = frozenset()
 
 
 class EntityBean:
@@ -40,16 +45,21 @@ class EntityBean:
 
     A field is loaded exactly when ``_values`` holds it.  ``__getattr__``
     runs only when ordinary lookup misses, so the control fields below
-    are read as plain attributes.
+    are read as plain attributes.  They are slots: one bean per row
+    touched, and a finder walk touches thousands.
     """
 
-    _CONTROL = frozenset(("_home", "_pk", "_values", "_dirty", "_removed"))
+    __slots__ = ("_home", "_pk", "_values", "_dirty", "_removed")
+    _CONTROL = frozenset(__slots__)
 
     def __init__(self, home: "EntityHome", pk, values: Optional[dict] = None):
-        # Straight into the instance dict: __setattr__ is for fields.
-        self.__dict__.update(
-            _home=home, _pk=pk, _values=dict(values) if values else {},
-            _dirty=set(), _removed=False)
+        # Straight into the slots: __setattr__ is for fields.
+        put = object.__setattr__
+        put(self, "_home", home)
+        put(self, "_pk", pk)
+        put(self, "_values", dict(values) if values else {})
+        put(self, "_dirty", _CLEAN)
+        put(self, "_removed", False)
 
     # -- field access -------------------------------------------------------------
 
@@ -83,6 +93,8 @@ class EntityBean:
             raise SqlError("primary key of an entity bean is immutable")
         home.container.field_accesses += 1
         self._values[name] = value
+        if self._dirty is _CLEAN:
+            object.__setattr__(self, "_dirty", set())
         self._dirty.add(name)
         home.container.register_dirty(self)
 
@@ -98,6 +110,8 @@ class EntityBean:
 
     def snapshot(self) -> dict:
         """All field values (loading whatever is missing)."""
+        if self._removed:
+            raise RuntimeError("accessing a removed entity bean")
         home: EntityHome = self._home
         for name in home.field_names:
             if name not in self._values:
@@ -114,10 +128,14 @@ class EntityHome:
     The per-key CMP statement texts (load, store, remove, the pk
     finder) are built once, at deployment, and the same string object is
     handed to the driver each time; a finder's text is generated per call.
+
+    A home reaches its container through a weak proxy: the container
+    owns its homes, and a deployment must not be a reference cycle, so
+    that dropping it frees its database at once.
     """
 
     def __init__(self, container, table_name: str):
-        self.container = container
+        self.container = weakref.proxy(container)
         self.table_name = table_name
         table = container.database.table(table_name)
         schema = table.schema
@@ -244,10 +262,10 @@ class EntityHome:
             self.container.execute(
                 f"UPDATE {self.table_name} SET {assignments} "
                 f"WHERE {self.pk_name} = ?", params)
-        bean._dirty.clear()
+        bean._dirty = _CLEAN
 
     def _ejb_remove(self, bean: EntityBean) -> None:
         self.container.execute(self._remove_sql, (bean._pk,))
         bean._removed = True
-        bean._dirty.clear()
+        bean._dirty = _CLEAN
         self.container.forget(self, bean._pk)

@@ -651,3 +651,12 @@ def test_table_scale_follows_row_count_catalog_and_statistics():
     _assert_prices_like_fresh(db)
     stats.distinct_values["grp"] = 9
     _assert_prices_like_fresh(db)
+    # With D above the loaded rows the probe factor is nominal / D, not
+    # nominal / loaded, so an in-place change of D must reprice too.
+    assert len(db.table("scaled")) < 100
+    stats.distinct_values["grp"] = 100
+    _assert_prices_like_fresh(db)
+    assert db._table_scale("scaled").probe_factor("grp") == 800
+    stats.distinct_values["grp"] = 1000
+    _assert_prices_like_fresh(db)
+    assert db._table_scale("scaled").probe_factor("grp") == 80
