@@ -43,7 +43,7 @@ from repro.apps import ARCHITECTURES, BenchmarkApp, build_app
 from repro.apps.auction import AuctionApp, build_auction_database
 from repro.apps.bookstore import BookstoreApp, build_bookstore_database
 from repro.db import Database
-from repro.harness.experiment import ExperimentSpec, run_experiment, run_sweep
+from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.profiles import AppProfile, profile_application
 from repro.middleware import EjbContainer, PhpModule, ServletEngine
 from repro.metrics.report import ExperimentReport, ThroughputPoint
@@ -93,6 +93,5 @@ __all__ = [
     "build_bookstore_database",
     "profile_application",
     "run_experiment",
-    "run_sweep",
     "__version__",
 ]

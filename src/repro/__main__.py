@@ -74,6 +74,18 @@ FLAGS = {
 }
 
 
+def _at_least(minimum):
+    """An argparse type: an integer no smaller than ``minimum``, so an
+    impossible count is refused before any application is built."""
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return count
+
+
 def _figures(__args) -> int:
     from repro.experiments.registry import FIGURES
     print("figure  kind        workload")
@@ -176,7 +188,7 @@ COMMANDS = {
                           "tracing and print bottleneck attribution",
         flags=("--config", "--full", "--jobs"),
         args={"figure": dict(help="figure id: 6, 06 and fig06 all work"),
-              "--clients": dict(type=int, metavar="N",
+              "--clients": dict(type=_at_least(1), metavar="N",
                                 help="client count to trace (default: each "
                                      "configuration's peak, found by the "
                                      "untraced sweep --jobs fans out)"),
@@ -202,7 +214,7 @@ COMMANDS = {
         flags=_EXPERIMENT + ("--trace",), scale="quick",
         module="ext_scaleout", driver="run_scaleout", one_config=True,
         args={"--replicas": dict(
-            action="append", type=int, metavar="N",
+            action="append", type=_at_least(0), metavar="N",
             help="replica count to sweep (repeatable; default: the "
                  "scale level's grid)")}),
     "slo": dict(

@@ -55,10 +55,6 @@ class DemandTable:
         """Saturation throughput (interactions/second) from CPU demands."""
         return 1.0 / max(self.cpu_seconds.values())
 
-    def nic_tx_bytes(self, machine: str) -> float:
-        return sum(v for (src, __), v in self.wire_bytes.items()
-                   if src == machine)
-
 
 def _variant_demand(table: DemandTable, config: Configuration,
                     variant: InteractionVariant, weight: float,

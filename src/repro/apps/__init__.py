@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 from repro.apps.base import ARCHITECTURES, BenchmarkApp
 
 __all__ = ["ARCHITECTURES", "APP_NAMES", "BenchmarkApp", "build_app",
-           "clear_app_cache", "mix_names"]
+           "mix_names"]
 
 APP_NAMES = ("bookstore", "auction", "bboard")
 
@@ -80,8 +80,3 @@ def build_app(app_name: str, arch: Optional[str] = None, *,
         count = getattr(cluster, "gen", cluster)
         return app, app.deploy_pool(arch, int(count))
     return app, app.deploy(arch)
-
-
-def clear_app_cache() -> None:
-    """Forget cached default-built applications (tests use this)."""
-    _APP_CACHE.clear()

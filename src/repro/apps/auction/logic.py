@@ -9,7 +9,7 @@ the database, the bottleneck for this benchmark.
 
 from __future__ import annotations
 
-from repro.apps.auction.datagen import BASE_TIME, WEEK
+from repro.apps.auction.datagen import BASE_TIME
 from repro.middleware.context import AppContext
 from repro.web.html import Page
 from repro.web.http import HttpResponse

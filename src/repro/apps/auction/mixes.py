@@ -46,13 +46,6 @@ MIXES: Dict[str, Dict[str, float]] = {
 }
 
 
-def read_write_fraction(mix: Dict[str, float]) -> float:
-    total = sum(mix.values())
-    rw = sum(weight for name, weight in mix.items()
-             if not INTERACTIONS[name][1])
-    return rw / total
-
-
 # Registration nicknames embed a per-state tag; a deterministic counter
 # in the five-digit range keeps them unique across identically-seeded
 # RNG streams without depending on object addresses (see the bookstore

@@ -153,7 +153,3 @@ class BenchmarkApp:
     @classmethod
     def is_read_only(cls, name: str) -> bool:
         return cls.INTERACTIONS[name][1]
-
-    @classmethod
-    def is_static(cls, name: str) -> bool:
-        return name in cls.STATIC_INTERACTIONS

@@ -54,14 +54,6 @@ MIXES: Dict[str, Dict[str, float]] = {
 }
 
 
-def read_only_fraction(mix: Dict[str, float]) -> float:
-    """Fraction of interactions that are read-only under this mix."""
-    total = sum(mix.values())
-    read_only = sum(weight for name, weight in mix.items()
-                    if INTERACTIONS[name][1])
-    return read_only / total
-
-
 # Registration usernames embed a per-state tag so they stay unique even
 # when states draw from identically-seeded RNGs (profiling does exactly
 # that per flavor).  Tags used to seed from the state's address, but the

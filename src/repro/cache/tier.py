@@ -24,7 +24,7 @@ touches this module.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.cache.lru import LruStore

@@ -121,7 +121,3 @@ class LoadBalancer:
     def forget_session(self, session_key) -> None:
         """Drop a session's sticky binding (session end / logout)."""
         self._bindings.pop(session_key, None)
-
-    @property
-    def total_in_flight(self) -> int:
-        return sum(self.in_flight.values())

@@ -18,7 +18,7 @@ are deliberately centralized here so ablation benches can perturb them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 
@@ -87,10 +87,6 @@ class CostModel:
 
     def __init__(self, constants: CostConstants | None = None):
         self.constants = constants or CostConstants()
-
-    def with_overrides(self, **kwargs) -> "CostModel":
-        """A copy with some constants replaced (for ablation benches)."""
-        return CostModel(replace(self.constants, **kwargs))
 
     def price(self, stats,
               scale_of: Callable[[str], Optional[TableScale]],

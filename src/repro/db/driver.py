@@ -220,83 +220,6 @@ class ReadWriteSplitConnection:
             conn.close()
 
 
-class CircuitBreakerConnection:
-    """Wraps a connection with fail-fast semantics (functional layer).
-
-    The functional counterpart of the simulation-side breaker in
-    :mod:`repro.overload.degradation`: outcomes of the last ``window``
-    statements are tracked; once the failure fraction reaches
-    ``trip_threshold`` (with at least ``min_calls`` observed), further
-    statements raise :class:`~repro.faults.errors.CircuitOpenError`
-    immediately without touching the database, until :meth:`probe`
-    lets one through again (the timing layer decides *when* to probe --
-    here the transition is explicit so the logic is testable alone).
-    """
-
-    def __init__(self, inner: Connection, window: int = 20,
-                 min_calls: int = 10, trip_threshold: float = 0.5):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if min_calls < 1:
-            raise ValueError(f"min_calls must be >= 1, got {min_calls}")
-        if not 0 < trip_threshold <= 1:
-            raise ValueError(f"trip_threshold must be in (0, 1], "
-                             f"got {trip_threshold}")
-        self.inner = inner
-        self.window = window
-        self.min_calls = min_calls
-        self.trip_threshold = trip_threshold
-        self.open = False
-        self.fast_fails = 0
-        self._outcomes: List[bool] = []
-
-    def execute(self, sql: str, params: Sequence = ()) -> ResultSet:
-        from repro.faults.errors import CircuitOpenError
-        if self.open:
-            self.fast_fails += 1
-            raise CircuitOpenError("database circuit open")
-        try:
-            result = self.inner.execute(sql, params)
-        except Exception:
-            self._record(False)
-            raise
-        self._record(True)
-        return result
-
-    def _record(self, ok: bool) -> None:
-        self._outcomes.append(ok)
-        if len(self._outcomes) > self.window:
-            del self._outcomes[0]
-        if len(self._outcomes) >= self.min_calls:
-            failures = sum(1 for good in self._outcomes if not good)
-            if failures / len(self._outcomes) >= self.trip_threshold:
-                self.open = True
-                self._outcomes.clear()
-
-    def probe(self, sql: str, params: Sequence = ()) -> ResultSet:
-        """Half-open probe: execute one statement past the open breaker;
-        success closes it, failure keeps it open."""
-        try:
-            result = self.inner.execute(sql, params)
-        except Exception:
-            self.open = True
-            raise
-        self.open = False
-        self._outcomes.clear()
-        return result
-
-    @property
-    def last_insert_id(self) -> Optional[int]:
-        return self.inner.last_insert_id
-
-    @property
-    def overheads(self) -> DriverOverheads:
-        return self.inner.overheads
-
-    def close(self) -> None:
-        self.inner.close()
-
-
 class RecordingConnection:
     """Wraps a connection, capturing a QueryRecord per statement:
     every ``execute`` that returns has left exactly one record in

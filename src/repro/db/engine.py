@@ -56,9 +56,6 @@ class ResultSet:
             return None
         return self.rows[0][0]
 
-    def as_dicts(self) -> List[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 class Session:
     """Per-connection state: explicit lock set and last insert id.

@@ -45,15 +45,6 @@ class ExecStats:
     tables_read: tuple = ()
     tables_written: tuple = ()
 
-    def total_examined(self) -> int:
-        return (sum(self.rows_examined_scan.values()) +
-                sum(self.rows_examined_index.values()))
-
-    def indexed_for_table(self, table_name: str) -> int:
-        """Total indexed-examined rows for one table (test helper)."""
-        return sum(count for (table, __), count
-                   in self.rows_examined_index.items() if table == table_name)
-
     def access_summary(self) -> str:
         """Compact access-path description, e.g. ``"items:index(5) authors:scan(100)"``.
 

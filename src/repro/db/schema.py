@@ -160,7 +160,3 @@ class TableSchema:
 
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
-
-    def row_bytes(self) -> int:
-        """Approximate stored width of one row."""
-        return sum(c.width() for c in self.columns)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.db.errors import IntegrityError, SqlError
-from repro.db.index import HashIndex, SortedIndex, make_index
+from repro.db.index import SortedIndex, make_index
 from repro.db.schema import IndexDef, TableSchema
 
 _MISSING = object()
@@ -59,10 +59,6 @@ class Table:
     def __len__(self) -> int:
         return self._live
 
-    @property
-    def next_auto_increment(self) -> int:
-        return self._next_auto
-
     # -- index plumbing ---------------------------------------------------------
 
     def _add_index(self, index_def: IndexDef) -> None:
@@ -98,14 +94,6 @@ class Table:
         if len(positions) == 1:
             return (row[positions[0]],)
         return tuple([row[pos] for pos in positions])
-
-    def index_on(self, columns: Sequence[str]):
-        """The first index whose leading columns equal ``columns``, or None."""
-        want = tuple(columns)
-        for index in self.indexes.values():
-            if tuple(index.columns[:len(want)]) == want:
-                return index
-        return None
 
     def sorted_index_on(self, columns: Sequence[str]) -> Optional[SortedIndex]:
         want = tuple(columns)
@@ -254,10 +242,3 @@ class Table:
         for rowid, row in enumerate(self._rows):
             if row is not None:
                 yield rowid
-
-    def rows_as_dicts(self) -> Iterator[Dict[str, object]]:
-        """Convenience for tests and data generators."""
-        names = self.schema.column_names()
-        for row in self._rows:
-            if row is not None:
-                yield dict(zip(names, row))

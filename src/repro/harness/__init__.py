@@ -6,7 +6,7 @@ from repro.harness.profiles import (
     InteractionVariant,
     profile_application,
 )
-from repro.harness.experiment import ExperimentSpec, run_experiment, run_sweep
+from repro.harness.experiment import ExperimentSpec, run_experiment
 
 __all__ = [
     "AppProfile",
@@ -15,5 +15,4 @@ __all__ = [
     "profile_application",
     "ExperimentSpec",
     "run_experiment",
-    "run_sweep",
 ]

@@ -299,18 +299,6 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
     return point
 
 
-def run_sweep(base: ExperimentSpec, client_counts: Iterable[int],
-              jobs: Optional[int] = None) -> ConfigurationSeries:
-    """One configuration across a grid of client counts (``jobs`` as in
-    :func:`repro.harness.parallel.run_points`)."""
-    from repro.harness.parallel import run_points
-    series = ConfigurationSeries(base.config.name)
-    for point in run_points([replace(base, clients=clients)
-                             for clients in client_counts], jobs):
-        series.add(point)
-    return series
-
-
 def run_figure(title: str, workload: str,
                specs_by_config: Dict[str, ExperimentSpec],
                client_counts_by_config: Dict[str, Iterable[int]],

@@ -54,10 +54,6 @@ class InteractionVariant:
     # before labels existed.
     step_labels: Tuple[str, ...] = ()
 
-    @property
-    def total_reply_bytes(self) -> int:
-        return self.response_bytes + self.image_bytes
-
 
 @dataclass
 class InteractionProfile:
@@ -69,23 +65,6 @@ class InteractionProfile:
 
     def pick(self, rng: random.Random) -> InteractionVariant:
         return self.variants[rng.randrange(len(self.variants))]
-
-    def mean_db_cpu(self) -> float:
-        if not self.variants:
-            return 0.0
-        return sum(v.db_cpu_seconds for v in self.variants) / \
-            len(self.variants)
-
-    def mean_queries(self) -> float:
-        if not self.variants:
-            return 0.0
-        return sum(v.query_count for v in self.variants) / len(self.variants)
-
-    def mean_response_bytes(self) -> float:
-        if not self.variants:
-            return 0.0
-        return sum(v.response_bytes for v in self.variants) / \
-            len(self.variants)
 
 
 @dataclass
@@ -106,12 +85,6 @@ class AppProfile:
             raise KeyError(
                 f"no profile for interaction {name!r} in "
                 f"{self.app_name}/{self.flavor}") from None
-
-    def mean_demand_summary(self) -> Dict[str, dict]:
-        return {name: {"db_cpu_ms": 1000 * p.mean_db_cpu(),
-                       "queries": p.mean_queries(),
-                       "response_bytes": p.mean_response_bytes()}
-                for name, p in self.interactions.items()}
 
 
 def compile_trace(trace: InteractionTrace, wire_overhead: int,

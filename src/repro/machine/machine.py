@@ -1,11 +1,10 @@
-"""A machine bundles a CPU, disk, memory gauge, and network interfaces."""
+"""A machine bundles a CPU and a network interface."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.machine.cpu import Cpu
-from repro.machine.disk import Disk
 from repro.sim.kernel import Simulator
 
 
@@ -15,8 +14,6 @@ class MachineSpec:
 
     cpu_speed: float = 1.0          # relative to the paper's 1.33 GHz Athlon
     memory_mb: int = 768
-    disk_access_time: float = 0.009
-    disk_transfer_rate: float = 35e6
     nic_bandwidth_bps: float = 100e6  # switched 100 Mbps Ethernet
 
 
@@ -33,23 +30,8 @@ class Machine:
         self.name = name
         self.spec = spec or paper_machine_spec()
         self.cpu = Cpu(sim, speed=self.spec.cpu_speed, name=f"{name}.cpu")
-        self.disk = Disk(sim, access_time=self.spec.disk_access_time,
-                         transfer_rate=self.spec.disk_transfer_rate,
-                         name=f"{name}.disk")
-        self.memory_used_mb: float = 0.0
         # Set by Lan.attach().
         self.nic = None
-
-    def allocate_memory(self, mb: float) -> None:
-        """Record a resident-memory allocation (a gauge, not a constraint:
-        the paper verifies memory is never the bottleneck, and so do we via
-        the metrics layer)."""
-        if mb < 0:
-            raise ValueError(f"negative allocation: {mb}")
-        self.memory_used_mb += mb
-
-    def free_memory(self, mb: float) -> None:
-        self.memory_used_mb = max(0.0, self.memory_used_mb - mb)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Machine {self.name}>"

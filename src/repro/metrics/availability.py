@@ -45,18 +45,6 @@ class FailoverSummary:
     # has no machine there) -- the containment case.
     contained: bool = False
 
-    @property
-    def post_over_pre(self) -> float:
-        if self.pre_goodput_ipm <= 0:
-            return 0.0
-        return self.post_goodput_ipm / self.pre_goodput_ipm
-
-    @property
-    def during_over_pre(self) -> float:
-        if self.pre_goodput_ipm <= 0:
-            return 0.0
-        return self.during_goodput_ipm / self.pre_goodput_ipm
-
 
 def _mean_goodput(windows: List[SloWindow]) -> float:
     seconds = sum(w.duration for w in windows)

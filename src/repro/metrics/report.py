@@ -67,8 +67,8 @@ class ThroughputPoint:
     # WIRT compliance report (set when the spec declares limits).
     wirt: Optional[object] = None
     # Kernel events (process resumptions) the run consumed -- fully
-    # deterministic under pinned seeds; the perf harness divides by
-    # wall-clock for its events/sec figure.
+    # deterministic under pinned seeds; benchmarks/suite reports them
+    # as sim.events and divides by wall-clock for sim.events_per_s.
     kernel_events: int = 0
     # Trace-derived bottleneck verdict (e.g. "db cpu 98%"); None unless
     # the run was traced (repro.obs).  Traced points additionally carry
@@ -99,11 +99,6 @@ class ExperimentReport:
     title: str
     workload: str
     series: Dict[str, ConfigurationSeries] = field(default_factory=dict)
-
-    def series_for(self, configuration: str) -> ConfigurationSeries:
-        if configuration not in self.series:
-            self.series[configuration] = ConfigurationSeries(configuration)
-        return self.series[configuration]
 
     def render_throughput_table(self) -> str:
         """The throughput figure as a text table (clients as rows)."""

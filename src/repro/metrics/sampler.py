@@ -2,13 +2,14 @@
 
 The paper collects CPU, memory, network and disk usage every second with
 sysstat and analyzes the files post-mortem; this sampler does the same in
-virtual time, so utilization numbers come from the same kind of windowed
-averages the paper reports.
+virtual time for CPU and NIC, so utilization numbers come from the same
+kind of windowed averages the paper reports.  Memory and disk are not
+modelled: the paper reports that neither was ever the bottleneck.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.machine.machine import Machine
@@ -23,8 +24,6 @@ class MachineSample:
     cpu_utilization: float        # busy fraction over the last interval
     nic_tx_bps: float
     nic_rx_bps: float
-    disk_tps: float
-    memory_used_mb: float
 
 
 @dataclass
@@ -32,7 +31,6 @@ class _State:
     busy: float = 0.0
     tx: int = 0
     rx: int = 0
-    transfers: int = 0
 
 
 class SysstatSampler:
@@ -65,18 +63,14 @@ class SysstatSampler:
             nic = machine.nic
             tx = nic.bytes_sent if nic else 0
             rx = nic.bytes_received if nic else 0
-            transfers = machine.disk.transfers
             self.samples[name].append(MachineSample(
                 time=self.sim.now,
                 cpu_utilization=min(1.0, (busy - last.busy) / self.interval),
                 nic_tx_bps=(tx - last.tx) * 8.0 / self.interval,
-                nic_rx_bps=(rx - last.rx) * 8.0 / self.interval,
-                disk_tps=(transfers - last.transfers) / self.interval,
-                memory_used_mb=machine.memory_used_mb))
+                nic_rx_bps=(rx - last.rx) * 8.0 / self.interval))
             last.busy = busy
             last.tx = tx
             last.rx = rx
-            last.transfers = transfers
 
     # -- post-mortem analysis ------------------------------------------------------
 

@@ -106,28 +106,6 @@ class EjbContainer:
         bean = factory(self)
         return RmiStub(bean, self, self.rmi_costs, trace_sink=trace)
 
-    def create_stateful(self, name: str,
-                        trace: Optional[InteractionTrace] = None) -> RmiStub:
-        """Create a *stateful* session bean instance and its stub.
-
-        Unlike :meth:`lookup`, the returned stub is bound to one live
-        instance whose attributes persist across remote calls -- the
-        "temporary object" flavour the paper describes.  Call
-        :meth:`release_stateful` when the conversation ends.
-        """
-        stub = self.lookup(name, trace=trace)
-        bean = stub._bean
-        activate = getattr(bean, "ejb_activate", None)
-        if activate is not None:
-            activate()
-        return stub
-
-    def release_stateful(self, stub: RmiStub) -> None:
-        """End a stateful conversation (ejbPassivate + discard)."""
-        passivate = getattr(stub._bean, "ejb_passivate", None)
-        if passivate is not None:
-            passivate()
-
     # -- transactions ------------------------------------------------------------------
 
     @contextmanager
@@ -174,10 +152,6 @@ class EjbContainer:
             bean._home._ejb_store(bean)
             self.entity_stores += 1
         self._dirty.clear()
-
-    def attach_trace(self, trace: InteractionTrace) -> None:
-        """Route this container's queries to an interaction trace."""
-        self._trace = trace
 
     # -- services used by homes/beans ------------------------------------------------------
 

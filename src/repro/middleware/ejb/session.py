@@ -57,26 +57,6 @@ class SessionBean:
         return self.ejb.home(table)
 
 
-class StatefulSessionBean(SessionBean):
-    """Base class for *stateful* session beans.
-
-    The paper: session beans "are used either to perform temporary
-    operations (stateless session beans) or represent temporary objects
-    (stateful session beans)".  A stateful bean keeps conversational
-    state across calls from the same client; the container binds one
-    instance per stub (see :meth:`EjbContainer.create_stateful`) instead
-    of handing calls to an anonymous pooled instance.  Entity-bean state
-    still does not survive transactions -- only the bean's own
-    attributes do.
-    """
-
-    def ejb_activate(self) -> None:
-        """Called when the instance is bound to a client stub."""
-
-    def ejb_passivate(self) -> None:
-        """Called when the client releases the stub."""
-
-
 class RmiStub:
     """Client-side proxy: counts calls, sizes payloads, runs the
     container transaction around every invocation."""

@@ -14,7 +14,7 @@ Structural properties reproduced from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.db.driver import NativeDriver
 from repro.db.engine import Database

@@ -32,11 +32,3 @@ class AjpConnector:
 
     costs: AjpCosts = AjpCosts()
 
-    def crossing_bytes(self, body_bytes: int, direction: str) -> int:
-        if direction == "request":
-            return self.costs.request_overhead_bytes + body_bytes
-        return self.costs.reply_overhead_bytes + body_bytes
-
-    def endpoint_cpu(self, payload_bytes: int) -> float:
-        """CPU burned at *each* endpoint for one crossing."""
-        return self.costs.per_message + payload_bytes * self.costs.per_byte

@@ -21,9 +21,6 @@ class HttpServlet:
     def service(self, ctx: AppContext) -> HttpResponse:
         raise NotImplementedError
 
-    def destroy(self) -> None:
-        """Called when the engine unloads the servlet."""
-
 
 class FunctionServlet(HttpServlet):
     """Adapts a plain ``fn(ctx) -> HttpResponse`` to the servlet API."""

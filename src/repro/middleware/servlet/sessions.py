@@ -41,10 +41,6 @@ class HttpSession:
         self._check()
         self._attributes.pop(name, None)
 
-    def attribute_names(self):
-        self._check()
-        return tuple(self._attributes)
-
     def invalidate(self) -> None:
         self._attributes.clear()
         self.valid = False

@@ -70,11 +70,6 @@ class Lan:
         except KeyError:
             raise KeyError(f"machine {machine_name!r} is not attached to this LAN") from None
 
-    def nics(self) -> Dict[str, Nic]:
-        """Attached NICs by machine name (read-only snapshot; cluster
-        reports iterate pool members' NICs through this)."""
-        return dict(self._nics)
-
     def transfer(self, src, dst, nbytes: int):
         """Process-style: move ``nbytes`` from machine ``src`` to ``dst``.
 

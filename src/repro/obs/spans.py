@@ -207,9 +207,6 @@ class Tracer:
         for rc in list(self._by_proc.values()):
             rc.close()
 
-    def open_requests(self) -> int:
-        return len(self._by_proc)
-
     # -- aggregation ------------------------------------------------------------
 
     def _clip_factor(self, span: Span) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 # -- arrival-rate profiles ----------------------------------------------------

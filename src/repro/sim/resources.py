@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 

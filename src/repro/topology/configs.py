@@ -39,10 +39,6 @@ class Configuration:
         return self.placement.get(role_a) == self.placement.get(role_b)
 
     @property
-    def uses_sync_locking(self) -> bool:
-        return self.flavor == "servlet_sync"
-
-    @property
     def profile_flavor(self) -> str:
         return self.flavor
 

@@ -214,12 +214,6 @@ class TopologyConfiguration(Configuration):
             return [base]               # writes go to the primary only
         return [base]
 
-    def db_replica_names(self) -> List[str]:
-        """Replica machine names of shard 1 (the paper primary); a
-        sharded site adds shard 2..N's replicas via
-        :meth:`shard_replica_names`."""
-        return _replica_names(self.machine_of("db"), self.cluster.db_replicas)
-
     def db_shard_names(self) -> List[str]:
         """Shard primary machine names; ``["db"]`` when un-sharded."""
         return _shard_primary_names(self.machine_of("db"),
@@ -436,7 +430,9 @@ def validate_config_names(names: Sequence[str],
             else:
                 parse_topology(name)
         except KeyError as exc:
-            errors.append(f"unknown configuration {name!r}: {exc.args[0]}")
+            # A paper-name miss says no more than the known list below.
+            detail = "" if paper_only else f": {exc.args[0]}"
+            errors.append(f"unknown configuration {name!r}{detail}")
         except ValueError as exc:
             errors.append(f"bad configuration {name!r}: {exc}")
     if errors:

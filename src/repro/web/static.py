@@ -55,8 +55,5 @@ class StaticContentStore:
         self.bytes_served += size
         return size
 
-    def total_bytes(self) -> int:
-        return sum(self._objects.values())
-
     def __len__(self) -> int:
         return len(self._objects)

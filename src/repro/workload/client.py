@@ -109,9 +109,6 @@ class ClientStats:
     retries: int = 0
     abandoned: int = 0
 
-    def completed_in_window(self) -> int:
-        return self.interactions_completed
-
     def record_error(self, kind: str) -> None:
         if kind == "timeout":
             self.timeouts += 1

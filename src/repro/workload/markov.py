@@ -25,9 +25,3 @@ def choose_interaction(mix: Dict[str, float], rng: random.Random) -> str:
         if pick <= acc:
             return name
     return next(reversed(mix))
-
-
-def stationary_distribution(mix: Dict[str, float]) -> Dict[str, float]:
-    """The normalized mix (the Markov chain's stationary distribution)."""
-    total = sum(mix.values())
-    return {name: weight / total for name, weight in mix.items()}

@@ -77,7 +77,10 @@ def test_ablation_sync_lock_granularity(ordering):
 
 
 def _queries_per_interaction(profile, mix):
-    return sum(profile.profile(name).mean_queries() * weight
+    def mean_queries(variants):
+        return sum(v.query_count for v in variants) / len(variants)
+
+    return sum(mean_queries(profile.profile(name).variants) * weight
                for name, weight in mix.items()) / sum(mix.values())
 
 

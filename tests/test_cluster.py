@@ -48,7 +48,6 @@ def test_pool_members_and_replica_names():
     assert config.pool("web") == ["web", "web#2"]
     assert config.pool("gen") == ["servlet", "servlet#2", "servlet#3"]
     assert config.pool("db") == ["db"]          # writes: primary only
-    assert config.db_replica_names() == ["db.r1", "db.r2"]
     assert config.machine_names() == [
         "web", "web#2", "servlet", "servlet#2", "servlet#3",
         "db", "db.r1", "db.r2"]
@@ -194,14 +193,14 @@ def test_least_connections_counts_are_conserved(ops, seed):
             lb.release(held.pop())
         else:
             held.append(lb.acquire(session_key=op))
-        assert lb.total_in_flight == len(held)
+        assert sum(lb.in_flight.values()) == len(held)
         assert all(count >= 0 for count in lb.in_flight.values())
         # least-connections keeps the pool balanced within one request
         counts = sorted(lb.in_flight.values())
         assert counts[-1] - counts[0] <= 1
     for backend in held:
         lb.release(backend)
-    assert lb.total_in_flight == 0
+    assert sum(lb.in_flight.values()) == 0
 
 
 # -- replication: read-your-writes under random lag ----------------------------
@@ -263,7 +262,7 @@ def test_read_your_writes_holds_under_random_lag(script, lag, n_replicas):
     for replica in repl.replicas:
         assert replica.applied_seq == repl.commit_seq
         assert replica.applied_writes == repl.commit_seq
-    assert repl.balancer.total_in_flight == 0
+    assert sum(repl.balancer.in_flight.values()) == 0
 
 
 def test_zero_replicas_is_pure_bookkeeping():

@@ -1,5 +1,7 @@
 """End-to-end SQL tests against the Database engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.db import (
@@ -9,7 +11,20 @@ from repro.db import (
     IndexDef,
     TableSchema,
 )
+from repro.db.cost import CostModel
 from repro.db.errors import IntegrityError, LockError, SqlError
+
+
+def _indexed(result, table_name):
+    """Rows ``result`` examined through an index of ``table_name``."""
+    return sum(count for (table, __), count
+               in result.stats.rows_examined_index.items()
+               if table == table_name)
+
+
+def _row_dicts(table):
+    names = table.schema.column_names()
+    return [dict(zip(names, table.get_row(rowid))) for rowid in table.scan()]
 
 
 @pytest.fixture
@@ -62,7 +77,7 @@ def test_insert_assigns_auto_increment(db):
 def test_select_by_primary_key_uses_index(db):
     result = db.execute("SELECT name FROM items WHERE id = ?", (7,))
     assert result.rows == [("item07",)]
-    assert result.stats.indexed_for_table("items") == 1
+    assert _indexed(result, "items") == 1
     assert not result.stats.rows_examined_scan
 
 
@@ -70,7 +85,7 @@ def test_select_by_secondary_index(db):
     result = db.execute("SELECT id FROM items WHERE category = ?", (2,))
     ids = sorted(r[0] for r in result.rows)
     assert ids == [2, 6, 10, 14, 18]
-    assert result.stats.indexed_for_table("items") == 5
+    assert _indexed(result, "items") == 5
 
 
 def test_select_full_scan_counts_examined(db):
@@ -82,7 +97,7 @@ def test_select_full_scan_counts_examined(db):
 def test_select_range_uses_pk_index(db):
     result = db.execute("SELECT id FROM items WHERE id > 17")
     assert sorted(r[0] for r in result.rows) == [18, 19, 20]
-    assert result.stats.indexed_for_table("items") == 3
+    assert _indexed(result, "items") == 3
 
 
 def test_order_by_and_limit(db):
@@ -95,7 +110,7 @@ def test_order_by_index_early_stop(db):
     result = db.execute("SELECT id FROM items ORDER BY id LIMIT 5")
     assert [r[0] for r in result.rows] == [1, 2, 3, 4, 5]
     # Early termination: only LIMIT rows examined via the ordered index.
-    assert result.stats.indexed_for_table("items") == 5
+    assert _indexed(result, "items") == 5
 
 
 def test_order_by_multiple_keys(db):
@@ -371,7 +386,7 @@ def test_index_probe_cost_not_scaled():
 def test_result_set_helpers(db):
     result = db.execute("SELECT id, name FROM items WHERE id = 1")
     assert result.first() == (1, "item01")
-    assert result.as_dicts() == [{"id": 1, "name": "item01"}]
+    assert result.columns == ["id", "name"]
     empty = db.execute("SELECT id FROM items WHERE id = 999")
     assert empty.first() is None
     assert empty.scalar() is None
@@ -580,7 +595,7 @@ def _fresh_copy(db, cost_model=None):
             if index.name not in declared and index.name != f"pk_{name}":
                 fresh.create_index(name, IndexDef(
                     index.name, index.columns, unique=index.unique))
-        fresh.load_rows(name, list(table.rows_as_dicts()))
+        fresh.load_rows(name, _row_dicts(table))
     return fresh
 
 
@@ -632,12 +647,13 @@ def test_table_scale_follows_row_count_catalog_and_statistics():
     _assert_prices_like_fresh(db)
 
     # An ablation cost model reads the same scales.
-    db.cost_model = db.cost_model.with_overrides(per_row_scanned=1e-3,
-                                                 per_row_sorted=2e-3)
+    db.cost_model = CostModel(replace(db.cost_model.constants,
+                                      per_row_scanned=1e-3,
+                                      per_row_sorted=2e-3))
     _assert_prices_like_fresh(db)
 
     # Same name, same row count, other statistics.
-    rows = list(db.table("scaled").rows_as_dicts())
+    rows = _row_dicts(db.table("scaled"))
     db.execute("DROP TABLE scaled")
     db.create_table(_scaled_schema(500, {"grp": 40, "x": 7}))
     db.load_rows("scaled", rows)

@@ -288,36 +288,6 @@ def test_field_access_counter(container):
     assert container.field_accesses == 3
 
 
-def test_stateful_session_bean_keeps_conversational_state(container):
-    from repro.middleware.ejb.session import StatefulSessionBean
-
-    class CartBean(StatefulSessionBean):
-        def ejb_activate(self):
-            self.items = []
-            self.active = True
-
-        def ejb_passivate(self):
-            self.active = False
-
-        def add(self, item):
-            self.items.append(item)
-            return len(self.items)
-
-        def contents(self):
-            return list(self.items)
-
-    container.deploy_session("StatefulCart", CartBean)
-    stub = container.create_stateful("StatefulCart")
-    assert stub.add("book") == 1
-    assert stub.add("cd") == 2
-    assert stub.contents() == ["book", "cd"]       # state survived calls
-    # A second conversation gets its own instance.
-    other = container.create_stateful("StatefulCart")
-    assert other.contents() == []
-    container.release_stateful(stub)
-    assert stub._bean.active is False
-
-
 def test_stateless_lookup_gives_fresh_instance_per_lookup(container):
     class Sticky(SessionBean):
         def poke(self):

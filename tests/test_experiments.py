@@ -18,8 +18,12 @@ from repro.experiments.registry import (
     figure_spec,
     normalize_figure_id,
 )
-from repro.metrics.report import CpuUtilization, ExperimentReport, \
-    ThroughputPoint
+from repro.metrics.report import (
+    ConfigurationSeries,
+    CpuUtilization,
+    ExperimentReport,
+    ThroughputPoint,
+)
 from repro.topology.configs import ALL_CONFIGURATIONS
 
 
@@ -86,7 +90,8 @@ def _report(ipm_by_config):
     """A hand-built report: one point per configuration."""
     report = ExperimentReport("t", "w")
     for name, ipm in ipm_by_config.items():
-        report.series_for(name).add(ThroughputPoint(
+        report.series[name] = ConfigurationSeries(name)
+        report.series[name].add(ThroughputPoint(
             100, ipm, CpuUtilization(0.5, 0.9, 0.4, 0.3)))
     return report
 

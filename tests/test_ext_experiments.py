@@ -112,11 +112,11 @@ def test_tiny_reports_hold_what_they_print(reports):
     # climbs back to >= 90% of its pre-fault level after the restart.
     for summary in reports("faults", **POOLED_FAULTS).summaries:
         assert not summary.contained
-        assert summary.during_over_pre < 0.5
+        assert summary.during_goodput_ipm < 0.5 * summary.pre_goodput_ipm
         assert summary.timeouts + summary.aborts + summary.rejections > 0
         assert summary.retries > 0
         assert summary.recovery_time_s is not None
-        assert summary.post_over_pre >= 0.9
+        assert summary.post_goodput_ipm >= 0.9 * summary.pre_goodput_ipm
 
 
 @pytest.mark.parametrize("name", sorted(POOLED))
@@ -177,6 +177,24 @@ def test_unknown_mix_is_rejected_before_any_work(no_apps, capsys):
     # A real mix of the wrong application is just as unknown.
     assert main(["slo", "--mix", "bidding"]) == 2
     assert "unknown bookstore mix 'bidding'" in capsys.readouterr().err
+    assert no_apps == {}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["scale", "--scale", "tiny", "--jobs", "1", "--replicas", "-1"],
+     "repro scale: error: argument --replicas: must be >= 0, got -1"),
+    (["trace", "5", "--config", "WsPhp-DB", "--clients", "-3"],
+     "repro trace: error: argument --clients: must be >= 1, got -3"),
+    (["trace", "fig06", "--clients", "0"],
+     "repro trace: error: argument --clients: must be >= 1, got 0"),
+])
+def test_impossible_counts_are_refused_by_the_parser(argv, error, no_apps,
+                                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line] == [error]
     assert no_apps == {}
 
 

@@ -187,7 +187,7 @@ def test_crash_of_own_tier_is_not_contained(servlet_profile):
         population.stats,
         contained="servlet" not in WS_SEP_SERVLET_DB.machine_names())
     assert not summary.contained
-    assert summary.during_over_pre < 0.5
+    assert summary.during_goodput_ipm < 0.5 * summary.pre_goodput_ipm
 
 
 def test_db_conn_glitch_aborts_queries_transiently(php_profile):
@@ -425,8 +425,9 @@ def test_summarize_failover_never_recovers():
     summary = summarize_failover("C1", "db", windows, 10.0, 20.0,
                                  stats=ClientStats())
     assert summary.recovery_time_s is None
-    assert summary.during_over_pre == pytest.approx(0.0)
-    assert summary.post_over_pre == pytest.approx(0.1)
+    assert summary.during_goodput_ipm == pytest.approx(0.0)
+    assert summary.post_goodput_ipm == pytest.approx(
+        0.1 * summary.pre_goodput_ipm)
 
 
 def _tiny_point(app, php_profile, loop):

@@ -11,8 +11,8 @@ be speed-only can be checked statement by statement:
   ``cpu_seconds`` / ``scaled_rows_examined`` / ``result_bytes`` (``repr``
   round-trips a float exactly, so a reordered float sum shows up).
 * ``profile_sha256`` / ``auction_profile_sha256`` -- ``profile_all_flavors``
-  of the tiny bookstore / auction serialised through
-  :mod:`repro.harness.profile_io`.
+  of the tiny bookstore / auction, every field of every variant but
+  ``step_labels`` (:func:`profile_to_dict`).
 * ``ejb_best_sellers_records_sha256`` -- ``repr`` of every
   :class:`QueryRecord` the trace of one EJB ``best_sellers`` page holds
   (the ~20 K single-field CMP loads), so the recording layers are pinned
@@ -130,9 +130,30 @@ def page_digests() -> dict:
     return out
 
 
+def profile_to_dict(profile) -> dict:
+    """What the profile digests hash; ``_sha`` encodes each step tuple
+    as a JSON list, and ``format_version`` keeps the goldens' key set."""
+    return {
+        "format_version": 2,
+        "app_name": profile.app_name,
+        "flavor": profile.flavor,
+        "key_spaces": profile.key_spaces,
+        "interactions": {
+            name: {"read_only": interaction.read_only,
+                   "variants": [
+                       {"steps": v.steps,
+                        "response_bytes": v.response_bytes,
+                        "image_count": v.image_count,
+                        "image_bytes": v.image_bytes,
+                        "query_count": v.query_count,
+                        "db_cpu_seconds": v.db_cpu_seconds,
+                        "ok": v.ok} for v in interaction.variants]}
+            for name, interaction in profile.interactions.items()},
+    }
+
+
 def profile_digest(app_name: str = "bookstore") -> str:
     from repro.apps import build_app
-    from repro.harness.profile_io import profile_to_dict
     from repro.harness.profiles import profile_all_flavors
 
     with _fresh_registration_tags():

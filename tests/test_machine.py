@@ -1,4 +1,4 @@
-"""Tests for CPU, disk, and machine models."""
+"""Tests for the CPU and machine models."""
 
 import pytest
 
@@ -310,32 +310,6 @@ def test_a_saturated_core_pushes_once_per_finished_job_not_per_slice():
     # (the last to finish leaves the core idle).
     assert sim.pushes == 4
     assert sim._live == 0 and sim.quiescent() and not cpu.busy
-
-
-def test_disk_io_takes_access_plus_transfer_time():
-    sim = Simulator()
-    machine = Machine(sim, "db")
-
-    def job():
-        yield from machine.disk.io(35_000_00)  # 3.5 MB at 35 MB/s = 0.1 s
-
-    sim.spawn(job())
-    sim.run()
-    assert sim.now == pytest.approx(0.009 + 0.1)
-    assert machine.disk.transfers == 1
-    assert machine.disk.bytes_moved == 3_500_000
-
-
-def test_machine_memory_gauge():
-    sim = Simulator()
-    machine = Machine(sim, "web")
-    machine.allocate_memory(100)
-    machine.allocate_memory(50)
-    assert machine.memory_used_mb == 150
-    machine.free_memory(200)
-    assert machine.memory_used_mb == 0
-    with pytest.raises(ValueError):
-        machine.allocate_memory(-1)
 
 
 def test_paper_machine_spec_matches_testbed():

@@ -104,7 +104,7 @@ def test_series_peak_empty_raises():
 
 def test_report_renders_tables():
     report = ExperimentReport(title="T", workload="w")
-    series = report.series_for("WsPhp-DB")
+    series = report.series["WsPhp-DB"] = ConfigurationSeries("WsPhp-DB")
     series.add(make_point(100, 520))
     series.add(make_point(200, 480))
     text = report.render_throughput_table()
@@ -128,15 +128,17 @@ def test_cpu_utilization_row_includes_optional_roles():
 
 def test_report_peaks_mapping():
     report = ExperimentReport(title="T", workload="w")
-    report.series_for("A").add(make_point(10, 100))
-    report.series_for("B").add(make_point(10, 200))
+    report.series["A"] = ConfigurationSeries("A")
+    report.series["A"].add(make_point(10, 100))
+    report.series["B"] = ConfigurationSeries("B")
+    report.series["B"].add(make_point(10, 200))
     peaks = report.peaks()
     assert peaks["B"].throughput_ipm == 200
 
 
 def test_report_csv_export(tmp_path):
     report = ExperimentReport(title="T", workload="w")
-    series = report.series_for("WsPhp-DB")
+    series = report.series["WsPhp-DB"] = ConfigurationSeries("WsPhp-DB")
     series.add(make_point(100, 520))
     series.add(make_point(50, 300))
     csv_text = report.to_csv()

@@ -117,7 +117,7 @@ def test_span_trees_are_well_formed(ops):
     # The tracer folded exactly the spans the tree holds and no request
     # context is left open.
     assert tracer.spans_folded == rc.span_count
-    assert tracer.open_requests() == 0
+    assert not tracer._by_proc
     assert tracer.requests == [rc]
 
 
@@ -160,7 +160,7 @@ def test_traced_run_matches_untraced_run(app, servlet_profile):
 
     # The traced point carries the full aggregates.
     tracer = traced.tracer
-    assert tracer.open_requests() == 0
+    assert not tracer._by_proc
     assert tracer.n_requests > 0
     report = traced.bottleneck_report
     assert report.bottleneck == traced.bottleneck
@@ -200,7 +200,7 @@ def test_spans_close_by_quiescence_under_crash_plans(drawn):
         retry=RetryPolicy(deadline=3.0, max_retries=1, backoff_base=0.25,
                           backoff_cap=1.0, retry_budget=10)))
     tracer = point.tracer
-    assert tracer.open_requests() == 0
+    assert not tracer._by_proc
     for rc in tracer.requests:
         assert rc.closed
         _assert_well_formed(rc.root)

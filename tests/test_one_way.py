@@ -9,6 +9,7 @@ for.
 
 import ast
 import re
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -174,3 +175,43 @@ def test_one_place_states_a_finding():
     for module in ("repro.harness.perf", "repro.experiments.ext_bboard"):
         assert importlib.util.find_spec(module) is None
     assert all(spec.findings for spec, __ in FIGURES.values())
+
+
+#: Public names that no run reaches but tests do, each with the reason
+#: it stays.
+KEPT_FOR_TESTS = {
+    "null_rows": "the index's NULL-key rows, compared with the reference "
+                 "index in tests/test_db_storage.py",
+    "rowcount": "the DB-API row count, compared with sqlite3's "
+                "cursor.rowcount in tests/test_property_db.py",
+}
+_DEFINITION = re.compile(r"^[ \t]*(?:async[ \t]+)?(?:def|class)[ \t]+"
+                         r"([A-Za-z]\w*)", re.M)
+#: Imports and ``__all__`` lists name a definition without using it.
+_EXPORT = re.compile(r"^(?:from\s[^\n(]*\([^)]*\)|from\s[^\n]*|import\s[^\n]*"
+                     r"|__all__\s*=\s*[\[(][^\])]*[\])])", re.M)
+
+
+def test_every_public_definition_is_reached():
+    """Every public ``def`` / ``class`` in ``src/repro`` is named, outside
+    its own definition and outside imports and ``__all__``, somewhere a
+    run starts from: ``src/repro``, ``benchmarks/``, ``examples/`` or the
+    CI workflows.  Tests do not count; ``KEPT_FOR_TESTS`` lists the
+    exceptions, and only names the scan would otherwise flag."""
+    root = SRC.parent.parent
+    words, defined = Counter(), Counter()
+    for path in [*SRC.rglob("*.py"), *(root / "benchmarks").rglob("*.py"),
+                 *(root / "examples").rglob("*.py"),
+                 *(root / ".github" / "workflows").glob("*.yml")]:
+        text = path.read_text()
+        words.update(re.findall(r"\w+", _EXPORT.sub("", text)))
+        if SRC in path.parents:
+            defined.update(_DEFINITION.findall(text))
+    unreached = {name for name, count in defined.items()
+                 if words[name] <= count}
+    stray = sorted(unreached - set(KEPT_FOR_TESTS))
+    assert not stray, ("reached by nothing but tests (delete it, or keep it "
+                       "in KEPT_FOR_TESTS with a reason): " + ", ".join(stray))
+    stale = sorted(set(KEPT_FOR_TESTS) - unreached)
+    assert not stale, "reached after all, drop from KEPT_FOR_TESTS: " + \
+        ", ".join(stale)

@@ -7,11 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.apps.bookstore import BookstoreApp, build_bookstore_database
-from repro.faults.errors import (
-    BackpressureError,
-    CircuitOpenError,
-    TransientDbError,
-)
+from repro.faults.errors import BackpressureError, CircuitOpenError
 from repro.harness.experiment import ExperimentSpec, build_site, run_experiment
 from repro.harness.profiles import profile_application
 from repro.metrics.slo import SloSeries, SloSpec
@@ -239,68 +235,6 @@ def test_breaker_half_open_probe_failure_reopens():
 def test_breaker_policy_validation(kwargs):
     with pytest.raises(ValueError):
         BreakerPolicy(**kwargs)
-
-
-# -- circuit breaker (functional driver wrapper) ------------------------------
-
-class _FlakyConnection:
-    """Stands in for a db connection; fails while ``broken`` is set."""
-
-    def __init__(self):
-        self.broken = False
-        self.calls = 0
-        self.closed = False
-
-    def execute(self, sql, params=()):
-        self.calls += 1
-        if self.broken:
-            raise TransientDbError("boom")
-        return "ok"
-
-    @property
-    def last_insert_id(self):
-        return None
-
-    def close(self):
-        self.closed = True
-
-
-def test_circuit_breaker_connection_trips_and_probes():
-    from repro.db.driver import CircuitBreakerConnection
-    inner = _FlakyConnection()
-    conn = CircuitBreakerConnection(inner, window=8, min_calls=4,
-                                    trip_threshold=0.5)
-    assert conn.execute("SELECT 1") == "ok"
-    inner.broken = True
-    # After the 3rd failure the ring holds [ok, fail, fail, fail]:
-    # min_calls reached and the failure fraction is past the threshold.
-    for __ in range(3):
-        with pytest.raises(TransientDbError):
-            conn.execute("SELECT 1")
-    assert conn.open
-    calls = inner.calls
-    with pytest.raises(CircuitOpenError):
-        conn.execute("SELECT 1")
-    assert inner.calls == calls         # fail-fast: inner never touched
-    assert conn.fast_fails == 1
-    # A failed probe keeps it open; a successful one closes it.
-    with pytest.raises(TransientDbError):
-        conn.probe("SELECT 1")
-    assert conn.open
-    inner.broken = False
-    assert conn.probe("SELECT 1") == "ok"
-    assert not conn.open
-    assert conn.execute("SELECT 1") == "ok"
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(window=0), dict(min_calls=0), dict(trip_threshold=0.0),
-    dict(trip_threshold=1.1),
-])
-def test_circuit_breaker_connection_validation(kwargs):
-    from repro.db.driver import CircuitBreakerConnection
-    with pytest.raises(ValueError):
-        CircuitBreakerConnection(_FlakyConnection(), **kwargs)
 
 
 # -- degradation policy + installation ----------------------------------------

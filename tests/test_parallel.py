@@ -13,7 +13,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.apps import build_app
-from repro.harness.experiment import ExperimentSpec, run_figure, run_sweep
+from repro.harness.experiment import ExperimentSpec, run_figure
 from repro.harness.parallel import (
     default_jobs,
     effective_jobs,
@@ -137,12 +137,14 @@ def test_auction_point_jobs4_equals_jobs1():
 
 
 def test_run_sweep_jobs_parity_and_order():
+    """One configuration over a client-count grid."""
     base = _bookstore_spec()
     counts = (20, 40)
-    serial = run_sweep(base, counts, jobs=1)
-    parallel = run_sweep(base, counts, jobs=4)
-    assert asdict(parallel) == asdict(serial)
-    assert [p.clients for p in parallel.points] == list(counts)
+    sweep = [replace(base, clients=clients) for clients in counts]
+    serial = run_points(sweep, jobs=1)
+    parallel = run_points(sweep, jobs=4)
+    assert [asdict(p) for p in parallel] == [asdict(p) for p in serial]
+    assert [p.clients for p in parallel] == list(counts)
 
 
 def test_run_figure_jobs_parity_and_series_order():

@@ -36,6 +36,16 @@ def test_percentile_nearest_rank():
     assert percentile(samples, 0.99) == 99.0
 
 
+@pytest.mark.xfail(strict=True, reason="percentile ranks by floor(f*n), "
+                   "not nearest-rank ceil(f*n); the fix moves "
+                   "ext_tiny_text.json (ROADMAP item 10)")
+def test_percentile_nearest_rank_off_the_grid():
+    """Nearest rank is ceil(f * n): the median of three is the middle
+    sample, the 95th percentile of six is the largest."""
+    assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
+    assert percentile([float(i) for i in range(1, 7)], 0.95) == 6.0
+
+
 # -- SloSpec ------------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [

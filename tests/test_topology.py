@@ -7,7 +7,11 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.topology.configs import ALL_CONFIGURATIONS, configuration_by_name
+from repro.topology.configs import (
+    ALL_CONFIGURATIONS,
+    configuration_by_name,
+    configuration_names,
+)
 from repro.topology.spec import (
     GRAMMAR_HELP,
     TopologyConfiguration,
@@ -177,6 +181,13 @@ def test_validate_config_names_reports_with_grammar():
     assert "known configurations:" in text
     assert "WsPhp-DB" in text
     assert GRAMMAR_HELP in text
+
+
+def test_validate_config_names_says_a_paper_name_miss_once():
+    errors = validate_config_names(["Ws{0}-Servlet-DB"], paper_only=True)
+    assert errors == ["unknown configuration 'Ws{0}-Servlet-DB'",
+                      "known configurations: "
+                      + ", ".join(configuration_names())]
 
 
 def test_validate_config_names_paper_only_rejects_topologies():

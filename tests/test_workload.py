@@ -5,7 +5,7 @@ import pytest
 from repro.sim import Simulator
 from repro.sim.rng import RngStreams
 from repro.workload.client import ClientPopulation, ClientStats, ThinkTimeSpec
-from repro.workload.markov import choose_interaction, stationary_distribution
+from repro.workload.markov import choose_interaction
 
 
 class FakeSite:
@@ -126,6 +126,12 @@ def test_choose_interaction_rejects_empty_mix():
 
 
 def test_stationary_distribution_normalizes():
-    dist = stationary_distribution(MIX)
-    assert sum(dist.values()) == pytest.approx(1.0)
-    assert dist["a"] == pytest.approx(0.5)
+    """Draws follow the normalized mix (the chain's stationary
+    distribution)."""
+    import random
+    from collections import Counter
+    rng = random.Random(5)
+    drawn = Counter(choose_interaction(MIX, rng) for __ in range(10_000))
+    for name, weight in MIX.items():
+        assert drawn[name] / 10_000 == pytest.approx(weight / 100.0,
+                                                     abs=0.02)
