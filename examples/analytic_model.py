@@ -1,8 +1,10 @@
 """Explain the figures with queueing theory: service demands + MVA.
 
-The demand calculator prices one interaction's CPU on every machine of a
-configuration; exact Mean Value Analysis then predicts the whole
-throughput curve in microseconds -- no simulation.  For workloads
+The demand calculator reads one interaction's CPU on every machine of a
+configuration from the simulator's own charges (each variant runs once,
+alone, on an idle site); exact Mean Value Analysis -- the independent
+queueing model -- then predicts the whole throughput curve in
+microseconds, with no simulation of the client population.  For workloads
 without database lock contention the two agree (a consistency test in
 tests/test_analytic.py enforces it); the *difference* between MVA and
 the simulator on write-heavy mixes is precisely the cost of MyISAM's

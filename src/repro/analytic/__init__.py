@@ -1,9 +1,11 @@
 """Analytic performance models: service demands and closed-network MVA.
 
-These provide a fast, queueing-theoretic cross-check on the simulator:
-for workloads without lock contention the DES and MVA must agree (a
-consistency test enforces this), and demand tables explain *why* each
-configuration saturates where it does.
+The service demands are read from the simulator's own charges (one
+request at a time on an idle site); MVA and the operational bounds are
+the independent queueing model over them.  For workloads without lock
+contention the DES and MVA must agree (a consistency test enforces
+this), and demand tables explain *why* each configuration saturates
+where it does.
 """
 
 from repro.analytic.bounds import OperationalBounds, bounds_for

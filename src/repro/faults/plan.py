@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Tuple
 
 # Tier names double as the machine names the six configurations use
 # (topology/configs.py): a tier absent from a configuration is simply
@@ -111,40 +111,6 @@ class FaultPlan:
                     factor: float) -> "FaultPlan":
         return FaultPlan((FaultEvent("lan_degrade", at=at,
                                      duration=duration, factor=factor),))
-
-    @staticmethod
-    def stochastic(rng, horizon: float, tiers: Iterable[str] = ("db",),
-                   mtbf: float = 300.0, mttr: float = 30.0,
-                   max_events: Optional[int] = None) -> "FaultPlan":
-        """Crash/repair each tier on exponential MTBF/MTTR clocks.
-
-        ``rng`` is a ``random.Random``-like source; the draw order is
-        fixed (per tier, alternating up/down intervals), so the plan is
-        reproducible from the seed.
-        """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if mtbf <= 0:
-            raise ValueError(f"mtbf must be positive, got {mtbf}")
-        if mttr <= 0:
-            raise ValueError(f"mttr must be positive, got {mttr}")
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be >= 1 (or None for "
-                             f"unbounded), got {max_events}")
-        events = []
-        for tier in tiers:
-            t = rng.expovariate(1.0 / mtbf)
-            while t < horizon:
-                if max_events is not None and len(events) >= max_events:
-                    break
-                down_for = rng.expovariate(1.0 / mttr)
-                # Clip repair to the horizon so the plan always ends
-                # with every tier back up.
-                down_for = min(down_for, max(0.0, horizon - t))
-                events.append(FaultEvent("crash", tier, t, down_for))
-                t += down_for + rng.expovariate(1.0 / mtbf)
-        events.sort(key=lambda e: (e.at, e.tier))
-        return FaultPlan(tuple(events))
 
 
 EMPTY_PLAN = FaultPlan()

@@ -80,13 +80,6 @@ class SloWindow:
             return 0.0
         return self.completions / self.duration
 
-    @property
-    def offered(self) -> float:
-        """Arrivals per second in this window."""
-        if self.duration <= 0:
-            return 0.0
-        return self.arrivals / self.duration
-
     def seal(self) -> None:
         """Compute the percentile digests and drop the raw samples."""
         self.p50 = percentile(self.latencies, 0.50)

@@ -58,9 +58,6 @@ class SyncLockRegistry:
             raise RuntimeError(f"container lock {name!r} not held")
         del self._held[name]
 
-    def held(self) -> dict:
-        return dict(self._held)
-
 
 class AppContext:
     """Everything one interaction needs: request, database, locking."""

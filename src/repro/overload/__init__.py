@@ -18,9 +18,7 @@ no simulator events.
 
 from repro.overload.arrivals import (
     AbandonmentSpec,
-    DiurnalProfile,
     FlashCrowdProfile,
-    MmppProfile,
     PoissonProfile,
     ThinkTimeModel,
 )
@@ -39,8 +37,8 @@ from repro.overload.openloop import (
 )
 
 __all__ = [
-    "PoissonProfile", "FlashCrowdProfile", "MmppProfile",
-    "DiurnalProfile", "ThinkTimeModel", "AbandonmentSpec",
+    "PoissonProfile", "FlashCrowdProfile", "ThinkTimeModel",
+    "AbandonmentSpec",
     "BreakerPolicy", "DegradationPolicy", "CircuitBreaker",
     "DegradationState", "install_degradation", "DEFAULT_BROWSE_CLASS",
     "OverloadSpec", "OpenLoopStats", "OpenLoopPopulation",

@@ -9,10 +9,6 @@ not control.  This module provides the rate processes:
 ``PoissonProfile``     constant-rate Poisson arrivals.
 ``FlashCrowdProfile``  baseline Poisson with a burst window at a
                        multiplied rate (a slashdotting).
-``MmppProfile``        2-state Markov-modulated Poisson process --
-                       exponentially distributed dwell in a calm and a
-                       busy state, each with its own rate.
-``DiurnalProfile``     sinusoidal day/night rate curve.
 
 All profiles are frozen dataclasses exposing ``arrivals(rng)``, a
 generator of inter-arrival gaps.  Variable-rate profiles use
@@ -111,92 +107,6 @@ class FlashCrowdProfile(_VariableRateProfile):
         if self.burst_start <= t < self.burst_end:
             return self.base_rate * self.multiplier
         return self.base_rate
-
-
-@dataclass(frozen=True)
-class MmppProfile(_VariableRateProfile):
-    """2-state Markov-modulated Poisson process.
-
-    The modulating chain is *pre-sampled* deterministically from its own
-    draws inside ``arrivals`` -- state changes are part of the same
-    stream, so the whole arrival sequence is reproducible.
-    """
-
-    calm_rate: float
-    busy_rate: float
-    calm_dwell_mean: float = 120.0
-    busy_dwell_mean: float = 30.0
-
-    def __post_init__(self):
-        if self.calm_rate <= 0 or self.busy_rate <= 0:
-            raise ValueError(f"rates must be positive, got "
-                             f"{self.calm_rate}/{self.busy_rate}")
-        if self.calm_dwell_mean <= 0 or self.busy_dwell_mean <= 0:
-            raise ValueError(f"dwell means must be positive, got "
-                             f"{self.calm_dwell_mean}/"
-                             f"{self.busy_dwell_mean}")
-
-    @property
-    def peak_rate(self) -> float:
-        return max(self.calm_rate, self.busy_rate)
-
-    def arrivals(self, rng) -> Iterator[float]:
-        # The modulating chain cannot be expressed as a pure rate_at(t)
-        # (it is itself random), so override thinning with the exact
-        # two-clock construction: hold a state, emit Poisson arrivals at
-        # its rate, switch after an exponential dwell.
-        busy = False
-        t = 0.0
-        last = 0.0
-        switch = t + rng.expovariate(1.0 / self.calm_dwell_mean)
-        while True:
-            rate = self.busy_rate if busy else self.calm_rate
-            gap = rng.expovariate(rate)
-            if t + gap < switch:
-                t += gap
-                yield t - last
-                last = t
-            else:
-                # Memorylessness: discard the partial gap and redraw in
-                # the new state.
-                t = switch
-                busy = not busy
-                dwell = self.busy_dwell_mean if busy \
-                    else self.calm_dwell_mean
-                switch = t + rng.expovariate(1.0 / dwell)
-
-    def rate_at(self, t: float) -> float:  # pragma: no cover - unused
-        raise NotImplementedError("MMPP rate is stochastic")
-
-
-@dataclass(frozen=True)
-class DiurnalProfile(_VariableRateProfile):
-    """Sinusoidal day/night curve: rate(t) = mean * (1 + amplitude *
-    sin(2*pi*t/period)), clipped at zero."""
-
-    mean_rate: float
-    amplitude: float = 0.8
-    period: float = 86400.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.mean_rate <= 0:
-            raise ValueError(f"mean_rate must be positive, "
-                             f"got {self.mean_rate}")
-        if not 0 <= self.amplitude <= 1:
-            raise ValueError(f"amplitude must be in [0, 1], "
-                             f"got {self.amplitude}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-
-    @property
-    def peak_rate(self) -> float:
-        return self.mean_rate * (1.0 + self.amplitude)
-
-    def rate_at(self, t: float) -> float:
-        return max(0.0, self.mean_rate * (
-            1.0 + self.amplitude *
-            math.sin(2.0 * math.pi * (t + self.phase) / self.period)))
 
 
 # -- think-time models --------------------------------------------------------

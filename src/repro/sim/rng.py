@@ -38,8 +38,3 @@ class RngStreams:
         if mean <= 0:
             raise ValueError(f"exponential mean must be positive, got {mean}")
         return self.stream(name).expovariate(1.0 / mean)
-
-    def fork(self, name: str) -> "RngStreams":
-        """A child factory whose streams are independent of the parent's."""
-        digest = hashlib.sha256(f"{self.seed}/{name}".encode()).digest()
-        return RngStreams(int.from_bytes(digest[:8], "big"))

@@ -21,8 +21,6 @@ class StaticContentStore:
 
     def __init__(self):
         self._objects: Dict[str, int] = {}
-        self.hits = 0
-        self.bytes_served = 0
 
     def register(self, path: str, size_bytes: int) -> None:
         if size_bytes < 0:
@@ -46,13 +44,6 @@ class StaticContentStore:
                 digest = hashlib.md5(path.encode()).digest()
                 return self.DEFAULT_NAV_BYTES + digest[0] * 8
             raise KeyError(f"no static object at {path!r}")
-        return size
-
-    def serve(self, path: str) -> int:
-        """Account one GET of the object; returns its size."""
-        size = self.size_of(path)
-        self.hits += 1
-        self.bytes_served += size
         return size
 
     def __len__(self) -> int:

@@ -106,8 +106,8 @@ def test_ablation_ipc_cost_sensitivity():
     profile = get_profiles("auction")["servlet"]
     mix = build_app("auction").mix("bidding")
     half, default, double = (
-        expected_demands(WS_SERVLET_DB, profile, mix,
-                         ajp=AjpCosts(per_byte=per_byte)).max_throughput()
+        expected_demands(WS_SERVLET_DB, profile, mix, ajp_costs=AjpCosts(
+            per_byte=per_byte)).max_throughput()
         for per_byte in (45e-9, 90e-9, 180e-9))
     assert half > default > double
 

@@ -1,17 +1,34 @@
 """Tests for demand tables, MVA, and DES/analytic consistency."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
+from repro.analytic.bounds import bounds_for
 from repro.analytic.demand import DemandTable, expected_demands
 from repro.analytic.mva import solve_mva, throughput_curve
 from repro.apps.auction import AuctionApp, build_auction_database
-from repro.harness.experiment import ExperimentSpec, run_experiment
+from repro.harness.experiment import (
+    ExperimentSpec,
+    Phases,
+    build_site,
+    measure_point,
+    point_spec,
+    run_experiment,
+)
 from repro.harness.profiles import profile_application
+from repro.sim.kernel import Simulator
+from repro.sim.rng import RngStreams
 from repro.topology.configs import (
+    ALL_CONFIGURATIONS,
     WS_PHP_DB,
     WS_SEP_SERVLET_DB,
     WS_SERVLET_EJB_DB,
 )
+from repro.topology.spec import parse_topology
+from repro.workload.client import ClientPopulation
+from repro.workload.markov import choose_interaction
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +40,12 @@ def auction_app():
 def auction_php_profile(auction_app):
     return profile_application(auction_app, auction_app.deploy_php(),
                                "php", repetitions=2)
+
+
+@pytest.fixture(scope="module")
+def auction_servlet_profile(auction_app):
+    return profile_application(auction_app, auction_app.deploy_servlet(),
+                               "servlet", repetitions=2)
 
 
 MIX = {"view_item": 40.0, "search_items_in_category": 30.0,
@@ -87,14 +110,27 @@ def test_expected_demands_covers_config_machines(auction_app,
     assert all(v > 0 for v in table.cpu_seconds.values())
 
 
-def test_expected_demands_separate_servlet(auction_app):
-    profile = profile_application(
-        auction_app, auction_app.deploy_servlet(), "servlet", repetitions=2)
-    table = expected_demands(WS_SEP_SERVLET_DB, profile, MIX)
+def test_expected_demands_separate_servlet(auction_servlet_profile):
+    table = expected_demands(WS_SEP_SERVLET_DB, auction_servlet_profile, MIX)
     assert set(table.cpu_seconds) == {"web", "servlet", "db"}
-    # IPC bytes flow between web and servlet machines.
-    assert table.wire_bytes[("web", "servlet")] > 0
-    assert table.wire_bytes[("servlet", "web")] > 0
+    # The servlet NIC carries the AJP traffic on top of the queries.
+    assert table.nic_bytes["servlet"] > table.nic_bytes["db"]
+
+
+def test_expected_demands_refuses_non_paper_topologies(
+        auction_servlet_profile):
+    """A one-request dry run cannot spread a pool's, cache's or shard's
+    demand over its members: refuse instead of pricing the base shape."""
+    for name in ("Ws{2}-Servlet{2}-DB(1+1)", "Ws-Servlet-Cache{2}-DB",
+                 "Ws-Servlet-DB[2]"):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            expected_demands(parse_topology(name), auction_servlet_profile,
+                             MIX)
+    # A trivial variant canonicalizes to the paper configuration.
+    assert expected_demands(
+        parse_topology("Ws{1}-Servlet-Cache{0}-DB(1+0)"),
+        auction_servlet_profile, MIX) == \
+        expected_demands(WS_SEP_SERVLET_DB, auction_servlet_profile, MIX)
 
 
 def test_expected_demands_ejb(auction_app):
@@ -103,8 +139,8 @@ def test_expected_demands_ejb(auction_app):
                                   repetitions=2)
     table = expected_demands(WS_SERVLET_EJB_DB, profile, MIX)
     assert set(table.cpu_seconds) == {"web", "servlet", "ejb", "db"}
-    # RMI traffic between servlet and EJB machines.
-    assert table.wire_bytes[("servlet", "ejb")] > 0
+    # The EJB NIC carries the RMI traffic on top of the queries.
+    assert table.nic_bytes["ejb"] > table.nic_bytes["db"]
     # The EJB server carries the biggest burden for this app.
     assert table.bottleneck() == "ejb"
 
@@ -128,19 +164,44 @@ def test_des_matches_mva_without_contention(auction_app,
             mva.throughput_ipm, rel=0.12), f"{clients} clients"
 
 
-def test_des_utilizations_match_demands(auction_app, auction_php_profile):
-    """Utilization = X * D for each machine (operational law)."""
-    read_mix = {"view_item": 60.0, "search_items_in_category": 40.0}
-    table = expected_demands(WS_PHP_DB, auction_php_profile, read_mix)
-    spec = ExperimentSpec(
-        config=WS_PHP_DB, profile=auction_php_profile, mix=read_mix,
-        clients=100, ramp_up=60, measure=300, ramp_down=5)
-    point = run_experiment(spec)
+#: (app, mix, share of the analytic knee population, phases): loads
+#: well below saturation, where the utilization law holds per machine.
+LAW_POINTS = [("auction", "bidding", 0.1, Phases(20.0, 60.0, 2.0)),
+              ("bookstore", "shopping", 0.5, Phases(40.0, 150.0, 5.0))]
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGURATIONS,
+                         ids=lambda config: config.name)
+@pytest.mark.parametrize("app_name, mix_name, share, phases", LAW_POINTS,
+                         ids=["auction-bidding", "bookstore-shopping"])
+def test_des_utilizations_obey_the_utilization_law(app_name, mix_name,
+                                                   share, phases, config):
+    """U_k = X * D_k on every machine, with D_k priced for the mix that
+    completed in the window: at low load a few long interactions
+    (bookstore ``best_sellers``) carry most of the demand, so the
+    declared mix would mis-state it by up to ~56 %."""
+    spec = point_spec(app_name, mix_name, config, 1, phases)
+    knee = bounds_for(expected_demands(
+        config, spec.profile, spec.mix,
+        spec.ssl_interactions)).knee_population
+    spec = replace(spec, clients=max(1, round(share * knee)))
+    sim = Simulator()
+    site = build_site(sim, spec)
+    population = ClientPopulation(sim, spec.clients, spec.mix, site,
+                                  RngStreams(spec.seed), choose_interaction,
+                                  think=spec.think)
+    point, stats = measure_point(spec, sim, site, population)
+    table = expected_demands(config, spec.profile, stats.per_interaction,
+                             spec.ssl_interactions)
     x = point.throughput_ipm / 60.0
-    assert point.cpu.web_server == pytest.approx(
-        x * table.cpu_seconds["web"], rel=0.15)
-    assert point.cpu.database == pytest.approx(
-        x * table.cpu_seconds["db"], rel=0.15)
+    measured = {"web": point.cpu.web_server, "db": point.cpu.database,
+                "servlet": point.cpu.servlet_container,
+                "ejb": point.cpu.ejb_server}
+    assert set(table.cpu_seconds) == {m for m, u in measured.items()
+                                      if u is not None}
+    for machine, demand in table.cpu_seconds.items():
+        assert measured[machine] == pytest.approx(x * demand, rel=0.10), \
+            machine
 
 
 # ------------------------------------------------------------------ bounds

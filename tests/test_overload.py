@@ -16,9 +16,7 @@ from repro.overload import (
     BreakerPolicy,
     CircuitBreaker,
     DegradationPolicy,
-    DiurnalProfile,
     FlashCrowdProfile,
-    MmppProfile,
     OpenLoopPopulation,
     OverloadSpec,
     PoissonProfile,
@@ -86,18 +84,6 @@ def test_flash_crowd_burst_concentrates_arrivals():
     assert during > 3 * before
 
 
-def test_mmpp_and_diurnal_deterministic():
-    mmpp = MmppProfile(calm_rate=1.0, busy_rate=10.0, calm_dwell_mean=5.0,
-                       busy_dwell_mean=5.0)
-    assert _gaps(mmpp, 3, 200) == _gaps(mmpp, 3, 200)
-    assert all(g > 0 for g in _gaps(mmpp, 3, 200))
-    diurnal = DiurnalProfile(mean_rate=4.0, amplitude=0.5, period=60.0)
-    assert _gaps(diurnal, 3, 200) == _gaps(diurnal, 3, 200)
-    assert diurnal.peak_rate == 6.0
-    assert diurnal.rate_at(0.0) == pytest.approx(4.0)
-    assert diurnal.rate_at(15.0) == pytest.approx(6.0)
-
-
 @pytest.mark.parametrize("bad", [
     lambda: PoissonProfile(rate=0.0),
     lambda: PoissonProfile(rate=-1.0),
@@ -108,11 +94,6 @@ def test_mmpp_and_diurnal_deterministic():
                               burst_duration=0),
     lambda: FlashCrowdProfile(base_rate=1.0, burst_start=1,
                               burst_duration=1, multiplier=0.5),
-    lambda: MmppProfile(calm_rate=0.0, busy_rate=1.0),
-    lambda: MmppProfile(calm_rate=1.0, busy_rate=1.0, busy_dwell_mean=0.0),
-    lambda: DiurnalProfile(mean_rate=0.0),
-    lambda: DiurnalProfile(mean_rate=1.0, amplitude=1.5),
-    lambda: DiurnalProfile(mean_rate=1.0, period=0.0),
 ])
 def test_arrival_profile_validation(bad):
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from repro.overload import (
     BreakerPolicy,
     DegradationPolicy,
     FlashCrowdProfile,
-    MmppProfile,
     OpenLoopPopulation,
     OverloadSpec,
     PoissonProfile,
@@ -74,9 +73,6 @@ _arrival = st.one_of(
     st.floats(min_value=0.5, max_value=1.5).map(
         lambda r: FlashCrowdProfile(base_rate=r, burst_start=4.0,
                                     burst_duration=6.0, multiplier=4.0)),
-    st.floats(min_value=0.5, max_value=1.5).map(
-        lambda r: MmppProfile(calm_rate=r, busy_rate=4 * r,
-                              calm_dwell_mean=4.0, busy_dwell_mean=3.0)),
 )
 
 _think = st.sampled_from([

@@ -82,7 +82,6 @@ def test_series_files_samples_by_window():
     assert windows[2].errors == 1
     assert windows[2].arrivals == 1
     assert windows[0].throughput == pytest.approx(2.0)
-    assert windows[0].offered == pytest.approx(1.0)
 
 
 def test_series_origin_anchors_window_zero():
@@ -358,18 +357,3 @@ def test_think_time_spec_validation():
         ThinkTimeSpec(think_mean=0.0)
     with pytest.raises(ValueError):
         ThinkTimeSpec(session_mean=-1.0)
-
-
-def test_fault_plan_stochastic_validation():
-    from repro.faults import FaultPlan
-    rng = random.Random(1)
-    plan = FaultPlan.stochastic(rng, horizon=100.0, mtbf=30.0, mttr=5.0)
-    assert plan.events
-    with pytest.raises(ValueError):
-        FaultPlan.stochastic(rng, horizon=0.0)
-    with pytest.raises(ValueError):
-        FaultPlan.stochastic(rng, horizon=100.0, mtbf=0.0)
-    with pytest.raises(ValueError):
-        FaultPlan.stochastic(rng, horizon=100.0, mttr=-1.0)
-    with pytest.raises(ValueError):
-        FaultPlan.stochastic(rng, horizon=100.0, max_events=0)

@@ -69,9 +69,6 @@ def test_store_register_and_serve():
     store = StaticContentStore()
     store.register("/images/a.gif", 1000)
     assert store.size_of("/images/a.gif") == 1000
-    assert store.serve("/images/a.gif") == 1000
-    assert store.hits == 1
-    assert store.bytes_served == 1000
 
 
 def test_store_nav_fallback_is_deterministic():
